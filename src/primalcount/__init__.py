@@ -7,7 +7,6 @@ affinely on integer parameters.  All arithmetic is exact.
 
 from .errors import (
     DegenerateConeError,
-    EmptyPolyhedronError,
     NotFullDimensionalError,
     OracleTooLargeError,
     ParseError,
@@ -17,6 +16,7 @@ from .errors import (
 from .genfun import (
     GenFun,
     GenFunTerm,
+    count_leaves,
     count_polytope,
     gf_term,
     parallelepiped_points,
@@ -32,7 +32,7 @@ from .halfopen import (
     halfopen_triangulate,
     signed_decompose,
 )
-from .oracle import brute_count, member
+from .oracle import brute_count
 from .parametric import (
     Chamber,
     HalfOpenChamber,
@@ -58,7 +58,6 @@ __all__ = [
     "Chamber",
     "ClosedCone",
     "DegenerateConeError",
-    "EmptyPolyhedronError",
     "GenFun",
     "GenFunTerm",
     "HPolytope",
@@ -77,6 +76,7 @@ __all__ = [
     "Vertex",
     "brute_count",
     "chambers_max_dim",
+    "count_leaves",
     "count_polytope",
     "enumerate_parametric_vertices",
     "enumerate_vertices",
@@ -88,7 +88,6 @@ __all__ = [
     "halfopen_activity_regions",
     "halfopen_chambers",
     "halfopen_triangulate",
-    "member",
     "parallelepiped_points",
     "signed_decompose",
     "specialize_at_one",

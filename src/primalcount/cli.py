@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateConeError,
-    EmptyPolyhedronError,
     NotFullDimensionalError,
     OracleTooLargeError,
     ParseError,
@@ -23,7 +22,7 @@ from .errors import (
     UnboundedError,
 )
 from .genfun import count_polytope
-from .halfopen import HalfOpenPolyhedron, SignedConeSum, halfopen_triangulate, signed_decompose
+from .halfopen import HalfOpenPolyhedron, signed_decompose
 from .oracle import DEFAULT_CAP, brute_count
 from .parametric import ParametricPolytope, evaluate_count
 from .polytope import HPolytope, enumerate_vertices, vertex_cone
@@ -36,7 +35,6 @@ EXIT_VERIFY = 4
 
 SEMANTIC_ERRORS = (
     DegenerateConeError,
-    EmptyPolyhedronError,
     NotFullDimensionalError,
     OracleTooLargeError,
     SingularMatrixError,
@@ -345,13 +343,8 @@ def _cmd_decompose(args):
         print(f"error: vertex index {args.vertex} out of range "
               f"(0..{len(vertices) - 1})", file=sys.stderr)
         return EXIT_SEMANTIC
-    v = vertices[args.vertex]
-    cone = vertex_cone(P, v)
-    terms = []
-    for piece in halfopen_triangulate(cone):
-        result = signed_decompose(piece, max_index=args.max_index)
-        terms.extend(result.terms)
-    total = SignedConeSum(terms=tuple(terms))
+    cone = vertex_cone(P, vertices[args.vertex])
+    total = signed_decompose(cone, max_index=args.max_index)
     print(json.dumps(total.to_json(), indent=2))
     if args.verify:
         return _verify_decomposition(cone, total, args.seed)
@@ -401,8 +394,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path):
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8").split("\n")
+        raise ParseError("input is not valid UTF-8", len(head),
+                         len(head[-1]) + 1) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

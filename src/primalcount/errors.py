@@ -5,10 +5,6 @@ class SingularMatrixError(ValueError):
     """A matrix required to be invertible is singular."""
 
 
-class EmptyPolyhedronError(ValueError):
-    """An operation needed a nonempty polyhedron."""
-
-
 class NotFullDimensionalError(ValueError):
     """The polyhedron has empty interior in its ambient space."""
 

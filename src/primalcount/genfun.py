@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from .halfopen import HalfOpenCone, halfopen_triangulate, signed_decompose
+from .halfopen import HalfOpenCone, signed_decompose
 from .linalg import dot, smith_normal_form, transpose
 from .polytope import HPolytope, enumerate_vertices, vertex_cone
 
@@ -33,18 +33,6 @@ class GenFunTerm:
 @dataclass(frozen=True)
 class GenFun:
     terms: tuple
-
-    def to_json(self):
-        return {
-            "terms": [
-                {
-                    "sign": str(t.sign),
-                    "numerator": [[str(e) for e in p] for p in t.numerator_exponents],
-                    "denominator": [[str(b) for b in ray] for ray in t.denominator_rays],
-                }
-                for t in self.terms
-            ]
-        }
 
 
 def parallelepiped_points(cone: HalfOpenCone, apex):
@@ -184,24 +172,32 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
     return int(total)
 
 
+def count_leaves(pairs) -> int:
+    """Lattice points of a signed sum of translated leaf cones, exactly.
+
+    pairs holds (apex, leaves) with leaves a sequence of (sign,
+    HalfOpenCone) as signed_decompose returns them; each leaf is moved
+    to apex.  Sums the leaves' generating-function terms and specializes
+    the total at z = 1.
+    """
+    terms = tuple(gf_term(leaf, apex, sign=eps)
+                  for apex, leaves in pairs for eps, leaf in leaves)
+    return specialize_at_one(GenFun(terms=terms))
+
+
 def count_polytope(P: HPolytope, max_index: int = 1, stats=None) -> int:
     """Number of integer points in a bounded polytope, exactly.
 
-    Sums the generating functions of all vertex cones: triangulates
-    each into half-open pieces, signed-decomposes every piece down to
-    index at most max_index, enumerates the leaf parallelepipeds, and
-    specializes the total at z = 1.
+    Signed-decomposes every vertex cone down to index at most max_index
+    and counts the leaves at their vertex with count_leaves.
     """
     vertices = enumerate_vertices(P)
     if not vertices:
         return 0
     if stats is not None:
         stats["num_vertices"] = len(vertices)
-    terms = []
+    pairs = []
     for v in vertices:
-        C = vertex_cone(P, v)
-        for piece in halfopen_triangulate(C):
-            result = signed_decompose(piece, max_index=max_index, stats=stats)
-            for eps, leaf in result.terms:
-                terms.append(gf_term(leaf, v.point, sign=eps))
-    return specialize_at_one(GenFun(terms=tuple(terms)))
+        leaves = signed_decompose(vertex_cone(P, v), max_index=max_index, stats=stats)
+        pairs.append((v.point, leaves.terms))
+    return count_leaves(pairs)

@@ -136,69 +136,63 @@ class SignedConeSum:
         return out
 
 
-def _canonical_terms(terms):
-    return tuple(sorted(terms, key=lambda t: (t[0], t[1].base.rays, t[1].sigma)))
-
-
 # ---------------------------------------------------------------------------
 # exactification
 
 
-def exactify(pieces, y):
-    """Turn closed pieces that overlap only in facets into disjoint ones.
+def exactify(normals, y):
+    """Openness flags that make closed pieces sharing facets disjoint.
 
-    pieces is a list of (weight, closed HalfOpenPolyhedron).  Facet rows
-    whose normal has positive scalar product with y become strict, the
-    rest stay weak, so each shared facet is kept by exactly one of its
-    two pieces and double counting disappears.  Raises if y lies on one
-    of the facet hyperplane directions.
+    A facet becomes strict when its outer normal has positive scalar
+    product with y and stays weak otherwise.  Two pieces meeting in a
+    facet see it with opposite outer normals, so exactly one of them
+    keeps it and double counting disappears.  Returns one flag per
+    normal, True for strict.  Raises if y is orthogonal to a normal.
     """
-    out = []
-    for weight, poly in pieces:
-        if not poly.is_closed():
-            raise ValueError("pieces must be closed")
-        rows = []
-        for normal, rhs, _ in poly.rows:
-            p = dot(normal, y)
-            if p == 0:
-                raise ValueError("y is not generic for these pieces")
-            rows.append((normal, rhs, p > 0))
-        out.append((weight, HalfOpenPolyhedron(rows=tuple(rows))))
-    return out
+    flags = []
+    for normal in normals:
+        p = dot(normal, y)
+        if p == 0:
+            raise ValueError("y is not generic for these facets")
+        flags.append(p > 0)
+    return tuple(flags)
 
 
-def choose_triangulation_y(rays, facet_normals):
-    """An interior direction of cone(rays) avoiding all given normals.
+def perturbed_direction(seed, basis, normals):
+    """A direction near seed with nonzero product against every normal.
 
-    Tries y = sum_i (1 + gamma^i) rays[i] for gamma = 1, 1/2, 1/4, ...
-    and returns the first y with nonzero product against every normal.
-    Deterministic, and terminates because each product is a nonzero
+    Tries seed, then seed + sum_i gamma^(i+1) basis[i] for gamma = 1,
+    1/2, 1/4, ... and returns the first generic one.  Deterministic, and
+    terminates when basis spans, because each product is then a nonzero
     polynomial in gamma.
     """
+    y = tuple(seed)
     gamma = Fraction(1)
     for _ in range(400):
-        y = tuple(sum((1 + gamma ** (i + 1)) * ray[k] for i, ray in enumerate(rays))
-                  for k in range(len(rays[0])))
-        if all(dot(n, y) != 0 for n in facet_normals):
+        if all(dot(n, y) != 0 for n in normals):
             return y
+        y = tuple(s + sum(gamma ** (i + 1) * b[k] for i, b in enumerate(basis))
+                  for k, s in enumerate(seed))
         gamma /= 2
-    raise RuntimeError("no generic direction found")  # unreachable for spanning rays
+    raise RuntimeError("no generic direction found")  # unreachable for spanning bases
 
 
 def halfopen_triangulate(C: ClosedCone):
     """Partition a closed pointed cone into half-open simplicial cones.
 
-    Triangulates, then assigns facet flags with a common interior
-    direction: every point of C lies in exactly one output cone.
+    Triangulates, then opens facets with exactify against one interior
+    direction y, the sum of C's rays moved off every facet hyperplane:
+    every point of C lies in exactly one output cone.
     """
     pieces = triangulate(C)
     if len(pieces) == 1:
         return [HalfOpenCone(base=pieces[0], sigma=(1,) * len(pieces[0].rays))]
     normals = [n for p in pieces for n in p.dual_normals]
-    y = choose_triangulation_y(C.rays, normals)
+    seed = [sum(coords) for coords in zip(*C.rays)]
+    y = perturbed_direction(seed, C.rays, normals)
     out = []
     for p in pieces:
-        sigma = tuple(1 if dot(n, y) < 0 else -1 for n in p.dual_normals)
+        sigma = tuple(-1 if strict else 1 for strict in exactify(p.dual_normals, y))
         out.append(HalfOpenCone(base=p, sigma=sigma))
     return out
 
@@ -351,32 +345,39 @@ def decompose_step(cone: HalfOpenCone, w, alpha):
     return children
 
 
-def signed_decompose(cone: HalfOpenCone, max_index: int = 1, stats=None):
-    """Decompose a half-open cone into low-index half-open cones, signed.
+def signed_decompose(cone, max_index: int = 1, stats=None):
+    """Decompose a cone into low-index half-open cones, signed.
 
-    Recursion stops once a cone's index is at most max_index.  The
-    result is exact: for every point x, the signed count of containing
-    cones equals 1 or 0 according to membership in the input cone.  When
-    stats is a dict it receives max_depth and the (parent, child) index
-    pairs of every split.
+    cone is a HalfOpenCone, or a ClosedCone, which halfopen_triangulate
+    first partitions into half-open pieces.  Recursion stops once a
+    cone's index is at most max_index.  The leaves of each piece come in
+    canonical order, concatenated piece by piece.  The result is exact:
+    for every point x, the signed count of containing leaves equals 1 or
+    0 according to membership in the input cone.  When stats is a dict
+    it receives max_depth, num_cones and the (parent, child) index pairs
+    of every split.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
+    pieces = halfopen_triangulate(cone) if isinstance(cone, ClosedCone) else [cone]
     terms = []
-    stack = [(1, cone, 0)]
     max_depth = 0
-    while stack:
-        eps, current, depth = stack.pop()
-        max_depth = max(max_depth, depth)
-        if current.index <= max_index:
-            terms.append((eps, current))
-            continue
-        w, alpha = find_w(current.base.rays)
-        for ceps, child in decompose_step(current, w, alpha):
-            if stats is not None:
-                stats.setdefault("splits", []).append((current.index, child.index))
-            stack.append((eps * ceps, child, depth + 1))
+    for piece in pieces:
+        leaves = []
+        stack = [(1, piece, 0)]
+        while stack:
+            eps, current, depth = stack.pop()
+            max_depth = max(max_depth, depth)
+            if current.index <= max_index:
+                leaves.append((eps, current))
+                continue
+            w, alpha = find_w(current.base.rays)
+            for ceps, child in decompose_step(current, w, alpha):
+                if stats is not None:
+                    stats.setdefault("splits", []).append((current.index, child.index))
+                stack.append((eps * ceps, child, depth + 1))
+        terms.extend(sorted(leaves, key=lambda t: (t[0], t[1].base.rays, t[1].sigma)))
     if stats is not None:
         stats["max_depth"] = max(stats.get("max_depth", 0), max_depth)
         stats["num_cones"] = stats.get("num_cones", 0) + len(terms)
-    return SignedConeSum(terms=_canonical_terms(terms))
+    return SignedConeSum(terms=tuple(terms))

@@ -35,10 +35,6 @@ def vec_scale(c, v):
     return tuple(c * a for a in v)
 
 
-def vec_neg(v):
-    return tuple(-a for a in v)
-
-
 def is_zero_vec(v) -> bool:
     return all(a == 0 for a in v)
 
@@ -51,10 +47,6 @@ def as_int(x) -> int:
     if f.denominator != 1:
         raise ValueError(f"not an integer: {x}")
     return f.numerator
-
-
-def vec_int(v):
-    return tuple(as_int(a) for a in v)
 
 
 def vec_primitive(v):
@@ -91,10 +83,6 @@ def mat_vec(M, v):
 def mat_mul(A, B):
     Bt = transpose(B)
     return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
-def mat_from_columns(cols):
-    return transpose(cols)
 
 
 def _check_square(M):

@@ -138,10 +138,6 @@ def interior_point(A, b):
     return tuple(x[:n])
 
 
-def is_full_dimensional(A, b) -> bool:
-    return interior_point(A, b) is not None
-
-
 def recession_ray(A):
     """A nonzero ray of {x : A x <= 0}, or None if the cone is trivial."""
     if not A:

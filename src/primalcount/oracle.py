@@ -1,4 +1,4 @@
-"""Brute-force ground truth: direct lattice scans and membership checks.
+"""Brute-force ground truth: direct lattice scans.
 
 Everything here is deliberately simple so it can serve as an independent
 reference for the algebraic counting pipeline.  Not built for speed.
@@ -10,7 +10,6 @@ from itertools import product
 from math import ceil, floor
 
 from .errors import OracleTooLargeError
-from .halfopen import HalfOpenCone, HalfOpenPolyhedron
 from .linalg import dot
 from .lp import coordinate_range, lp_feasible
 from .polytope import HPolytope
@@ -96,10 +95,3 @@ def brute_count(P: HPolytope, cap: int = DEFAULT_CAP) -> int:
                             for l, u in zip(box.lower[:-1], box.upper[:-1]))):
         total += _last_coordinate_count(P.A, P.b, prefix)
     return total
-
-
-def member(region, x) -> bool:
-    """Exact membership for half-open regions of either description."""
-    if isinstance(region, (HalfOpenCone, HalfOpenPolyhedron)):
-        return region.contains(x)
-    raise TypeError(f"unsupported region type: {type(region).__name__}")

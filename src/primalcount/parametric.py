@@ -20,9 +20,9 @@ from .errors import (
     SingularMatrixError,
     UnboundedError,
 )
-from .genfun import GenFun, gf_term, specialize_at_one
-from .halfopen import HalfOpenPolyhedron, halfopen_triangulate, signed_decompose
-from .linalg import dot, inverse
+from .genfun import count_leaves
+from .halfopen import HalfOpenPolyhedron, exactify, perturbed_direction, signed_decompose
+from .linalg import dot, identity, inverse
 from .lp import (
     OPTIMAL,
     interior_point,
@@ -286,41 +286,23 @@ def _is_wall(row, q_f, chambers):
     return any(ch.region.contains_nearby(q_f, g) for ch in chambers)
 
 
-def choose_parameter_direction(seed, normals):
-    """A direction generic against every given normal, found by perturbing."""
-    if all(dot(g, seed) != 0 for g in normals):
-        return tuple(seed)
-    p = len(seed)
-    gamma = Fraction(1)
-    for _ in range(400):
-        y = tuple(s + gamma ** (i + 1) for i, s in enumerate(seed))
-        if all(dot(g, y) != 0 for g in normals):
-            return y
-        gamma /= 2
-    raise RuntimeError("no generic direction found")  # unreachable
-
-
-def _halfopen_region(region, y_q, chambers, frontier_closed=True):
+def _halfopen_region(region, y_q, chambers):
     """Open the region's wall facets against y_q; keep outer facets closed.
 
-    A facet is a wall when a chamber lies directly beyond it; walls with
-    normal pairing positively against y_q become strict, so each wall
-    point stays in exactly one of the adjacent regions.  For regions
-    without full dimension (frontier_closed=False callers: none today)
-    every row follows the sign rule, which empties such regions.
+    A facet is a wall when a chamber lies directly beyond it; walls that
+    exactify opens against y_q become strict, so each wall point stays
+    in exactly one of the adjacent regions.  A region without full
+    dimension has every row opened by exactify, which empties it.
     """
     rows = region.rows
     if not rows:
         return region
     full_dim = interior_point([g for g, h, _ in rows],
                               [h for _, h, _ in rows]) is not None
+    opened = exactify([g for g, _, _ in rows], y_q)
     out = []
-    for idx, (g, h, _) in enumerate(rows):
-        strict = False
-        pairing = dot(g, y_q)
-        if not full_dim:
-            strict = pairing > 0
-        elif pairing > 0:
+    for idx, ((g, h, _), strict) in enumerate(zip(rows, opened)):
+        if strict and full_dim:
             q_f = _facet_relint_point(rows, idx)
             strict = q_f is not None and _is_wall((g, h), q_f, chambers)
         out.append((g, h, strict))
@@ -338,7 +320,7 @@ def halfopen_chambers(chambers, y_q=None):
         return []
     normals = [g for ch in chambers for g, h, _ in ch.region.rows]
     seed = y_q if y_q is not None else chambers[0].sample
-    y_q = choose_parameter_direction(seed, normals)
+    y_q = perturbed_direction(seed, identity(len(seed)), normals)
     out = []
     for ch in chambers:
         region = _halfopen_region(ch.region, y_q, chambers)
@@ -364,7 +346,7 @@ def halfopen_activity_regions(vertices, chambers, y_q=None):
     normals = [g for ch in chambers for g, h, _ in ch.region.rows]
     normals += [g for v in vertices for g, h, _ in v.activity.rows]
     seed = y_q if y_q is not None else chambers[0].sample
-    y_q = choose_parameter_direction(seed, normals)
+    y_q = perturbed_direction(seed, identity(len(seed)), normals)
     return [(v, _halfopen_region(v.activity, y_q, chambers)) for v in vertices]
 
 
@@ -380,8 +362,9 @@ class ParametricAnalysis:
         wall_normals = [g for ch in self.chambers for g, h, _ in ch.region.rows]
         act_normals = [g for v in self.vertices for g, h, _ in v.activity.rows]
         if self.chambers:
-            self.y_q = choose_parameter_direction(self.chambers[0].sample,
-                                                  wall_normals + act_normals)
+            seed = self.chambers[0].sample
+            self.y_q = perturbed_direction(seed, identity(len(seed)),
+                                           wall_normals + act_normals)
         else:
             self.y_q = None
         self.open_chambers = halfopen_chambers(self.chambers, self.y_q)
@@ -390,14 +373,11 @@ class ParametricAnalysis:
         self._decomps = {}
 
     def _decomposition(self, vertex: ParametricVertex):
-        """Signed half-open unimodular pieces of the vertex cone, at apex 0."""
+        """Signed half-open low-index leaves of the vertex cone, at apex 0."""
         if vertex not in self._decomps:
-            terms = []
-            for piece in halfopen_triangulate(vertex.cone):
-                result = signed_decompose(piece, max_index=self.max_index,
-                                          stats=self.stats)
-                terms.extend(result.terms)
-            self._decomps[vertex] = tuple(terms)
+            result = signed_decompose(vertex.cone, max_index=self.max_index,
+                                      stats=self.stats)
+            self._decomps[vertex] = result.terms
         return self._decomps[vertex]
 
     def _active_at(self, q0, via):
@@ -425,17 +405,13 @@ class ParametricAnalysis:
             if stats is not None:
                 stats["outside"] = True
             return 0
-        terms = []
-        for v in active:
-            apex = v.value(q0)
-            for eps, leaf in self._decomposition(v):
-                terms.append(gf_term(leaf, apex, sign=eps))
+        pairs = [(v.value(q0), self._decomposition(v)) for v in active]
         if stats is not None:
             stats["num_vertices"] = len(active)
-            stats["num_cones"] = len(terms)
+            stats["num_cones"] = sum(len(leaves) for _, leaves in pairs)
             stats.update({k: self.stats[k] for k in ("max_depth",)
                           if k in self.stats})
-        return specialize_at_one(GenFun(terms=tuple(terms)))
+        return count_leaves(pairs)
 
 
 def evaluate_count(pp: ParametricPolytope, q0, max_index: int = 1,

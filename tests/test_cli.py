@@ -1,6 +1,7 @@
 """Command-line interface: parsing, subcommands, exit codes, output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ SIMPLEX10 = "2 3\n-1 0 0\n0 -1 0\n1 1 10\n"
 INTERVAL_FAMILY = "1 3 1\n-1 | 0 | 0\n2 | 1 | 6\n1 | 1 | 0\nQ:\n-1 | 0\n"
 MIN_FAMILY = ("1 3 2\n-1 | 0 0 | 0\n1 | 1 0 | 0\n1 | 0 1 | 0\n"
               "Q:\n-1 0 | 0\n0 -1 | 0\n")
+# apex (0, 0, 1) is vertex 2: its cone splits into 2 pieces and 8 leaves at L = 1
+PYRAMID = "3 5\n0 0 -1 0\n1 0 1 1\n-1 0 1 1\n0 1 1 1\n0 -1 1 1\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -123,6 +127,15 @@ class TestExitCodes:
 
     def test_max_index_validation(self, square_file):
         assert main(["count", square_file, "--max-index", "0"]) == 1
+
+    def test_non_utf8_input_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\xff\xfe2 4\n")
+        assert main(["count", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: line 1, col 1: "
+                                "input is not valid UTF-8\n")
 
 
 class TestCount:
@@ -281,3 +294,31 @@ class TestOracle:
     def test_json(self, square_file, capsys):
         assert main(["oracle", square_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"count": "4"}
+
+
+class TestGolden:
+    """Byte-exact stdout of fixed commands; the files under golden/ hold it."""
+
+    CASES = [
+        ("square_count_json", ["count", "square.txt", "--json"]),
+        ("family_pcount_at_8", ["pcount", "family.txt", "--at", "8"]),
+        ("family_chambers", ["chambers", "family.txt"]),
+        ("pyramid_decompose_vertex2_L1",
+         ["decompose", "pyramid.txt", "--vertex", "2", "--max-index", "1"]),
+        ("pyramid_decompose_vertex2_L3",
+         ["decompose", "pyramid.txt", "--vertex", "2", "--max-index", "3"]),
+        ("pyramid_count_json", ["count", "pyramid.txt", "--json"]),
+    ]
+
+    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+    def test_stdout_bytes(self, name, argv, tmp_path, monkeypatch, capsys):
+        for file_name, text in (("square.txt", SQUARE),
+                                ("family.txt", INTERVAL_FAMILY),
+                                ("pyramid.txt", PYRAMID)):
+            (tmp_path / file_name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        expected = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+        assert captured.out == expected
+        assert captured.err == ""

@@ -207,12 +207,3 @@ def test_count_stats():
     assert stats["num_vertices"] == 3
     assert stats.get("num_cones", 0) >= 3
 
-
-def test_genfun_json():
-    payload = square_genfun().to_json()
-    assert set(payload) == {"terms"}
-    assert len(payload["terms"]) == 4
-    term = payload["terms"][0]
-    assert term["sign"] == "1"
-    assert term["numerator"] == [["0", "0"]]
-    assert term["denominator"] == [["1", "0"], ["0", "1"]]

@@ -10,12 +10,12 @@ from primalcount.halfopen import (
     HalfOpenCone,
     HalfOpenPolyhedron,
     SignedConeSum,
-    choose_triangulation_y,
     decompose_step,
     exactify,
     facet_strictness,
     find_w,
     halfopen_triangulate,
+    perturbed_direction,
     signed_decompose,
 )
 from primalcount.linalg import det, dot, inverse, transpose, vec_sub
@@ -114,7 +114,12 @@ def test_exactify_split_square():
     whole = HalfOpenPolyhedron.from_inequalities(
         [(-1, 0), (0, -1), (1, 0), (0, 1)], [0, 0, 4, 4])
     for y in [(1, Fraction(1, 3)), (-1, Fraction(1, 3))]:
-        pieces = exactify([(1, left), (1, right), (-1, whole)], y)
+        pieces = []
+        for weight, poly in [(1, left), (1, right), (-1, whole)]:
+            flags = exactify([normal for normal, _, _ in poly.rows], y)
+            rows = tuple((normal, rhs, strict)
+                         for (normal, rhs, _), strict in zip(poly.rows, flags))
+            pieces.append((weight, HalfOpenPolyhedron(rows=rows)))
         for px in range(-1, 6):
             for py in range(-1, 6):
                 assert sum(w for w, poly in pieces
@@ -127,20 +132,17 @@ def test_exactify_split_square():
 
 
 def test_exactify_rejects_bad_input():
-    box = HalfOpenPolyhedron.from_inequalities([(1,), (-1,)], [1, 0])
+    assert exactify([(1,), (-1,)], (1,)) == (True, False)
     with pytest.raises(ValueError, match="generic"):
-        exactify([(1, box)], (0,))
-    opened = HalfOpenPolyhedron.from_inequalities([(1,), (-1,)], [1, 0],
-                                                  strict=[True, False])
-    with pytest.raises(ValueError, match="closed"):
-        exactify([(1, opened)], (1,))
+        exactify([(1,), (-1,)], (0,))
 
 
-def test_choose_triangulation_y_halving():
-    y = choose_triangulation_y([(1, 0), (0, 1)], [(1, -1)])
-    assert y == (Fraction(3, 2), Fraction(5, 4))  # gamma = 1 ties, 1/2 works
-    y2 = choose_triangulation_y([(1, 0), (0, 1)], [(0, 1)])
-    assert y2 == (Fraction(2), Fraction(2))  # gamma = 1 already generic
+def test_perturbed_direction_halving():
+    # triangulation use: seed = sum of rays, basis = rays
+    y = perturbed_direction((1, 1), [(1, 0), (0, 1)], [(1, -1)])
+    assert y == (Fraction(3, 2), Fraction(5, 4))  # seed and gamma = 1 tie, 1/2 works
+    y2 = perturbed_direction((1, 1), [(1, 0), (0, 1)], [(0, 1)])
+    assert y2 == (1, 1)  # the seed is already generic
 
 
 def _closed_cone_from_rays(rays):
@@ -389,6 +391,20 @@ def test_signed_decompose_canonical_order():
     # deterministic end to end
     again = signed_decompose(parent)
     assert again == result
+
+
+def test_signed_decompose_closed_cone_concatenates_pieces():
+    rays = ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))  # square cone, index 2 pieces
+    C = ClosedCone(apex=(Fraction(0),) * 3, rays=rays, normals=())
+    pieces = halfopen_triangulate(C)
+    assert len(pieces) > 1
+    stats = {}
+    result = signed_decompose(C, stats=stats)
+    assert result.terms == tuple(term for piece in pieces
+                                 for term in signed_decompose(piece).terms)
+    assert stats["num_cones"] == len(result.terms)
+    for x in _grid_points(3, -3, 3):
+        assert result.evaluate(x) == sum(p.contains(x) for p in pieces)
 
 
 def test_signed_decompose_depth_bound():

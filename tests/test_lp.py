@@ -8,7 +8,6 @@ from primalcount.lp import (
     UNBOUNDED,
     coordinate_range,
     interior_point,
-    is_full_dimensional,
     lp_feasible,
     lp_maximize,
     recession_ray,
@@ -110,7 +109,6 @@ def test_interior_point():
     assert all(dot(row, p) < rhs for row, rhs in zip(A, b))
     # A segment in the plane has no interior.
     assert interior_point([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 0, 0]) is None
-    assert is_full_dimensional(A, b)
 
 
 def test_recession_ray():

@@ -12,7 +12,7 @@ from primalcount.errors import (
 )
 from primalcount.genfun import count_polytope
 from primalcount.halfopen import HalfOpenCone, HalfOpenPolyhedron, halfopen_triangulate
-from primalcount.oracle import Box, bounding_box, brute_count, member
+from primalcount.oracle import Box, bounding_box, brute_count
 from primalcount.polytope import ClosedCone, HPolytope, SimplicialCone
 
 
@@ -86,20 +86,17 @@ def test_brute_count_matches_algebraic_pipeline():
         assert got == expected, (A, b)
 
 
-def test_member_dispatch():
+def test_contains_on_halfopen_regions():
     strict_halfline = HalfOpenPolyhedron.from_inequalities([(-1,)], [0], strict=[True])
-    assert not member(strict_halfline, (0,))
-    assert member(strict_halfline, (1,))
+    assert not strict_halfline.contains((0,))
+    assert strict_halfline.contains((1,))
 
     quadrant = HalfOpenCone(
         base=SimplicialCone(apex=(Fraction(0), Fraction(0)), rays=((1, 0), (0, 1))),
         sigma=(1, 1))
-    assert member(quadrant, (0, 0))
+    assert quadrant.contains((0, 0))
 
     C = ClosedCone(apex=(Fraction(0), Fraction(0)),
                    rays=((1, 0), (1, 1), (0, 1)), normals=())
     pieces = halfopen_triangulate(C)
-    assert sum(member(p, (1, 1)) for p in pieces) == 1
-
-    with pytest.raises(TypeError):
-        member("not a region", (0,))
+    assert sum(p.contains((1, 1)) for p in pieces) == 1
