@@ -10,6 +10,7 @@ mismatch.
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -448,8 +449,25 @@ _COMMANDS = {
 }
 
 
+def _attach_negative_at(argv):
+    """Write `--at -1/2` as `--at=-1/2`.
+
+    argparse takes a token that starts with '-' and is not a plain
+    negative number, such as -1/2 or -1,2, for an option.  Joined to --at
+    with '=', it is read as the value.
+    """
+    out = list(argv)
+    i = 0
+    while i < len(out) - 1 and out[i] != "--":
+        if out[i] == "--at" and re.match(r"-[0-9.]", out[i + 1]):
+            out[i:i + 2] = [f"--at={out[i + 1]}"]
+        i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_at(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

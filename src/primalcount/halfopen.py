@@ -14,9 +14,7 @@ from math import gcd
 
 from .linalg import (
     adjugate_int,
-    det,
     dot,
-    inverse,
     lll_reduce,
     transpose,
     vec_sub,
@@ -50,10 +48,8 @@ class HalfOpenCone:
     def _sign_data(self):
         data = getattr(self, "_cached_sign_data", None)
         if data is None:
-            cols = transpose(self.base.rays)
-            adj = adjugate_int(cols)
-            dsign = 1 if det(cols) > 0 else -1
-            data = (adj, dsign)
+            adj, d = adjugate_int(transpose(self.base.rays))
+            data = (adj, 1 if d > 0 else -1)
             object.__setattr__(self, "_cached_sign_data", data)
         return data
 
@@ -258,68 +254,77 @@ def find_w(rays):
     Returns (w, alpha) with w a primitive integer vector, alpha its
     coefficients in the given rays, every nonzero |alpha_i| < 1 (so all
     children have strictly smaller index), and not all nonzero alphas
-    negative.  Candidates come from an LLL-reduced basis of the
-    coefficient lattice plus small combinations; if none beats norm 1,
-    an exhaustive box search finishes the job (one always exists).
+    negative.
+
+    With R the matrix whose rows are the rays, alpha = w R^-1, so the
+    alphas form the lattice spanned by the rows of R^-1.  Scaled by
+    index = |det R| it is the integer lattice of the rows of
+    sign(det R) adj(R), which an integral LLL reduces with a unimodular
+    transform U.  Each c in {-1, 0, 1}^d gives the candidate w = c U,
+    whose alpha numerators over index are c times the reduced rows, so
+    candidates are scored in integers.  If none beats norm 1, an
+    exhaustive box search finishes the job (one always exists).
     Deterministic: minimal sup-norm, ties by lexicographic order.
     """
     d = len(rays)
-    cols = transpose(rays)
-    index = abs(det(cols))
+    adj, det_r = adjugate_int(rays)
+    index = abs(det_r)
     if index <= 1:
         raise ValueError("cone index must exceed 1")
-    inv_rows = inverse(rays)  # rows form a basis of the coefficient lattice
-    reduced, U = lll_reduce(inv_rows)
+    sign = 1 if det_r > 0 else -1
+    basis = [[sign * x for x in row] for row in adj]  # index * R^-1
+    reduced, U = lll_reduce(basis)
 
-    def normalize(w, alpha):
-        g = gcd(*(abs(x) for x in w))
-        if g > 1:
-            w = tuple(x // g for x in w)
-            alpha = tuple(a / g for a in alpha)
-        if all(a <= 0 for a in alpha):
-            w = tuple(-x for x in w)
-            alpha = tuple(-a for a in alpha)
-        return w, alpha
+    def admissible(pairs):
+        """(sup-norm numerator, w, numerators) of each admissible pair.
 
-    candidates = {}
-    for coeffs in product((-1, 0, 1), repeat=d):
-        if all(c == 0 for c in coeffs):
-            continue
-        w = tuple(sum(c * U[k][j] for k, c in enumerate(coeffs)) for j in range(d))
-        if all(x == 0 for x in w):
-            continue
-        alpha = tuple(sum(c * reduced[k][j] for k, c in enumerate(coeffs))
-                      for j in range(d))
-        w, alpha = normalize(w, alpha)
-        candidates[w] = alpha
+        w is made primitive and turned so that some alpha is positive;
+        the division is exact because num = w (index R^-1).
+        """
+        for w, num in pairs:
+            g = gcd(*w)
+            if g > 1:
+                w = tuple(x // g for x in w)
+                num = tuple(a // g for a in num)
+            if all(a <= 0 for a in num):
+                w = tuple(-x for x in w)
+                num = tuple(-a for a in num)
+            top = max(abs(a) for a in num)
+            if top < index:
+                yield top, w, num
 
-    best = None
-    for w, alpha in candidates.items():
-        ninf = max(abs(a) for a in alpha)
-        if ninf < 1 and (best is None or (ninf, w) < (best[0], best[1])):
-            best = (ninf, w, alpha)
+    rows = [u + r for u, r in zip(U, reduced)]  # w and numerators side by side
+
+    def combos(k, acc):
+        """(w, numerators) of acc + sum_{i >= k} c_i rows[i], c_i in {-1, 0, 1}.
+
+        Depth first, so the first pair is acc itself and only d partial
+        sums are alive at once.
+        """
+        if k == d:
+            yield acc[:d], acc[d:]
+            return
+        yield from combos(k + 1, acc)
+        yield from combos(k + 1, tuple(a + b for a, b in zip(acc, rows[k])))
+        yield from combos(k + 1, tuple(a - b for a, b in zip(acc, rows[k])))
+
+    pairs = combos(0, (0,) * (2 * d))
+    next(pairs)  # c = 0
+    best = min(admissible(pairs), default=None)
 
     if best is None:
-        inv_cols = transpose(inv_rows)  # the actual inverse of the ray columns
         r = _int_root(index, d)
-        bounds = [sum(abs(x) for x in row) for row in cols]
+        bounds = [sum(abs(x) for x in col) for col in zip(*rays)]
         ranges = [range(-((s + r - 1) // r), (s + r - 1) // r + 1) for s in bounds]
-        for w in product(*ranges):
-            if all(x == 0 for x in w):
-                continue
-            alpha = tuple(dot(row, w) for row in inv_cols)
-            ninf = max(abs(a) for a in alpha)
-            if ninf >= 1:
-                continue
-            w2, alpha2 = normalize(w, alpha)
-            ninf = max(abs(a) for a in alpha2)
-            if best is None or (ninf, w2) < (best[0], best[1]):
-                best = (ninf, w2, alpha2)
+        basis_cols = transpose(basis)
+        box = ((w, tuple(dot(col, w) for col in basis_cols))
+               for w in product(*ranges) if any(w))
+        best = min(admissible(box), default=None)
 
     if best is None:
         raise RuntimeError("no admissible ray found")  # impossible for index > 1
-    _, w, alpha = best
-    return w, alpha
+    _, w, num = best
+    return w, tuple(Fraction(a, index) for a in num)
 
 
 def decompose_step(cone: HalfOpenCone, w, alpha):

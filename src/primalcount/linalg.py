@@ -8,7 +8,7 @@ lowest terms, so the numeric types here are the builtins.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import SingularMatrixError
 
@@ -92,25 +92,26 @@ def _check_square(M):
     return n
 
 
+def _int_row(row):
+    """(m, m * row) for the least positive integer m making m * row integral."""
+    if all(isinstance(x, int) for x in row):
+        return 1, list(row)
+    fracs = [Fraction(x) for x in row]
+    mult = lcm(*(f.denominator for f in fracs))
+    return mult, [as_int(f * mult) for f in fracs]
+
+
 def det(M):
     """Exact determinant of a square matrix of ints or Fractions.
 
-    Integer input goes through fraction-free (Bareiss) elimination;
-    rational input is scaled row by row to integers first and the scale
-    divided back out, so no Fraction arithmetic happens in the pivoting.
+    Rational input is scaled row by row to integers first and the scale
+    divided back out, so the fraction-free (Bareiss) elimination does no
+    Fraction arithmetic.
     """
-    n = _check_square(M)
-    if all(isinstance(x, int) for row in M for x in row):
-        return _det_bareiss([list(row) for row in M])
-    scale = Fraction(1)
-    rows = []
-    for row in M:
-        fracs = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs))
-        scale *= mult
-        rows.append([as_int(f * mult) for f in fracs])
-    d = Fraction(_det_bareiss(rows), 1) / scale
-    return as_int(d) if d.denominator == 1 else d
+    _check_square(M)
+    scales, rows = zip(*(_int_row(row) for row in M))
+    d = Fraction(_det_bareiss(list(rows)), prod(scales))
+    return d.numerator if d.denominator == 1 else d
 
 
 def _det_bareiss(rows):
@@ -158,49 +159,73 @@ def rank(M):
 
 
 def _gauss_jordan(M, rhs_cols):
-    """Reduce [M | rhs] and return the transformed right block, or raise."""
+    """Fraction-free Gauss-Jordan on integer [M | rhs]: (det(M) M^-1 rhs, det(M)).
+
+    Bareiss elimination above and below each pivot: after step k every
+    entry is a (k+1)-minor of the row-permuted [M | rhs], so the division
+    by the previous pivot is exact and the right block ends as
+    det(P M) (P M)^-1 P rhs.  Raises SingularMatrixError when det(M) = 0.
+    """
     n = _check_square(M)
-    aug = [[Fraction(x) for x in row] + [Fraction(x) for x in extra]
-           for row, extra in zip(M, rhs_cols)]
-    width = len(aug[0])
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
+    rows = [[as_int(x) for x in row] + [as_int(x) for x in extra]
+            for row, extra in zip(M, rhs_cols)]
+    width = len(rows[0])
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
         if pivot is None:
             raise SingularMatrixError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [a / pv for a in aug[c]]
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pk = rows[k][k]
+        top = rows[k]
         for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return tuple(tuple(aug[i][n:width]) for i in range(n))
+            if i == k:
+                continue
+            row = rows[i]
+            f = row[k]
+            # column k becomes zero and earlier columns are never read again
+            for j in range(k + 1, width):
+                row[j] = (pk * row[j] - f * top[j]) // prev
+        prev = pk
+    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
 
 
 def solve(M, rhs):
-    """Solve M x = rhs exactly; raises SingularMatrixError if M is singular."""
+    """Solve M x = rhs exactly; raises SingularMatrixError if M is singular.
+
+    Each row of [M | rhs] is scaled to integers, which keeps the solution,
+    and the system is solved fraction-free.  Returns a tuple of Fractions.
+    """
     if len(rhs) != len(M):
         raise ValueError("dimension mismatch")
-    cols = _gauss_jordan(M, [(r,) for r in rhs])
-    return tuple(row[0] for row in cols)
+    rows = [_int_row(tuple(row) + (r,))[1] for row, r in zip(M, rhs)]
+    cols, d = _gauss_jordan([row[:-1] for row in rows], [row[-1:] for row in rows])
+    return tuple(Fraction(col[0], d) for col in cols)
 
 
 def inverse(M):
-    n = len(M)
-    eye = identity(n)
-    return _gauss_jordan(M, eye)
+    """Exact inverse of a square matrix of ints or Fractions, as Fractions.
+
+    With S the diagonal of row scales that make S M integral,
+    M^-1 = adj(S M) S / det(S M), so no Fraction arithmetic is needed.
+    """
+    _check_square(M)
+    scales, rows = zip(*(_int_row(row) for row in M))
+    adj, d = adjugate_int(rows)
+    return tuple(tuple(Fraction(a * s, d) for a, s in zip(row, scales)) for row in adj)
 
 
 def adjugate_int(M):
-    """Adjugate of an integer matrix: adj(M) = det(M) * inverse(M), integral.
+    """(adj(M), det(M)) of an integer matrix, from one fraction-free pass.
 
-    Useful for sign tests of M^{-1} x without leaving integer arithmetic.
+    adj(M) = det(M) M^-1 is integral, so sign tests and coordinates in
+    M^-1 can stay in integer arithmetic.  Entries must be integral (ints
+    or integral Fractions).  Raises SingularMatrixError when det(M) = 0.
     """
-    d = det(M)
-    if d == 0:
-        raise SingularMatrixError("singular matrix")
-    inv = inverse(M)
-    return tuple(tuple(as_int(x * d) for x in row) for row in inv)
+    return _gauss_jordan(M, identity(len(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +330,24 @@ def smith_normal_form(B):
 # lattice basis reduction
 
 
-def _gram_schmidt(rows):
-    star = []
-    mu = [[Fraction(0)] * len(rows) for _ in rows]
-    for i, v in enumerate(rows):
-        w = [Fraction(x) for x in v]
-        for j in range(i):
-            mu[i][j] = dot(v, star[j]) / dot(star[j], star[j])
-            w = [a - mu[i][j] * b for a, b in zip(w, star[j])]
-        star.append(w)
-    return star, mu
+def _round_half_even(a, b):
+    """round(a / b) for ints a and b > 0, ties to even as Python's round."""
+    q, r = divmod(2 * a + b, 2 * b)
+    if r == 0 and q % 2:
+        q -= 1
+    return q
 
 
 def lll_reduce(basis, delta=Fraction(3, 4)):
     """LLL-reduce a basis given as matrix rows; returns (reduced, transform).
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): instead of rational Gram-Schmidt data it keeps
+    the Gram determinants D[i] = |b*_0|^2 ... |b*_{i-1}|^2 and the
+    integers lam[k][j] = D[j+1] mu_kj, and updates both in place on each
+    size reduction and swap.  Row k is size-reduced against rows k-1 ... 0
+    (rounding mu half to even) before the Lovasz test
+    |b*_k|^2 >= (delta - mu_{k,k-1}^2) |b*_{k-1}|^2.
 
     The rows may be rational; denominators are cleared up front and the
     scale divided back out at the end, which leaves the transform intact.
@@ -329,30 +358,54 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     m = len(basis)
     if m == 0:
         return (), ()
-    if rank(basis) != m:
-        raise ValueError("linearly dependent rows")
     scale = lcm(*(Fraction(x).denominator for row in basis for x in row))
     rows = [[as_int(Fraction(x) * scale) for x in row] for row in basis]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    p, q = Fraction(delta).numerator, Fraction(delta).denominator
 
-    star, mu = _gram_schmidt(rows)
+    D = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for k in range(m):
+        for j in range(k + 1):
+            u = dot(rows[k], rows[j])
+            for i in range(j):
+                u = (D[i + 1] * u - lam[k][i] * lam[j][i]) // D[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("linearly dependent rows")
+            else:
+                D[k + 1] = u
+
     k = 1
     while k < m:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = round(mu[k][j])
+            if 2 * abs(lk[j]) > D[j + 1]:
+                r = _round_half_even(lk[j], D[j + 1])
                 rows[k] = [a - r * b for a, b in zip(rows[k], rows[j])]
                 U[k] = [a - r * b for a, b in zip(U[k], U[j])]
-                star, mu = _gram_schmidt(rows)
-        lhs = dot(star[k], star[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1])
-        if lhs >= rhs:
+                lk[j] -= r * D[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= r * lj[i]
+        t = lk[k - 1]
+        # the Lovasz test multiplied by D[k] D[k-1], with delta = p / q
+        if q * (D[k + 1] * D[k - 1] + t * t) >= p * D[k] * D[k]:
             k += 1
-        else:
-            rows[k - 1], rows[k] = rows[k], rows[k - 1]
-            U[k - 1], U[k] = U[k], U[k - 1]
-            star, mu = _gram_schmidt(rows)
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k (Cohen's SWAPI); lam[k][k-1] is unchanged
+        rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        U[k - 1], U[k] = U[k], U[k - 1]
+        lam[k - 1][:k - 1], lk[:k - 1] = lk[:k - 1], lam[k - 1][:k - 1]
+        B = (D[k - 1] * D[k + 1] + t * t) // D[k]
+        for i in range(k + 1, m):
+            li = lam[i]
+            old = li[k]
+            li[k] = (D[k + 1] * li[k - 1] - t * old) // D[k]
+            li[k - 1] = (B * old + t * li[k]) // D[k + 1]
+        D[k] = B
+        k = max(k - 1, 1)
 
     if scale == 1:
         reduced = tuple(tuple(r) for r in rows)

@@ -123,7 +123,11 @@ class SimplicialCone:
     @property
     def index(self) -> int:
         """Absolute determinant of the ray matrix: 1 means unimodular."""
-        return abs(det(transpose(self.rays)))
+        index = getattr(self, "_index", None)
+        if index is None:
+            index = abs(det(transpose(self.rays)))
+            object.__setattr__(self, "_index", index)
+        return index
 
     def coefficients(self, x):
         """Coefficients lam with x - apex == sum lam_j rays[j]."""

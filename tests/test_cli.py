@@ -15,6 +15,8 @@ MIN_FAMILY = ("1 3 2\n-1 | 0 0 | 0\n1 | 1 0 | 0\n1 | 0 1 | 0\n"
               "Q:\n-1 0 | 0\n0 -1 | 0\n")
 # apex (0, 0, 1) is vertex 2: its cone splits into 2 pieces and 8 leaves at L = 1
 PYRAMID = "3 5\n0 0 -1 0\n1 0 1 1\n-1 0 1 1\n0 1 1 1\n0 -1 1 1\n"
+# vertex 1, (0, 0, 77), has index 169 and splits 4 levels deep at L = 1
+SKEW = "3 4\n-1 0 0 0\n0 -1 0 0\n0 0 -1 0\n7 11 13 1001\n"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -191,6 +193,15 @@ class TestPcount:
     def test_at_arity_checked(self, family_file, capsys):
         assert main(["pcount", family_file, "--at", "1,2"]) == 1
 
+    @pytest.mark.parametrize("value", ["-1/2", "-1,2", "-3"])
+    def test_negative_at_in_both_spellings(self, value, family_file, capsys):
+        results = []
+        for argv in (["--at", value], [f"--at={value}"]):
+            code = main(["pcount", family_file] + argv)
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == results[1]
+        assert results[0] == ((0, "0\n") if value != "-1,2" else (1, ""))
+
     def test_outside_note(self, family_file, capsys):
         assert main(["pcount", family_file, "--at", "-3"]) == 0
         captured = capsys.readouterr()
@@ -308,13 +319,17 @@ class TestGolden:
         ("pyramid_decompose_vertex2_L3",
          ["decompose", "pyramid.txt", "--vertex", "2", "--max-index", "3"]),
         ("pyramid_count_json", ["count", "pyramid.txt", "--json"]),
+        ("skew_decompose_vertex1_L1",
+         ["decompose", "skew.txt", "--vertex", "1", "--max-index", "1"]),
+        ("skew_count_json", ["count", "skew.txt", "--json"]),
     ]
 
     @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
     def test_stdout_bytes(self, name, argv, tmp_path, monkeypatch, capsys):
         for file_name, text in (("square.txt", SQUARE),
                                 ("family.txt", INTERVAL_FAMILY),
-                                ("pyramid.txt", PYRAMID)):
+                                ("pyramid.txt", PYRAMID),
+                                ("skew.txt", SKEW)):
             (tmp_path / file_name).write_text(text)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
+from primalcount import halfopen
 from primalcount.halfopen import (
     HalfOpenCone,
     HalfOpenPolyhedron,
@@ -18,7 +20,7 @@ from primalcount.halfopen import (
     perturbed_direction,
     signed_decompose,
 )
-from primalcount.linalg import det, dot, inverse, transpose, vec_sub
+from primalcount.linalg import det, identity, mat_mul, solve, transpose
 from primalcount.polytope import ClosedCone, SimplicialCone, triangulate
 
 
@@ -294,7 +296,6 @@ def test_find_w_rejects_unimodular():
 
 def test_find_w_properties_random():
     rng = random.Random(41)
-    from math import gcd
     checked = 0
     while checked < 40:
         d = rng.choice([2, 3])
@@ -313,6 +314,57 @@ def test_find_w_properties_random():
         assert nonzero
         assert all(abs(a) < 1 for a in nonzero)
         assert any(a > 0 for a in nonzero)
+
+
+def _box_reference(rays):
+    """Exhaustive search for the minimal admissible (sup-norm, w).
+
+    Any w with every |alpha_i| < 1 has |w_j| below the j-th column's
+    absolute sum, so that box holds them all.
+    """
+    d = len(rays)
+    cols = transpose(rays)
+    best = None
+    for w in product(*(range(-sum(map(abs, c)), sum(map(abs, c)) + 1) for c in cols)):
+        if not any(w):
+            continue
+        g = gcd(*w)
+        w = tuple(x // g for x in w)
+        alpha = solve(cols, w)
+        if all(a <= 0 for a in alpha):
+            w, alpha = tuple(-x for x in w), tuple(-a for a in alpha)
+        top = max(abs(a) for a in alpha)
+        if top < 1 and (best is None or (top, w) < best[:2]):
+            best = (top, w, alpha)
+    return best[1], best[2]
+
+
+def test_find_w_box_fallback(monkeypatch):
+    # Rays diag(1, ..., 1, n) V, V unimodular: w is admissible only when
+    # w V^-1 is a multiple of e_{d-1}.  A transform L V, L lower
+    # bidiagonal with 3 below the diagonal, makes no {-1, 0, 1}
+    # combination admissible, so the box search has to run.
+    rng = random.Random(8)
+    fallbacks = []
+    real_root = halfopen._int_root
+    monkeypatch.setattr(halfopen, "_int_root",
+                        lambda n, d: fallbacks.append(n) or real_root(n, d))
+    for case in range(12):
+        d = 2 + case % 2
+        V = [list(row) for row in identity(d)]
+        for _ in range(4):
+            i, j = rng.sample(range(d), 2)
+            step = rng.choice((-1, 1))
+            V[i] = [a + step * b for a, b in zip(V[i], V[j])]
+        n = rng.randint(5, 12)
+        rays = mat_mul(tuple(tuple(n if i == j == d - 1 else int(i == j) for j in range(d))
+                             for i in range(d)), V)
+        L = tuple(tuple(1 if i == j else 3 if i == j + 1 else 0 for j in range(d))
+                  for i in range(d))
+        U = mat_mul(L, V)
+        monkeypatch.setattr(halfopen, "lll_reduce", lambda basis: (mat_mul(U, basis), U))
+        assert find_w(rays) == _box_reference(rays), rays
+    assert len(fallbacks) == 12
 
 
 def test_find_w_deterministic():

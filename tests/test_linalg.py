@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -85,11 +86,78 @@ def test_inverse_and_adjugate():
             continue
         inv = inverse(M)
         assert mat_mul(M, inv) == identity(len(M))
-        adj = adjugate_int(M)
+        adj, adj_det = adjugate_int(M)
+        assert adj_det == d
         assert all(isinstance(x, int) for row in adj for x in row)
         assert mat_mul(M, adj) == tuple(tuple(d if i == j else 0 for j in range(len(M)))
                                         for i in range(len(M)))
         done += 1
+
+
+def gauss_jordan_reference(M):
+    """Independent inverse and determinant by Fraction Gauss-Jordan."""
+    n = len(M)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(M)]
+    d = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pivot is None:
+            return None, 0
+        if pivot != c:
+            aug[c], aug[pivot] = aug[pivot], aug[c]
+            d = -d
+        d *= aug[c][c]
+        aug[c] = [a / aug[c][c] for a in aug[c]]
+        for i in range(n):
+            if i != c:
+                aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug), d
+
+
+def test_inverse_adjugate_det_match_reference():
+    rng = random.Random(31)
+    sizes = [1] * 20 + [rng.randint(2, 5) for _ in range(150)]
+    negative = 0
+    for n in sizes:
+        M = random_int_matrix(rng, n)
+        inv_ref, d_ref = gauss_jordan_reference(M)
+        assert det(M) == d_ref
+        if d_ref == 0:
+            with pytest.raises(SingularMatrixError):
+                adjugate_int(M)
+            continue
+        negative += d_ref < 0
+        inv = inverse(M)
+        assert inv == inv_ref
+        assert all(type(x) is Fraction for row in inv for x in row)
+        adj, d = adjugate_int(M)
+        assert d == d_ref
+        assert adj == tuple(tuple(x * d_ref for x in row) for row in inv_ref)
+        assert all(type(x) is int for row in adj for x in row)
+        rhs = tuple(rng.randint(-9, 9) for _ in range(n))
+        x = solve(M, rhs)
+        assert x == tuple(sum(a * b for a, b in zip(row, rhs)) for row in inv_ref)
+        assert all(type(v) is Fraction for v in x)
+    assert negative > 10
+
+
+def test_rational_inverse_det_solve_match_reference():
+    # rows are scaled to integers before the fraction-free elimination
+    rng = random.Random(37)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 4)
+        M = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+                  for _ in range(n))
+        inv_ref, d_ref = gauss_jordan_reference(M)
+        assert det(M) == d_ref
+        if d_ref == 0:
+            continue
+        assert inverse(M) == inv_ref
+        rhs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        assert solve(M, rhs) == tuple(sum(a * b for a, b in zip(row, rhs)) for row in inv_ref)
+        checked += 1
 
 
 def test_singular_matrix_raises():
@@ -185,6 +253,74 @@ def test_smith_determinism():
 
 # ---------------------------------------------------------------------------
 # LLL
+
+
+def lll_reference(basis, delta=Fraction(3, 4)):
+    """Textbook LLL that rebuilds Fraction Gram-Schmidt after every update.
+
+    Same moves as lll_reduce: full size reduction of row k against rows
+    k-1 ... 0 with Python's round (half to even) before the Lovasz test.
+    """
+    m = len(basis)
+    scale = lcm(*(Fraction(x).denominator for row in basis for x in row))
+    rows = [[int(Fraction(x) * scale) for x in row] for row in basis]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    star, mu = gram_schmidt_oracle(rows)
+    k = 1
+    while k < m:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                r = round(mu[k][j])
+                rows[k] = [a - r * b for a, b in zip(rows[k], rows[j])]
+                U[k] = [a - r * b for a, b in zip(U[k], U[j])]
+                star, mu = gram_schmidt_oracle(rows)
+        lhs = dot(star[k], star[k])
+        rhs = (delta - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1])
+        if lhs >= rhs:
+            k += 1
+        else:
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
+            U[k - 1], U[k] = U[k], U[k - 1]
+            star, mu = gram_schmidt_oracle(rows)
+            k = max(k - 1, 1)
+    if scale == 1:
+        reduced = tuple(tuple(r) for r in rows)
+    else:
+        reduced = tuple(tuple(Fraction(x, scale) for x in r) for r in rows)
+    return reduced, tuple(tuple(r) for r in U)
+
+
+def test_lll_matches_reference_random():
+    rng = random.Random(4242)
+    done = 0
+    while done < 240:
+        n = 2 + done % 4
+        basis = random_int_matrix(rng, n, -30, 30)
+        if done % 3 == 0:  # long, skewed rows force many swaps
+            basis = tuple(tuple(x + (rng.choice((50, 1000, 10 ** 5)) if i == j else 0)
+                                for j, x in enumerate(row)) for i, row in enumerate(basis))
+        if det(basis) == 0:
+            continue
+        assert lll_reduce(basis) == lll_reference(basis)
+        done += 1
+
+
+def test_lll_matches_reference_rational_input():
+    basis = ((Fraction(1, 3), 0), (Fraction(1, 2), Fraction(1, 6)))
+    assert lll_reduce(basis) == lll_reference(basis)
+
+
+def test_lll_half_integer_tie_rounds_to_even():
+    # mu_10 = +-5/2 at the first size reduction: half to even takes +-2;
+    # for 5/2 half up would take 3 and end at ((-1, 1), (1, 1)), for
+    # -5/2 half away from zero would take -3 and end elsewhere too.
+    for basis, want in ((((2, 0), (5, 1)), ((1, 1), (1, -1))),
+                        (((2, 0), (-5, 1)), ((-1, 1), (1, 1))),
+                        (((2, 0), (3, 1)), None)):  # mu = 3/2
+        reduced, U = lll_reduce(basis)
+        assert (reduced, U) == lll_reference(basis)
+        if want is not None:
+            assert reduced == want
 
 
 def gram_schmidt_oracle(rows):
