@@ -12,7 +12,7 @@ truncated power series.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import lcm
 
 from .halfopen import HalfOpenCone, signed_decompose
 from .linalg import dot, smith_normal_form, transpose
@@ -38,32 +38,38 @@ class GenFun:
 def parallelepiped_points(cone: HalfOpenCone, apex):
     """Lattice points of the half-open fundamental parallelepiped at apex.
 
-    The parallelepiped consists of apex + sum lambda_j rays[j] with
-    lambda_j in [0,1) on closed facets and (0,1] on strict ones.  A
-    Smith decomposition of the ray matrix walks one representative per
+    The parallelepiped consists of apex + sum mu_j rays[j] with mu_j in
+    [0,1) on closed facets and (0,1] on strict ones.  A Smith
+    decomposition of the ray matrix walks one representative x per
     residue class, then each representative is translated into the box
-    by rounding its coordinates.  Returns exactly index many points.
+    by rounding its coordinates.  With apex = a / q for an integer vector
+    a, the base cone's integer normals give q * index * mu_j(x) =
+    normals[j] . (a - q x), so the rounding is floor division of integers.
+    Returns exactly index many points.
     """
-    rays = cone.base.rays
+    base = cone.base
+    rays = base.rays
     d = len(rays)
-    cols = transpose(rays)
-    snf = smith_normal_form(cols)
-    duals = cone.base.dual_normals
-    # mu_j(k) = <dual_j, apex - W k> as an affine function of k
-    base_mu = [dot(n, apex) for n in duals]
+    snf = smith_normal_form(transpose(rays))
+    apex = [Fraction(a) for a in apex]
+    q = lcm(*(a.denominator for a in apex))
+    den = q * base.index
+    # q * index * mu_j(W k) = <normal_j, a> - q <normal_j, W k>, affine in k
+    a = [x.numerator * (q // x.denominator) for x in apex]
+    base_num = [dot(n, a) for n in base.normals]
     wcols = transpose(snf.W)  # wcols[i] is the i-th column of W
-    shift = [[dot(n, w) for w in wcols] for n in duals]
+    shift = [[q * dot(n, w) for w in wcols] for n in base.normals]
     points = []
     for k in product(*(range(s) for s in snf.s)):
-        xs = [sum(k_i * w[t] for k_i, w in zip(k, wcols)) for t in range(d)]
-        x = list(xs)
+        x = [sum(k_i * w[t] for k_i, w in zip(k, wcols)) for t in range(d)]
         for j in range(d):
-            mu = base_mu[j] - sum(k_i * s for k_i, s in zip(k, shift[j]))
-            n_j = -floor(mu) if cone.sigma[j] > 0 else 1 - ceil(mu)
+            num = base_num[j] - sum(k_i * s for k_i, s in zip(k, shift[j]))
+            # closed: -floor(mu_j); strict: 1 - ceil(mu_j)
+            n_j = -(num // den) if cone.sigma[j] > 0 else 1 + (-num) // den
             if n_j:
                 for t in range(d):
                     x[t] += n_j * rays[j][t]
-        points.append(tuple(int(v) for v in x))
+        points.append(tuple(x))
     return points
 
 

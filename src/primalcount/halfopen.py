@@ -12,13 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .linalg import (
-    adjugate_int,
-    dot,
-    lll_reduce,
-    transpose,
-    vec_sub,
-)
+from .linalg import dot, lll_reduce, vec_sub
 from .polytope import ClosedCone, SimplicialCone, triangulate
 
 
@@ -27,7 +21,7 @@ class HalfOpenCone:
     """A simplicial cone with per-facet openness flags.
 
     sigma[j] governs the facet opposite ray j (the facet with outer
-    normal dual_normals[j]): +1 keeps it, -1 excludes it.  In ray
+    normal base.normals[j]): +1 keeps it, -1 excludes it.  In ray
     coordinates x - apex = sum lam_j rays[j], flag +1 means lam_j >= 0
     and flag -1 means lam_j > 0.
     """
@@ -45,22 +39,17 @@ class HalfOpenCone:
     def index(self) -> int:
         return self.base.index
 
-    def _sign_data(self):
-        data = getattr(self, "_cached_sign_data", None)
-        if data is None:
-            adj, d = adjugate_int(transpose(self.base.rays))
-            data = (adj, 1 if d > 0 else -1)
-            object.__setattr__(self, "_cached_sign_data", data)
-        return data
-
     def contains(self, x) -> bool:
-        """Exact membership; integer arithmetic when apex and x are integral."""
-        adj, dsign = self._sign_data()
+        """Exact membership from the signs of the base cone's integer normals.
+
+        normals[j] . (x - apex) is -index * lam_j, so no division is
+        needed, and the arithmetic is integral when apex and x are.
+        """
         apex = self.base.apex
         shifted = x if all(a == 0 for a in apex) else vec_sub(x, apex)
-        for row, flag in zip(adj, self.sigma):
-            lam_sign = dsign * dot(row, shifted)
-            if lam_sign < 0 or (lam_sign == 0 and flag < 0):
+        for normal, flag in zip(self.base.normals, self.sigma):
+            p = dot(normal, shifted)
+            if p > 0 or (p == 0 and flag < 0):
                 return False
         return True
 
@@ -76,10 +65,6 @@ class HalfOpenPolyhedron:
         flags = strict if strict is not None else [False] * len(A)
         return cls(rows=tuple((tuple(int(x) for x in row), Fraction(rhs), bool(f))
                               for row, rhs, f in zip(A, b, flags)))
-
-    @property
-    def dim(self):
-        return len(self.rows[0][0]) if self.rows else None
 
     def is_closed(self) -> bool:
         return all(not strict for _, _, strict in self.rows)
@@ -183,12 +168,12 @@ def halfopen_triangulate(C: ClosedCone):
     pieces = triangulate(C)
     if len(pieces) == 1:
         return [HalfOpenCone(base=pieces[0], sigma=(1,) * len(pieces[0].rays))]
-    normals = [n for p in pieces for n in p.dual_normals]
+    normals = [n for p in pieces for n in p.normals]
     seed = [sum(coords) for coords in zip(*C.rays)]
     y = perturbed_direction(seed, C.rays, normals)
     out = []
     for p in pieces:
-        sigma = tuple(-1 if strict else 1 for strict in exactify(p.dual_normals, y))
+        sigma = tuple(-1 if strict else 1 for strict in exactify(p.normals, y))
         out.append(HalfOpenCone(base=p, sigma=sigma))
     return out
 
@@ -248,32 +233,31 @@ def _int_root(n: int, d: int) -> int:
     return r
 
 
-def find_w(rays):
+def find_w(cone: SimplicialCone):
     """A short auxiliary ray for one signed decomposition step.
 
     Returns (w, alpha) with w a primitive integer vector, alpha its
-    coefficients in the given rays, every nonzero |alpha_i| < 1 (so all
+    coefficients in the cone's rays, every nonzero |alpha_i| < 1 (so all
     children have strictly smaller index), and not all nonzero alphas
     negative.
 
     With R the matrix whose rows are the rays, alpha = w R^-1, so the
-    alphas form the lattice spanned by the rows of R^-1.  Scaled by
-    index = |det R| it is the integer lattice of the rows of
-    sign(det R) adj(R), which an integral LLL reduces with a unimodular
-    transform U.  Each c in {-1, 0, 1}^d gives the candidate w = c U,
+    alphas form the lattice spanned by the rows of R^-1.  Scaled by the
+    cone's index = |det R| it is the integer lattice of the rows of
+    sign(det R) adj(R), which is the transpose of -cone.normals; an
+    integral LLL reduces it with a unimodular transform U, and no matrix
+    is inverted here.  Each c in {-1, 0, 1}^d gives the candidate w = c U,
     whose alpha numerators over index are c times the reduced rows, so
     candidates are scored in integers.  If none beats norm 1, an
     exhaustive box search finishes the job (one always exists).
     Deterministic: minimal sup-norm, ties by lexicographic order.
     """
+    rays, index = cone.rays, cone.index
     d = len(rays)
-    adj, det_r = adjugate_int(rays)
-    index = abs(det_r)
     if index <= 1:
         raise ValueError("cone index must exceed 1")
-    sign = 1 if det_r > 0 else -1
-    basis = [[sign * x for x in row] for row in adj]  # index * R^-1
-    reduced, U = lll_reduce(basis)
+    outer = [[-x for x in n] for n in cone.normals]  # columns of index * R^-1
+    reduced, U = lll_reduce([list(col) for col in zip(*outer)])
 
     def admissible(pairs):
         """(sup-norm numerator, w, numerators) of each admissible pair.
@@ -316,8 +300,7 @@ def find_w(rays):
         r = _int_root(index, d)
         bounds = [sum(abs(x) for x in col) for col in zip(*rays)]
         ranges = [range(-((s + r - 1) // r), (s + r - 1) // r + 1) for s in bounds]
-        basis_cols = transpose(basis)
-        box = ((w, tuple(dot(col, w) for col in basis_cols))
+        box = ((w, tuple(dot(col, w) for col in outer))
                for w in product(*ranges) if any(w))
         best = min(admissible(box), default=None)
 
@@ -376,7 +359,7 @@ def signed_decompose(cone, max_index: int = 1, stats=None):
             if current.index <= max_index:
                 leaves.append((eps, current))
                 continue
-            w, alpha = find_w(current.base.rays)
+            w, alpha = find_w(current.base)
             for ceps, child in decompose_step(current, w, alpha):
                 if stats is not None:
                     stats.setdefault("splits", []).append((current.index, child.index))

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from .errors import OracleTooLargeError
+from .errors import OracleTooLargeError, UnboundedError
 from .linalg import dot
 from .lp import coordinate_range, lp_feasible
 from .polytope import HPolytope
@@ -46,7 +46,6 @@ def bounding_box(P: HPolytope):
     for j in range(P.dim):
         lo, hi = coordinate_range(P.A, P.b, j)
         if lo is None or hi is None:
-            from .errors import UnboundedError
             raise UnboundedError("polyhedron unbounded")
         lower.append(ceil(lo))
         upper.append(floor(hi))

@@ -356,7 +356,6 @@ class ParametricAnalysis:
     def __init__(self, pp: ParametricPolytope, max_index: int = 1):
         self.pp = pp
         self.max_index = max_index
-        self.stats = {}
         self.vertices = enumerate_parametric_vertices(pp)
         self.chambers = chambers_max_dim(self.vertices, pp.qset, qdim=pp.qdim)
         wall_normals = [g for ch in self.chambers for g, h, _ in ch.region.rows]
@@ -373,11 +372,13 @@ class ParametricAnalysis:
         self._decomps = {}
 
     def _decomposition(self, vertex: ParametricVertex):
-        """Signed half-open low-index leaves of the vertex cone, at apex 0."""
+        """(leaves, depth): the signed half-open low-index leaves of the
+        vertex cone at apex 0, and the depth of their decomposition."""
         if vertex not in self._decomps:
+            stats = {}
             result = signed_decompose(vertex.cone, max_index=self.max_index,
-                                      stats=self.stats)
-            self._decomps[vertex] = result.terms
+                                      stats=stats)
+            self._decomps[vertex] = (result.terms, stats["max_depth"])
         return self._decomps[vertex]
 
     def _active_at(self, q0, via):
@@ -405,12 +406,12 @@ class ParametricAnalysis:
             if stats is not None:
                 stats["outside"] = True
             return 0
-        pairs = [(v.value(q0), self._decomposition(v)) for v in active]
+        decomps = [self._decomposition(v) for v in active]
+        pairs = [(v.value(q0), leaves) for v, (leaves, _) in zip(active, decomps)]
         if stats is not None:
             stats["num_vertices"] = len(active)
-            stats["num_cones"] = sum(len(leaves) for _, leaves in pairs)
-            stats.update({k: self.stats[k] for k in ("max_depth",)
-                          if k in self.stats})
+            stats["num_cones"] = sum(len(leaves) for leaves, _ in decomps)
+            stats["max_depth"] = max(depth for _, depth in decomps)
         return count_leaves(pairs)
 
 

@@ -13,6 +13,7 @@ from .errors import (
     UnboundedError,
 )
 from .linalg import (
+    adjugate_int,
     det,
     dot,
     inverse,
@@ -97,42 +98,38 @@ class ClosedCone:
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """A full-dimensional cone on exactly d linearly independent rays.
+    """A full-dimensional cone on exactly d linearly independent integer rays.
 
-    dual_normals[j] is the rational outer normal of the facet opposite
-    ray j, normalized so that dual_normals[j] . rays[i] == -delta_ij.
+    One fraction-free elimination of the ray matrix gives everything the
+    cone is asked about later: normals[j] is the integer outer normal of
+    the facet opposite ray j, with normals[j] . rays[i] == -index * delta_ij,
+    and index is |det| of the ray matrix (1 means unimodular).  So
+    index * lam_j == -normals[j] . (x - apex) in ray coordinates, and the
+    signs of those products decide facet sides without any Fraction.
     """
 
     apex: tuple
     rays: tuple
-    dual_normals: tuple = field(default=None)
+    normals: tuple = field(init=False, repr=False, compare=False)
+    index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = len(self.rays)
         if d == 0 or any(len(r) != d for r in self.rays):
             raise DegenerateConeError("need d rays of dimension d")
-        if self.dual_normals is None:
-            cols = transpose(self.rays)
-            try:
-                inv = inverse(cols)
-            except SingularMatrixError:
-                raise DegenerateConeError("rays are linearly dependent") from None
-            duals = tuple(tuple(-x for x in row) for row in inv)
-            object.__setattr__(self, "dual_normals", duals)
-
-    @property
-    def index(self) -> int:
-        """Absolute determinant of the ray matrix: 1 means unimodular."""
-        index = getattr(self, "_index", None)
-        if index is None:
-            index = abs(det(transpose(self.rays)))
-            object.__setattr__(self, "_index", index)
-        return index
+        try:
+            adj, det_r = adjugate_int(transpose(self.rays))
+        except SingularMatrixError:
+            raise DegenerateConeError("rays are linearly dependent") from None
+        sign = -1 if det_r > 0 else 1
+        object.__setattr__(self, "normals",
+                           tuple(tuple(sign * x for x in row) for row in adj))
+        object.__setattr__(self, "index", abs(det_r))
 
     def coefficients(self, x):
         """Coefficients lam with x - apex == sum lam_j rays[j]."""
         shifted = vec_sub(x, self.apex)
-        return tuple(-dot(n, shifted) for n in self.dual_normals)
+        return tuple(Fraction(-dot(n, shifted), self.index) for n in self.normals)
 
 
 def _require_nonempty_full_dim_bounded(P: HPolytope):
@@ -233,36 +230,22 @@ def vertex_cone(P: HPolytope, v: Vertex) -> ClosedCone:
                       rays=tuple(rays), normals=tuple(normals))
 
 
-def _facet_normal(rays_subset, opposite):
-    """Outer normal of span(rays_subset), oriented away from `opposite`."""
-    M = list(rays_subset) + [opposite]
-    try:
-        inv = inverse(M)
-    except SingularMatrixError:
-        return None
-    n = tuple(-row[-1] for row in inv)  # n . subset = 0, n . opposite = -1
-    return vec_primitive(n)
+def _boundary_facets(pieces):
+    """Boundary (d-1)-faces of a triangulated convex cone with outer normals.
 
-
-def _boundary_facets(simplices, rays):
-    """Boundary (d-1)-faces of a triangulated convex cone with normals.
-
-    A face of some simplex lies on the boundary exactly when it belongs
-    to a single simplex of the complex.
+    pieces maps each simplex (a sorted tuple of ray indices) to its
+    SimplicialCone.  A face lies on the boundary exactly when it belongs
+    to a single simplex; its outer normal is that cone's normal opposite
+    the dropped ray.
     """
     counts = {}
-    owner = {}
-    for simplex in simplices:
-        for drop in simplex:
-            face = tuple(i for i in simplex if i != drop)
+    normal = {}
+    for simplex, cone in pieces.items():
+        for j in range(len(simplex)):
+            face = simplex[:j] + simplex[j + 1:]
             counts[face] = counts.get(face, 0) + 1
-            owner[face] = drop
-    facets = []
-    for face, cnt in counts.items():
-        if cnt == 1:
-            n = _facet_normal([rays[i] for i in face], rays[owner[face]])
-            facets.append((face, n))
-    return facets
+            normal[face] = cone.normals[j]
+    return [(face, normal[face]) for face, cnt in counts.items() if cnt == 1]
 
 
 def triangulate(C: ClosedCone):
@@ -274,23 +257,23 @@ def triangulate(C: ClosedCone):
     """
     rays = list(C.rays)
     d = len(rays[0])
-    if rank(rays) != d:
-        raise DegenerateConeError("cone is not full-dimensional")
 
-    start = None
-    for subset in combinations(range(len(rays)), d):
-        if det([rays[i] for i in subset]) != 0:
-            start = subset
+    def piece(simplex):
+        return SimplicialCone(apex=C.apex, rays=tuple(rays[i] for i in simplex))
+
+    for start in combinations(range(len(rays)), d):
+        try:
+            pieces = {start: piece(start)}
             break
-    simplices = [tuple(start)]
+        except DegenerateConeError:
+            continue
+    else:
+        raise DegenerateConeError("cone is not full-dimensional")
     for t in range(len(rays)):
         if t in start:
             continue
-        new = []
-        for face, n in _boundary_facets(simplices, rays):
-            if dot(n, rays[t]) > 0:
-                new.append(tuple(sorted(face + (t,))))
-        simplices.extend(new)
+        new = [tuple(sorted(face + (t,)))
+               for face, n in _boundary_facets(pieces) if dot(n, rays[t]) > 0]
+        pieces.update((simplex, piece(simplex)) for simplex in new)
 
-    return [SimplicialCone(apex=C.apex, rays=tuple(rays[i] for i in simplex))
-            for simplex in sorted(simplices)]
+    return [pieces[simplex] for simplex in sorted(pieces)]

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
 
@@ -16,7 +17,7 @@ from primalcount.genfun import (
     specialize_at_one,
 )
 from primalcount.halfopen import HalfOpenCone
-from primalcount.linalg import det, dot, transpose
+from primalcount.linalg import det, dot, inverse, smith_normal_form, transpose
 from primalcount.polytope import HPolytope, SimplicialCone
 
 
@@ -81,6 +82,64 @@ def test_parallelepiped_against_box_scan():
         assert len(got) == index
         assert len(set(got)) == index
         assert sorted(got) == brute_parallelepiped(rays, sigma, apex), (rays, sigma, apex)
+
+
+def parallelepiped_reference(cone, apex):
+    """parallelepiped_points in Fraction arithmetic, from rational dual normals.
+
+    dual_j = -(row j of (R^T)^-1) has dual_j . rays[i] == -delta_ij, so
+    mu_j = dual_j . (apex - x) is x's j-th ray coordinate relative to
+    the apex, rounded by floor and ceil of Fractions.
+    """
+    rays = cone.base.rays
+    d = len(rays)
+    cols = transpose(rays)
+    snf = smith_normal_form(cols)
+    duals = [tuple(-x for x in row) for row in inverse(cols)]
+    base_mu = [dot(n, apex) for n in duals]
+    wcols = transpose(snf.W)
+    shift = [[dot(n, w) for w in wcols] for n in duals]
+    points = []
+    for k in product(*(range(s) for s in snf.s)):
+        x = [sum(k_i * w[t] for k_i, w in zip(k, wcols)) for t in range(d)]
+        for j in range(d):
+            mu = base_mu[j] - sum(k_i * s for k_i, s in zip(k, shift[j]))
+            n_j = -floor(mu) if cone.sigma[j] > 0 else 1 - ceil(mu)
+            if n_j:
+                for t in range(d):
+                    x[t] += n_j * rays[j][t]
+        points.append(tuple(int(v) for v in x))
+    return points
+
+
+def test_parallelepiped_matches_fraction_reference():
+    # Same points in the same order as the rational-dual computation,
+    # for d = 2..4, both signs of det, mixed flags and apexes with
+    # denominators 1..7 and negative coordinates.
+    rng = random.Random(11)
+    seen = {"det": set(), "den": set(), "mixed": 0, "negative": 0}
+    checked = 0
+    while checked < 240:
+        d = 2 + checked % 3
+        rays = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d))
+        D = det(transpose(rays))
+        if D == 0 or abs(D) > 60:
+            continue
+        checked += 1
+        sigma = tuple(rng.choice([1, -1]) for _ in range(d))
+        den = 1 + checked % 7
+        apex = tuple(Fraction(rng.randint(-6 * den, 6 * den), den) for _ in range(d))
+        cone = hoc(rays, sigma)
+        got = parallelepiped_points(cone, apex)
+        assert got == parallelepiped_reference(cone, apex), (rays, sigma, apex)
+        assert len(got) == abs(D)
+        seen["det"].add(D > 0)
+        seen["den"].add(max(a.denominator for a in apex))
+        seen["mixed"] += len(set(sigma)) == 2
+        seen["negative"] += any(a < 0 for a in apex)
+    assert seen["det"] == {True, False}
+    assert seen["den"] == set(range(1, 8))
+    assert seen["mixed"] >= 50 and seen["negative"] >= 50
 
 
 def test_parallelepiped_halfopen_lambda_membership():

@@ -277,12 +277,16 @@ def test_facet_strictness_perturbation_oracle():
 # auxiliary ray search
 
 
+def cone_of(rays):
+    return SimplicialCone(apex=(0,) * len(rays), rays=tuple(map(tuple, rays)))
+
+
 def test_find_w_known_cones():
-    w, alpha = find_w(((1, 0), (0, 2)))
+    w, alpha = find_w(cone_of(((1, 0), (0, 2))))
     assert w == (0, 1)
     assert alpha == (Fraction(0), Fraction(1, 2))
 
-    w, alpha = find_w(((1, 0), (1, 3)))
+    w, alpha = find_w(cone_of(((1, 0), (1, 3))))
     assert max(abs(a) for a in alpha) <= Fraction(2, 3)
     index = abs(det(transpose(((1, 0), (1, 3)))))
     for a in alpha:
@@ -291,7 +295,7 @@ def test_find_w_known_cones():
 
 def test_find_w_rejects_unimodular():
     with pytest.raises(ValueError):
-        find_w(((1, 0), (0, 1)))
+        find_w(cone_of(((1, 0), (0, 1))))
 
 
 def test_find_w_properties_random():
@@ -304,7 +308,7 @@ def test_find_w_properties_random():
         if abs(dcol) < 2:
             continue
         checked += 1
-        w, alpha = find_w(rays)
+        w, alpha = find_w(cone_of(rays))
         assert any(x != 0 for x in w)
         assert gcd(*(abs(x) for x in w)) == 1
         # consistency: w = sum alpha_i rays_i
@@ -363,13 +367,13 @@ def test_find_w_box_fallback(monkeypatch):
                   for i in range(d))
         U = mat_mul(L, V)
         monkeypatch.setattr(halfopen, "lll_reduce", lambda basis: (mat_mul(U, basis), U))
-        assert find_w(rays) == _box_reference(rays), rays
+        assert find_w(cone_of(rays)) == _box_reference(rays), rays
     assert len(fallbacks) == 12
 
 
 def test_find_w_deterministic():
     rays = ((2, 1, 0), (0, 3, 1), (1, 0, 4))
-    assert find_w(rays) == find_w(rays)
+    assert find_w(cone_of(rays)) == find_w(cone_of(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +395,7 @@ def test_decompose_step_identity_random():
         checked += 1
         sigma = tuple(rng.choice([1, -1]) for _ in range(d))
         parent = hoc(rays, sigma)
-        w, alpha = find_w(rays)
+        w, alpha = find_w(parent.base)
         children = decompose_step(parent, w, alpha)
         points = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(60)]
         points += [tuple(2 * x for x in w), tuple(-1 * x for x in w)]

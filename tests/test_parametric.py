@@ -329,6 +329,32 @@ class TestEvaluateCount:
         assert stats["num_vertices"] == 2
         assert stats["num_cones"] >= 2
 
+    def test_stats_do_not_depend_on_earlier_evaluations(self):
+        # x >= 0 and five rows a.x <= e.q + f over q >= 0: vertex cones of
+        # different decomposition depths are active at different q.
+        def family():
+            return ParametricPolytope(
+                A=[[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 2, 3], [3, 2, 1],
+                   [1, 1, 1], [2, 1, 0], [0, 1, 2]],
+                E=[[0, 0], [0, 0], [0, 0], [1, 0], [0, 1], [1, 1], [1, 0], [0, 1]],
+                f=[0, 0, 0, 0, 0, 0, 4, 3],
+                qset=HalfOpenPolyhedron.from_inequalities([[-1, 0], [0, -1]], [0, 0]),
+            )
+
+        q = (100, 3)
+        fresh = {}
+        want = evaluate_count(family(), q, stats=fresh)
+        warm_pp = family()
+        depths = []
+        for earlier in ((1, 1), (7, 9)):
+            stats = {}
+            evaluate_count(warm_pp, earlier, stats=stats)
+            depths.append(stats["max_depth"])
+        assert max(depths) > fresh["max_depth"]  # a deeper cone came first
+        warm = {}
+        assert evaluate_count(warm_pp, q, stats=warm) == want
+        assert warm == fresh
+
     def test_parameter_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evaluate_count(interval_family(), [1, 2])

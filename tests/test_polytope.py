@@ -269,13 +269,16 @@ def _null_direction(rows, d):
     return None
 
 
-def test_simplicial_cone_duals():
-    cone = SimplicialCone(apex=(0, 0), rays=((1, 0), (1, 2)))
-    for j, nj in enumerate(cone.dual_normals):
-        for i, ri in enumerate(cone.rays):
-            assert dot(nj, ri) == (-1 if i == j else 0)
-    assert cone.index == 2
-    assert cone.coefficients((2, 2)) == (1, 1)
+def test_simplicial_cone_normals():
+    # both orientations of the ray matrix: det 2 and det -2
+    for rays in (((1, 0), (1, 2)), ((1, 2), (1, 0))):
+        cone = SimplicialCone(apex=(0, 0), rays=rays)
+        assert cone.index == 2
+        for j, nj in enumerate(cone.normals):
+            assert all(isinstance(x, int) for x in nj)
+            for i, ri in enumerate(cone.rays):
+                assert dot(nj, ri) == (-cone.index if i == j else 0)
+        assert sorted(cone.coefficients((2, 2))) == [1, 1]
 
 
 def test_simplicial_cone_rejects_dependent_rays():
