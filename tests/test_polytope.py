@@ -269,6 +269,18 @@ def _null_direction(rows, d):
     return None
 
 
+def test_simplicial_cone_duals():
+    # the dual basis of the rays is the integer normals over the index
+    cone = SimplicialCone(apex=(0, 0), rays=((1, 0), (1, 2)))
+    duals = [tuple(Fraction(x, cone.index) for x in nj)
+             for nj in cone.normals]
+    for j, nj in enumerate(duals):
+        for i, ri in enumerate(cone.rays):
+            assert dot(nj, ri) == (-1 if i == j else 0)
+    assert cone.index == 2
+    assert cone.coefficients((2, 2)) == (1, 1)
+
+
 def test_simplicial_cone_normals():
     # both orientations of the ray matrix: det 2 and det -2
     for rays in (((1, 0), (1, 2)), ((1, 2), (1, 0))):
