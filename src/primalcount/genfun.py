@@ -113,7 +113,7 @@ def _binomials(N, order):
 
 
 def _poly_mul_trunc(a, b, order):
-    out = [Fraction(0)] * (order + 1)
+    out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if ai == 0 or i > order:
             continue
@@ -124,26 +124,18 @@ def _poly_mul_trunc(a, b, order):
     return out
 
 
-def _series_div_trunc(num, den, order):
-    assert den[0] != 0
-    q = [Fraction(0)] * (order + 1)
-    inv0 = Fraction(1) / Fraction(den[0])
-    for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[i] * q[k - i]
-        q[k] = acc * inv0
-    return q
-
-
 def specialize_at_one(g: GenFun, direction=None) -> int:
     """Exact number of lattice points of the set generating g.
 
     Substitutes z = t^mu for a direction mu not orthogonal to any
     denominator ray, flips factors with negative exponent via
     1/(1 - t^(-a)) = -t^a / (1 - t^a), sets t = 1 + u, and extracts the
-    constant term of each Laurent expansion by one truncated series
-    division.  The per-term rationals always sum to an integer.
+    constant term of each Laurent expansion: the coefficient q_d of
+    num / H, with num and H integer power series truncated at order d.
+    With h0 = H[0], the integers Q_k = h0^(k+1) q_k obey
+    Q_k = h0^k num_k - sum_{i>=1} H_i h0^(i-1) Q_{k-i}, so the series
+    division stays in integers and each term adds the one rational
+    Q_d / h0^(d+1).  The per-term rationals always sum to an integer.
     """
     if not g.terms:
         return 0
@@ -162,18 +154,20 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
         shift = sum(-e for e in exps if e < 0)
         nneg = sum(1 for e in exps if e < 0)
         sgn = term.sign * (-1 if (nneg + d) % 2 else 1)
-        num = [Fraction(0)] * (d + 1)
+        num = [0] * (d + 1)
         for p in term.numerator_exponents:
             for k, c in enumerate(_binomials(dot(direction, p) + shift, d)):
                 num[k] += c
-        H = [Fraction(1)]
+        H = [1]
         for e in exps:
-            a = abs(e)
             # 1 - (1+u)^a = -u * (C(a,1) + C(a,2) u + ...)
-            h = [Fraction(c) for c in _binomials(a, d + 1)[1:]]
-            H = _poly_mul_trunc(H, h, d)
-        q = _series_div_trunc(num, H, d)
-        total += sgn * q[d]
+            H = _poly_mul_trunc(H, _binomials(abs(e), d + 1)[1:], d)
+        pw = [H[0] ** k for k in range(d + 2)]
+        Q = []
+        for k in range(d + 1):
+            Q.append(pw[k] * num[k]
+                     - sum(H[i] * pw[i - 1] * Q[k - i] for i in range(1, k + 1)))
+        total += Fraction(sgn * Q[d], pw[d + 1])
     assert total.denominator == 1, "specialization must produce an integer"
     return int(total)
 

@@ -69,9 +69,6 @@ class HalfOpenPolyhedron:
     def is_closed(self) -> bool:
         return all(not strict for _, _, strict in self.rows)
 
-    def closure(self):
-        return HalfOpenPolyhedron(rows=tuple((n, rhs, False) for n, rhs, _ in self.rows))
-
     def contains(self, x) -> bool:
         for normal, rhs, strict in self.rows:
             v = dot(normal, x)
@@ -224,13 +221,17 @@ def facet_strictness(sigma, alpha, l, m):
 
 
 def _int_root(n: int, d: int) -> int:
-    """Largest r with r**d <= n."""
-    r = int(round(n ** (1.0 / d)))
-    while r ** d > n:
-        r -= 1
-    while (r + 1) ** d <= n:
-        r += 1
-    return r
+    """Largest r with r**d <= n, for n >= 1 and d >= 1.
+
+    Integer Newton iteration from 2^ceil(bits / d) > n^(1/d): the
+    iterates fall strictly while r**d > n and never drop below the root.
+    """
+    r = 1 << -(-n.bit_length() // d)
+    while True:
+        s = ((d - 1) * r + n // r ** (d - 1)) // d
+        if s >= r:
+            return r
+        r = s
 
 
 def find_w(cone: SimplicialCone):

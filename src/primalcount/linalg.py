@@ -4,6 +4,10 @@ Vectors are tuples of ints or Fractions and matrices are tuples of row
 tuples; everything is immutable and every result is exact.  Python ints
 already provide arbitrary precision and Fraction keeps rationals in
 lowest terms, so the numeric types here are the builtins.
+
+There is one Gaussian elimination, the fraction-free Gauss-Jordan
+_gauss_jordan: det, rank, solve, inverse and adjugate_int scale their
+rows to integers and call it.
 """
 
 from dataclasses import dataclass
@@ -105,92 +109,57 @@ def det(M):
     """Exact determinant of a square matrix of ints or Fractions.
 
     Rational input is scaled row by row to integers first and the scale
-    divided back out, so the fraction-free (Bareiss) elimination does no
-    Fraction arithmetic.
+    divided back out, so the elimination does no Fraction arithmetic.
     """
-    _check_square(M)
+    n = _check_square(M)
     scales, rows = zip(*(_int_row(row) for row in M))
-    d = Fraction(_det_bareiss(list(rows)), prod(scales))
+    r, sign, pivot = _gauss_jordan(list(rows), n)
+    if r < n:
+        return 0
+    d = Fraction(sign * pivot, prod(scales))
     return d.numerator if d.denominator == 1 else d
 
 
-def _det_bareiss(rows):
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
-
-
 def rank(M):
+    """Rank of a matrix of ints or Fractions, rows scaled to integers."""
     if not M:
         return 0
-    rows = [[Fraction(x) for x in row] for row in M]
-    ncols = len(rows[0])
+    return _gauss_jordan([_int_row(row)[1] for row in M], len(M[0]))[0]
+
+
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan on the first ncols columns of integer rows.
+
+    Bareiss elimination above and below each pivot, in place: a column
+    without a pivot among the remaining rows is skipped, and after each
+    pivot every entry is a minor of the row-permuted input, so each
+    division by the previous pivot is exact.  Returns (rank, sign, pivot)
+    with sign that of the row permutation P and pivot the last pivot.
+    When the first ncols columns are a nonsingular square M and the rest
+    are B, pivot = det(P M) = sign * det(M) and B ends as pivot * M^-1 B.
+    """
     r = 0
+    sign = 1
+    prev = 1
     for c in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def _gauss_jordan(M, rhs_cols):
-    """Fraction-free Gauss-Jordan on integer [M | rhs]: (det(M) M^-1 rhs, det(M)).
-
-    Bareiss elimination above and below each pivot: after step k every
-    entry is a (k+1)-minor of the row-permuted [M | rhs], so the division
-    by the previous pivot is exact and the right block ends as
-    det(P M) (P M)^-1 P rhs.  Raises SingularMatrixError when det(M) = 0.
-    """
-    n = _check_square(M)
-    rows = [[as_int(x) for x in row] + [as_int(x) for x in extra]
-            for row, extra in zip(M, rhs_cols)]
-    width = len(rows[0])
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("singular matrix")
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
             sign = -sign
-        pk = rows[k][k]
-        top = rows[k]
-        for i in range(n):
-            if i == k:
+        top = rows[r]
+        pk = top[c]
+        for i, row in enumerate(rows):
+            if i == r:
                 continue
-            row = rows[i]
-            f = row[k]
-            # column k becomes zero and earlier columns are never read again
-            for j in range(k + 1, width):
+            f = row[c]
+            # column c becomes zero and earlier columns are never read again
+            for j in range(c + 1, len(row)):
                 row[j] = (pk * row[j] - f * top[j]) // prev
         prev = pk
-    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * prev
+        r += 1
+    return r, sign, prev
 
 
 def solve(M, rhs):
@@ -201,9 +170,12 @@ def solve(M, rhs):
     """
     if len(rhs) != len(M):
         raise ValueError("dimension mismatch")
+    n = _check_square(M)
     rows = [_int_row(tuple(row) + (r,))[1] for row, r in zip(M, rhs)]
-    cols, d = _gauss_jordan([row[:-1] for row in rows], [row[-1:] for row in rows])
-    return tuple(Fraction(col[0], d) for col in cols)
+    r, _, d = _gauss_jordan(rows, n)
+    if r < n:
+        raise SingularMatrixError("singular matrix")
+    return tuple(Fraction(row[n], d) for row in rows)
 
 
 def inverse(M):
@@ -225,7 +197,12 @@ def adjugate_int(M):
     M^-1 can stay in integer arithmetic.  Entries must be integral (ints
     or integral Fractions).  Raises SingularMatrixError when det(M) = 0.
     """
-    return _gauss_jordan(M, identity(len(M)))
+    n = _check_square(M)
+    rows = [[as_int(x) for x in row] + list(e) for row, e in zip(M, identity(n))]
+    r, sign, d = _gauss_jordan(rows, n)
+    if r < n:
+        raise SingularMatrixError("singular matrix")
+    return tuple(tuple(sign * x for x in row[n:]) for row in rows), sign * d
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from .errors import (
 )
 from .linalg import (
     adjugate_int,
-    det,
     dot,
-    inverse,
     is_zero_vec,
     rank,
     solve,
@@ -173,7 +171,7 @@ def enumerate_vertices(P: HPolytope):
 
 
 def extreme_rays(normals):
-    """Extreme rays of the pointed cone {x : n . x <= 0 for n in normals}.
+    """Extreme rays of the pointed cone {x : n . x <= 0} for integer normals n.
 
     Incremental double description: start from a simplicial subcone
     given by d independent normals, then cut with the remaining ones.
@@ -182,17 +180,16 @@ def extreme_rays(normals):
     """
     normals = [tuple(n) for n in normals]
     d = len(normals[0])
-    base = None
-    for subset in combinations(range(len(normals)), d):
-        M = [normals[i] for i in subset]
-        if det(M) != 0:
-            base = subset
-            break
-    if base is None:
+    for base in combinations(range(len(normals)), d):
+        try:
+            adj, det_m = adjugate_int([normals[i] for i in base])
+        except SingularMatrixError:
+            continue
+        break
+    else:
         raise DegenerateConeError("cone is not pointed")
-    M = [normals[i] for i in base]
-    inv = inverse(M)
-    rays = [vec_primitive(tuple(-row[j] for row in inv)) for j in range(d)]
+    # the columns of -M^-1 = -adj / det, scaled by det^2 > 0
+    rays = [vec_primitive(tuple(-det_m * row[j] for row in adj)) for j in range(d)]
     processed = [normals[i] for i in base]
 
     for i in range(len(normals)):

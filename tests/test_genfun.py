@@ -16,9 +16,10 @@ from primalcount.genfun import (
     parallelepiped_points,
     specialize_at_one,
 )
-from primalcount.halfopen import HalfOpenCone
+from primalcount.errors import NotFullDimensionalError
+from primalcount.halfopen import HalfOpenCone, signed_decompose
 from primalcount.linalg import det, dot, inverse, smith_normal_form, transpose
-from primalcount.polytope import HPolytope, SimplicialCone
+from primalcount.polytope import HPolytope, SimplicialCone, enumerate_vertices, vertex_cone
 
 
 def hoc(rays, sigma, apex=None):
@@ -202,6 +203,87 @@ def test_specialize_direction_invariance():
 def test_specialize_rejects_orthogonal_direction():
     with pytest.raises(ValueError):
         specialize_at_one(square_genfun(), direction=(0, 1))
+
+
+def specialize_reference(g, direction):
+    """Independent specialization at z = 1 by Fraction series division."""
+    def binomials(N, order):
+        out = [1]
+        for k in range(1, order + 1):
+            out.append(out[-1] * (N - k + 1) // k)
+        return out
+
+    def mul_trunc(a, b, order):
+        out = [Fraction(0)] * (order + 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                if i + j <= order:
+                    out[i + j] += ai * bj
+        return out
+
+    def div_trunc(num, den, order):
+        q = [Fraction(0)] * (order + 1)
+        for k in range(order + 1):
+            acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+            for i in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[i] * q[k - i]
+            q[k] = acc / den[0]
+        return q
+
+    d = len(g.terms[0].denominator_rays)
+    total = Fraction(0)
+    for term in g.terms:
+        exps = [dot(direction, b) for b in term.denominator_rays]
+        shift = sum(-e for e in exps if e < 0)
+        nneg = sum(1 for e in exps if e < 0)
+        sgn = term.sign * (-1 if (nneg + d) % 2 else 1)
+        num = [Fraction(0)] * (d + 1)
+        for p in term.numerator_exponents:
+            for k, c in enumerate(binomials(dot(direction, p) + shift, d)):
+                num[k] += c
+        H = [Fraction(1)]
+        for e in exps:
+            H = mul_trunc(H, [Fraction(c) for c in binomials(abs(e), d + 1)[1:]], d)
+        total += sgn * div_trunc(num, H, d)[d]
+    assert total.denominator == 1
+    return int(total)
+
+
+def random_box_with_cuts(rng, d):
+    """A random full-dimensional nonempty d-box with up to two cuts."""
+    while True:
+        A, b = [], []
+        for j in range(d):
+            for s in (1, -1):
+                A.append(tuple(s * int(i == j) for i in range(d)))
+                b.append(rng.randint(0, 6))
+        for _ in range(rng.randint(0, 2)):
+            extra = tuple(rng.randint(-7, 7) for _ in range(d))
+            if any(extra):
+                A.append(extra)
+                b.append(rng.randint(-3, 20))
+        P = HPolytope(A=tuple(A), b=tuple(b))
+        try:
+            if enumerate_vertices(P):
+                return P
+        except NotFullDimensionalError:
+            continue
+
+
+def test_specialize_matches_fraction_reference():
+    rng = random.Random(53)
+    negative = 0
+    for case in range(40):
+        P = random_box_with_cuts(rng, 2 + case % 2)
+        terms = tuple(gf_term(leaf, v.point, sign=eps)
+                      for v in enumerate_vertices(P)
+                      for eps, leaf in signed_decompose(vertex_cone(P, v)).terms)
+        g = GenFun(terms=terms)
+        rays = {ray for t in terms for ray in t.denominator_rays}
+        for mu in generic_directions(rays, count=3):
+            negative += sum(dot(mu, b) < 0 for t in terms for b in t.denominator_rays)
+            assert specialize_at_one(g, mu) == specialize_reference(g, mu), (P, mu)
+    assert negative > 100
 
 
 def test_generic_directions():

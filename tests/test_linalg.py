@@ -176,6 +176,67 @@ def test_rank():
     assert rank(((1, 2, 3), (4, 5, 6))) == 2
 
 
+def rank_reference(M):
+    """Independent rank by Fraction Gauss-Jordan."""
+    if not M:
+        return 0
+    rows = [[Fraction(x) for x in row] for row in M]
+    ncols = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def random_planted_rank_matrix(rng):
+    """An m x n matrix, 1 <= m, n <= 6, whose rows combine k <= min(m, n) rows.
+
+    Some basis rows are rational, some rows get a rational scale, and
+    some columns are zeroed, so rank deficiency comes in every shape.
+    """
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    basis = [[Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+             for _ in range(rng.randint(0, min(m, n)))]
+    rows = []
+    for _ in range(m):
+        scale = Fraction(rng.randint(1, 4), rng.randint(1, 4)) if rng.random() < 0.3 else 1
+        rows.append([scale * sum((rng.randint(-3, 3) * b[j] for b in basis), Fraction(0))
+                     for j in range(n)])
+    for j in rng.sample(range(n), rng.randint(0, n // 2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row)
+                 for row in rows)
+
+
+def test_rank_and_det_match_reference_on_planted_rank():
+    rng = random.Random(41)
+    deficient = square = 0
+    for _ in range(600):
+        M = random_planted_rank_matrix(rng)
+        r = rank_reference(M)
+        assert rank(M) == r, M
+        deficient += r < min(len(M), len(M[0]))
+        if len(M) == len(M[0]):
+            square += 1
+            assert det(M) == det_cofactor(M), M
+            if r < len(M):
+                with pytest.raises(SingularMatrixError):
+                    solve(M, (0,) * len(M))
+    assert deficient > 200 and square > 50
+
+
 def test_vec_primitive():
     assert vec_primitive((2, 4, 6)) == (1, 2, 3)
     assert vec_primitive((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
