@@ -6,13 +6,17 @@ denominators.  Lattice point counts come out by specializing the sum of
 all terms at z = 1, which every single term has as a pole: substituting
 z = t^mu for a direction mu that kills no denominator, then t = 1 + u,
 turns the specialization into reading one coefficient of an exact
-truncated power series.
+truncated power series.  leaf_program and CompiledLeaves fix that
+direction and the series for leaves that are counted at many apexes,
+which leaves only integer rounding and one polynomial per parallelepiped
+point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .halfopen import HalfOpenCone, signed_decompose
 from .linalg import dot, smith_normal_form, transpose
@@ -170,6 +174,123 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
         total += Fraction(sgn * Q[d], pw[d + 1])
     assert total.denominator == 1, "specialization must produce an integer"
     return int(total)
+
+
+def leaf_residues(cone: HalfOpenCone):
+    """One lattice point per residue class of the cone's ray lattice.
+
+    These are the cone's parallelepiped points at apex 0.  They do not
+    depend on any direction, so a leaf computes them once.
+    """
+    return parallelepiped_points(cone, (0,) * len(cone.base.rays))
+
+
+def _falling_weights(exps, sign):
+    """f with a term's share of specialize_at_one = sum_k f[k] * S_k.
+
+    S_k sums the falling factorial N (N-1) ... (N-k+1) over the term's
+    numerator points, where N = <mu, point> + shift.  Q_d of
+    specialize_at_one is linear in num, and num_k sums C(N, k) =
+    (falling factorial) / k!, so the share is sgn * Q_d / h0^(d+1) with
+    Q_d expanded in the num_k.  exps are the <mu, ray> of the term.
+    """
+    d = len(exps)
+    H = [1]
+    for e in exps:
+        H = _poly_mul_trunc(H, _binomials(abs(e), d + 1)[1:], d)
+    pw = [H[0] ** k for k in range(d + 2)]
+    Q = []  # Q[k][i]: the coefficient of num_i in Q_k
+    for k in range(d + 1):
+        row = [0] * (d + 1)
+        row[k] = pw[k]
+        for i in range(1, k + 1):
+            c = H[i] * pw[i - 1]
+            for t, v in enumerate(Q[k - i]):
+                row[t] -= c * v
+        Q.append(row)
+    nneg = sum(1 for e in exps if e < 0)
+    sgn = sign * (-1 if (nneg + d) % 2 else 1)
+    fact = 1
+    out = []
+    for k, w in enumerate(Q[d]):
+        fact *= max(k, 1)
+        out.append(Fraction(sgn * w, fact * pw[d + 1]))
+    return out
+
+
+def leaf_program(leaves, residues, direction):
+    """The apex-free part of count_leaves for one group of leaves.
+
+    leaves is a sequence of (sign, HalfOpenCone), residues the matching
+    leaf_residues lists.  With mu = direction, each leaf's share of
+    specialize_at_one is a fixed polynomial in N = <mu, x> + shift summed
+    over its parallelepiped points x (_falling_weights), kept as integer
+    weights u over a denominator.  At apex a / den (a integer, den > 0)
+    the point of residue r is x_r + sum_j n_j rays[j] with
+    n_j = 1 + (t_jr - f_j) // index, where t_jr = normals[j] . x_r - 1
+    and f_j = (normals[j] . a - strict_j) // den: the rounding of
+    parallelepiped_points, split into a fixed part and one floor division
+    by den per facet.  Returns (records, denominators), one record
+    (normals, strict, index, <mu, rays>, rows, u) and one denominator per
+    leaf; each row is (<mu, x_r> + shift + sum_j <mu, ray_j>, t_r).
+    """
+    records, dens = [], []
+    for (eps, leaf), xs in zip(leaves, residues):
+        base = leaf.base
+        gains = tuple(dot(direction, ray) for ray in base.rays)
+        shift = sum(-e for e in gains if e < 0) + sum(gains)
+        rows = tuple((dot(direction, x) + shift,
+                      tuple(dot(n, x) - 1 for n in base.normals))
+                     for x in xs)
+        weights = _falling_weights(gains, eps)
+        den = lcm(*(w.denominator for w in weights))
+        records.append((base.normals, tuple(int(s < 0) for s in leaf.sigma),
+                        base.index, gains, rows,
+                        tuple(int(w * den) for w in weights)))
+        dens.append(den)
+    return tuple(records), tuple(dens)
+
+
+class CompiledLeaves:
+    """count_leaves for fixed signed leaves whose apexes move, in integers.
+
+    programs holds one leaf_program per apex group, all made with one
+    direction generic for every leaf ray, so that the leaves' shares sum
+    to the count.  Every share is scaled to one common denominator L.
+    count() then takes d floor divisions per leaf, d more per residue,
+    one falling-factorial Horner sum per residue and one exact division
+    by L.
+    """
+
+    def __init__(self, programs):
+        self.denominator = L = lcm(*(den for _, dens in programs for den in dens))
+        self.groups = tuple((records, tuple(L // den for den in dens))
+                            for records, dens in programs)
+
+    def count(self, apexes) -> int:
+        """Lattice points of the signed leaf sum with group i at apexes[i].
+
+        apexes[i] is (a, den): an integer numerator vector and a positive
+        common denominator.
+        """
+        total = 0
+        for (a, den), (records, scales) in zip(apexes, self.groups):
+            for (normals, strict, index, gains, rows, u), scale in zip(records, scales):
+                f = [(sum(map(mul, n, a)) - s) // den for n, s in zip(normals, strict)]
+                d = len(u) - 1
+                share = 0
+                for c, ts in rows:
+                    N = c
+                    for t, fj, g in zip(ts, f, gains):
+                        N += (t - fj) // index * g
+                    v = u[d]
+                    for k in range(d - 1, -1, -1):
+                        v = u[k] + (N - k) * v
+                    share += v
+                total += scale * share
+        count, rem = divmod(total, self.denominator)
+        assert rem == 0, "specialization must produce an integer"
+        return count
 
 
 def count_leaves(pairs) -> int:

@@ -10,7 +10,7 @@ over faces is ever needed.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import dot, lll_reduce, vec_sub
 from .polytope import ClosedCone, SimplicialCone, triangulate
@@ -54,6 +54,17 @@ class HalfOpenCone:
         return True
 
 
+def integral_row(normal, rhs):
+    """The inequality normal . x <= rhs scaled to an integer normal.
+
+    Scales by the lcm of the normal's denominators, so integer rows come
+    back unchanged; the right-hand side stays an exact Fraction.
+    """
+    normal = [Fraction(x) for x in normal]
+    scale = lcm(*(x.denominator for x in normal))
+    return tuple(int(x * scale) for x in normal), Fraction(rhs) * scale
+
+
 @dataclass(frozen=True)
 class HalfOpenPolyhedron:
     """Finitely many rows (normal, rhs, strict): n . x <= rhs or < rhs."""
@@ -62,8 +73,10 @@ class HalfOpenPolyhedron:
 
     @classmethod
     def from_inequalities(cls, A, b, strict=None):
+        """Rows A[i] . x <= b[i] (< where strict[i]); rational rows are
+        scaled to integer normals by integral_row."""
         flags = strict if strict is not None else [False] * len(A)
-        return cls(rows=tuple((tuple(int(x) for x in row), Fraction(rhs), bool(f))
+        return cls(rows=tuple((*integral_row(row, rhs), bool(f))
                               for row, rhs, f in zip(A, b, flags)))
 
     def is_closed(self) -> bool:

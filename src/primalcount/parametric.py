@@ -6,13 +6,16 @@ activity region in q-space.  The regions overlap only in walls; cutting
 the parameter space along all activity boundaries yields chambers on
 which the vertex set is constant.  Making chambers and activity regions
 half-open with one shared generic direction gives every parameter point
-exactly one evaluation formula, including points on the walls.
+exactly one evaluation formula, including points on the walls.  On a
+chamber only the apexes of the fixed leaf cones move, so that formula is
+compiled once per chamber into integer arithmetic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     DegenerateConeError,
@@ -20,8 +23,20 @@ from .errors import (
     SingularMatrixError,
     UnboundedError,
 )
-from .genfun import count_leaves
-from .halfopen import HalfOpenPolyhedron, exactify, perturbed_direction, signed_decompose
+from .genfun import (
+    CompiledLeaves,
+    count_leaves,
+    generic_directions,
+    leaf_program,
+    leaf_residues,
+)
+from .halfopen import (
+    HalfOpenPolyhedron,
+    exactify,
+    integral_row,
+    perturbed_direction,
+    signed_decompose,
+)
 from .linalg import dot, identity, inverse
 from .lp import (
     OPTIMAL,
@@ -38,21 +53,23 @@ class ParametricPolytope:
     """The family {x : A x <= E q + f} with q restricted to a closed set Q."""
 
     def __init__(self, A, E, f, qset=None):
-        self.A = tuple(tuple(int(v) for v in row) for row in A)
-        self.E = tuple(tuple(int(v) for v in row) for row in E)
-        self.f = tuple(Fraction(v) for v in f)
-        if not self.A:
+        if not A:
             raise ValueError("constraint matrix must have at least one row")
-        if len(self.A) != len(self.E) or len(self.A) != len(self.f):
+        if len(A) != len(E) or len(A) != len(f):
             raise ValueError("A, E, f must have matching row counts")
-        self.dim = len(self.A[0])
-        self.qdim = len(self.E[0])
+        self.dim = len(A[0])
+        self.qdim = len(E[0])
         if self.dim < 1 or self.qdim < 1:
             raise ValueError("dimension must be positive")
-        if any(len(r) != self.dim for r in self.A):
+        if any(len(r) != self.dim for r in A):
             raise ValueError("ragged constraint matrix")
-        if any(len(r) != self.qdim for r in self.E):
+        if any(len(r) != self.qdim for r in E):
             raise ValueError("ragged parameter matrix")
+        rows = [integral_row(tuple(arow) + tuple(erow), fi)
+                for arow, erow, fi in zip(A, E, f)]
+        self.A = tuple(row[:self.dim] for row, _ in rows)
+        self.E = tuple(row[self.dim:] for row, _ in rows)
+        self.f = tuple(fi for _, fi in rows)
         if qset is None:
             qset = HalfOpenPolyhedron(rows=())
         if not qset.is_closed():
@@ -195,6 +212,11 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
     are full-dimensional, reads off the set of vertices active on each
     cell interior, and drops cells where no vertex is active (the
     polytope is empty there).  Chambers meet only in their boundaries.
+
+    The cells come from _arrangement_cells, which needs one LP per split
+    side that the cell's carried interior point does not settle.  Each
+    chamber's sample is a fresh interior_point of its cell's rows, so it
+    does not depend on the points carried.
     """
     if qset is None:
         qset = HalfOpenPolyhedron(rows=())
@@ -215,29 +237,9 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
                 hyperplanes.add((g, h))
     hyperplanes = sorted(hyperplanes)
 
-    base = [(g, h) for g, h, _ in qset.rows]
-    if base:
-        if interior_point([g for g, _ in base], [h for _, h in base]) is None:
-            return []
-    cells = [base]
-    for g, h in hyperplanes:
-        next_cells = []
-        for cell in cells:
-            low = cell + [(g, h)]
-            high = cell + [(tuple(-x for x in g), -h)]
-            low_ok = interior_point([r[0] for r in low], [r[1] for r in low],
-                                    ) is not None
-            high_ok = interior_point([r[0] for r in high], [r[1] for r in high],
-                                     ) is not None
-            if low_ok and high_ok:
-                next_cells.append(low)
-                next_cells.append(high)
-            else:
-                next_cells.append(cell)
-        cells = next_cells
-
     chambers = []
-    for cell in cells:
+    for cell in _arrangement_cells([(g, h) for g, h, _ in qset.rows], qdim,
+                                   hyperplanes):
         if cell:
             A = [g for g, _ in cell]
             b = [h for _, h in cell]
@@ -255,6 +257,44 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
         chambers.append(Chamber(region=region, active=active, sample=sample))
     chambers.sort(key=lambda ch: ch.region.rows)
     return chambers
+
+
+def _arrangement_cells(base, qdim, hyperplanes):
+    """The full-dimensional cells of Q = base cut by the hyperplanes.
+
+    Cells are lists of (g, h) rows g . q <= h, in the order the splits
+    made them.  Each cell carries an interior point: Q's interior_point,
+    or 0 when Q has no rows, and then the point an LP found or the
+    parent's.  A split by g . q = h runs the interior_point LP only on
+    the sides that point does not already show to have an interior (both
+    sides when g . point == h).
+    """
+    point = (Fraction(0),) * qdim
+    if base:
+        point = _interior(base)
+        if point is None:
+            return []
+    cells = [(base, point)]
+    for g, h in hyperplanes:
+        next_cells = []
+        for cell, point in cells:
+            low = cell + [(g, h)]
+            high = cell + [(tuple(-x for x in g), -h)]
+            side = dot(g, point) - h
+            low_point = point if side < 0 else _interior(low)
+            high_point = point if side > 0 else _interior(high)
+            if low_point is not None and high_point is not None:
+                next_cells.append((low, low_point))
+                next_cells.append((high, high_point))
+            else:
+                next_cells.append((cell, point))
+        cells = next_cells
+    return [cell for cell, _ in cells]
+
+
+def _interior(rows):
+    """interior_point of the (normal, rhs) rows."""
+    return interior_point([g for g, _ in rows], [h for _, h in rows])
 
 
 def _facet_relint_point(rows, idx):
@@ -350,11 +390,55 @@ def halfopen_activity_regions(vertices, chambers, y_q=None):
     return [(v, _halfopen_region(v.activity, y_q, chambers)) for v in vertices]
 
 
+def _integer_rows(region):
+    """A region's rows g . q <= h as (g * den(h), num(h), strict).
+
+    At q = z / D with integer z and D > 0 the row holds iff
+    g' . z <= h' * D (< when strict), so membership needs no Fraction.
+    """
+    return tuple((tuple(x * h.denominator for x in g), h.numerator, strict)
+                 for g, h, strict in region.rows)
+
+
+def _contains_scaled(rows, z, D):
+    for g, h, strict in rows:
+        v = sum(map(mul, g, z))
+        rhs = h * D
+        if v > rhs or (strict and v == rhs):
+            return False
+    return True
+
+
+def _integer_map(vertex):
+    """v(q) = M q + c as (M', c', m) with M = M' / m and c = c' / m."""
+    m = lcm(*(x.denominator for row in vertex.map_M for x in row),
+            *(x.denominator for x in vertex.map_c))
+    return (tuple(tuple(int(x * m) for x in row) for row in vertex.map_M),
+            tuple(int(x * m) for x in vertex.map_c), m)
+
+
+@dataclass(frozen=True)
+class _CompiledChamber:
+    maps: tuple  # per active vertex, _integer_map
+    leaves: CompiledLeaves  # one group of leaves per active vertex
+    stats: tuple  # (num_vertices, num_cones, max_depth)
+
+
 class ParametricAnalysis:
-    """Precomputed chambers, half-open regions, and cone decompositions."""
+    """Precomputed chambers, half-open regions, and cone decompositions.
+
+    Evaluation through the chambers is compiled: every half-open chamber
+    and Q keep their rows as integers (_integer_rows), and a chamber's
+    active vertex maps and leaves become a _CompiledChamber on the first
+    evaluation that lands in it.  Evaluation through the activity regions
+    stays on Fractions, count_leaves and the generating-function terms,
+    as an independent check of the compiled route.
+    """
 
     def __init__(self, pp: ParametricPolytope, max_index: int = 1):
-        self.pp = pp
+        # qset and qdim, not pp: pp caches this analysis, and a reference
+        # back would make a cycle that outlives pp until a full collection
+        self.qset, self.qdim = pp.qset, pp.qdim
         self.max_index = max_index
         self.vertices = enumerate_parametric_vertices(pp)
         self.chambers = chambers_max_dim(self.vertices, pp.qset, qdim=pp.qdim)
@@ -370,6 +454,11 @@ class ParametricAnalysis:
         self.open_activities = halfopen_activity_regions(self.vertices,
                                                          self.chambers, self.y_q)
         self._decomps = {}
+        self._residues = {}
+        self._programs = {}
+        self._qset_rows = _integer_rows(pp.qset)
+        self._chamber_rows = [_integer_rows(ho.region) for ho in self.open_chambers]
+        self._compiled = {}
 
     def _decomposition(self, vertex: ParametricVertex):
         """(leaves, depth): the signed half-open low-index leaves of the
@@ -381,31 +470,57 @@ class ParametricAnalysis:
             self._decomps[vertex] = (result.terms, stats["max_depth"])
         return self._decomps[vertex]
 
-    def _active_at(self, q0, via):
-        if via == "chambers":
-            hits = [ch for ch in self.open_chambers if ch.region.contains(q0)]
-            if not hits:
-                return None
-            return hits[0].active
-        if via == "activities":
-            active = tuple(v for v, region in self.open_activities
-                           if region.contains(q0))
-            return active or None
-        raise ValueError(f"unknown evaluation mode: {via}")
+    def _program(self, vertex, direction):
+        """leaf_program of the vertex's leaves, once per direction; the
+        leaves' residue points are computed once per vertex."""
+        key = (vertex, direction)
+        if key not in self._programs:
+            leaves, _ = self._decomposition(vertex)
+            if vertex not in self._residues:
+                self._residues[vertex] = [leaf_residues(leaf) for _, leaf in leaves]
+            self._programs[key] = leaf_program(leaves, self._residues[vertex],
+                                               direction)
+        return self._programs[key]
 
-    def count_at(self, q0, via="chambers", stats=None):
-        q0 = tuple(Fraction(x) for x in q0)
-        if len(q0) != self.pp.qdim:
-            raise ValueError("parameter dimension mismatch")
-        if not self.pp.qset.contains(q0):
-            if stats is not None:
-                stats["outside"] = True
-            return 0
-        active = self._active_at(q0, via)
-        if active is None:
-            if stats is not None:
-                stats["outside"] = True
-            return 0
+    def _compile(self, k):
+        if k not in self._compiled:
+            active = self.open_chambers[k].active
+            decomps = [self._decomposition(v) for v in active]
+            direction = next(generic_directions(
+                {ray for leaves, _ in decomps for _, leaf in leaves
+                 for ray in leaf.base.rays}))
+            leaves = CompiledLeaves([self._program(v, direction) for v in active])
+            stats = (len(active), sum(len(leaves) for leaves, _ in decomps),
+                     max(depth for _, depth in decomps))
+            self._compiled[k] = _CompiledChamber(
+                maps=tuple(_integer_map(v) for v in active), leaves=leaves,
+                stats=stats)
+        return self._compiled[k]
+
+    def _count_compiled(self, q0, stats):
+        D = lcm(*(x.denominator for x in q0))
+        z = tuple(x.numerator * (D // x.denominator) for x in q0)
+        if not _contains_scaled(self._qset_rows, z, D):
+            return None
+        k = next((k for k, rows in enumerate(self._chamber_rows)
+                  if _contains_scaled(rows, z, D)), None)
+        if k is None:
+            return None
+        chamber = self._compile(k)
+        apexes = [(tuple(sum(map(mul, row, z)) + D * ci for row, ci in zip(M, c)),
+                   m * D) for M, c, m in chamber.maps]
+        if stats is not None:
+            (stats["num_vertices"], stats["num_cones"],
+             stats["max_depth"]) = chamber.stats
+        return chamber.leaves.count(apexes)
+
+    def _count_activities(self, q0, stats):
+        if not self.qset.contains(q0):
+            return None
+        active = tuple(v for v, region in self.open_activities
+                       if region.contains(q0))
+        if not active:
+            return None
         decomps = [self._decomposition(v) for v in active]
         pairs = [(v.value(q0), leaves) for v, (leaves, _) in zip(active, decomps)]
         if stats is not None:
@@ -413,6 +528,31 @@ class ParametricAnalysis:
             stats["num_cones"] = sum(len(leaves) for leaves, _ in decomps)
             stats["max_depth"] = max(depth for _, depth in decomps)
         return count_leaves(pairs)
+
+    def count_at(self, q0, via="chambers", stats=None):
+        """Exact |P_q0 intersect Z^d|, or 0 outside Q and every chamber.
+
+        via="chambers" finds the first half-open chamber containing q0
+        and evaluates its compiled counting function in integers;
+        via="activities" sums count_leaves over the vertices whose
+        half-open activity region contains q0.  Both report num_vertices,
+        num_cones and max_depth in stats, or stats["outside"] for 0
+        outside.
+        """
+        q0 = tuple(Fraction(x) for x in q0)
+        if len(q0) != self.qdim:
+            raise ValueError("parameter dimension mismatch")
+        if via == "chambers":
+            count = self._count_compiled(q0, stats)
+        elif via == "activities":
+            count = self._count_activities(q0, stats)
+        else:
+            raise ValueError(f"unknown evaluation mode: {via}")
+        if count is None:
+            if stats is not None:
+                stats["outside"] = True
+            return 0
+        return count
 
 
 def evaluate_count(pp: ParametricPolytope, q0, max_index: int = 1,

@@ -18,6 +18,7 @@ PYRAMID = "3 5\n0 0 -1 0\n1 0 1 1\n-1 0 1 1\n0 1 1 1\n0 -1 1 1\n"
 # vertex 1, (0, 0, 77), has index 169 and splits 4 levels deep at L = 1
 SKEW = "3 4\n-1 0 0 0\n0 -1 0 0\n0 0 -1 0\n7 11 13 1001\n"
 GOLDEN = Path(__file__).parent / "golden"
+SWEEP_FAMILY = Path(__file__).parent / "data" / "sweep_family.txt"
 
 
 @pytest.fixture
@@ -225,6 +226,15 @@ class TestPcount:
         assert capsys.readouterr().out == "4\n"
 
 
+class TestPcountSweepFamily:
+    @pytest.mark.parametrize("at,count", [("7,9", "20"), ("13/2,4", "8"),
+                                          ("12,12", "52")])
+    def test_verify(self, at, count, capsys):
+        assert main(["pcount", str(SWEEP_FAMILY), "--at", at, "--verify"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (count + "\n", "")
+
+
 class TestChambers:
     def test_text_listing(self, family_file, capsys):
         assert main(["chambers", family_file]) == 0
@@ -253,6 +263,14 @@ class TestChambers:
         path = tmp_path / "min.txt"
         path.write_text(MIN_FAMILY)
         assert main(["chambers", str(path), "--verify", "--seed", "7"]) == 0
+
+    @pytest.mark.parametrize("max_index", ["1", "5"])
+    def test_verify_sweep_family(self, max_index, capsys):
+        # Compiled and activities routes side by side; at --max-index 5
+        # leaves of index up to 5 have nontrivial residue classes.
+        assert main(["chambers", str(SWEEP_FAMILY), "--verify",
+                     "--max-index", max_index]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_deterministic(self, family_file, capsys):
         main(["chambers", family_file, "--json"])

@@ -3,16 +3,20 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 import pytest
 
 from primalcount.genfun import (
+    CompiledLeaves,
     GenFun,
     GenFunTerm,
+    count_leaves,
     count_polytope,
     generic_directions,
     gf_term,
+    leaf_program,
+    leaf_residues,
     parallelepiped_points,
     specialize_at_one,
 )
@@ -284,6 +288,37 @@ def test_specialize_matches_fraction_reference():
             negative += sum(dot(mu, b) < 0 for t in terms for b in t.denominator_rays)
             assert specialize_at_one(g, mu) == specialize_reference(g, mu), (P, mu)
     assert negative > 100
+
+
+@pytest.mark.parametrize("max_index", [1, 20])
+def test_compiled_leaves_match_count_leaves(max_index):
+    # Leaves of random polytopes' vertex cones, counted at their vertices
+    # and at vertices moved by a random rational translation.
+    rng = random.Random(61 + max_index)
+    for case in range(24):
+        P = random_box_with_cuts(rng, 2 + case % 2)
+        vertices = enumerate_vertices(P)
+        groups = [signed_decompose(vertex_cone(P, v), max_index=max_index).terms
+                  for v in vertices]
+        mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
+                                      for ray in leaf.base.rays}))
+        compiled = CompiledLeaves([
+            leaf_program(leaves, [leaf_residues(leaf) for _, leaf in leaves], mu)
+            for leaves in groups])
+        for shift in [(0,) * P.dim] + [tuple(Fraction(rng.randint(-9, 9),
+                                                      rng.choice((1, 2, 3, 7)))
+                                             for _ in range(P.dim))
+                                       for _ in range(3)]:
+            apexes = [tuple(x + t for x, t in zip(v.point, shift)) for v in vertices]
+            want = count_leaves(list(zip(apexes, groups)))
+            scaled = []
+            for apex in apexes:
+                den = lcm(*(Fraction(x).denominator for x in apex))
+                scaled.append((tuple(int(x * den) for x in apex), den))
+            assert compiled.count(scaled) == want, (P, shift)
+            # any common denominator of an apex works, not only the least
+            assert compiled.count([(tuple(3 * x for x in a), 3 * den)
+                                   for a, den in scaled]) == want
 
 
 def test_generic_directions():
