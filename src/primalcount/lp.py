@@ -138,33 +138,6 @@ def interior_point(A, b):
     return tuple(x[:n])
 
 
-def recession_ray(A):
-    """A nonzero ray of {x : A x <= 0}, or None if the cone is trivial."""
-    if not A:
-        return None  # only sensible for nonempty A; callers guard d >= 1
-    n = len(A[0])
-    box = []
-    rhs = []
-    for row in A:
-        box.append(list(row))
-        rhs.append(0)
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        box.append(list(e))
-        rhs.append(1)
-        box.append([-x for x in e])
-        rhs.append(1)
-    for j in range(n):
-        for sign in (1, -1):
-            c = [0] * n
-            c[j] = sign
-            status, value, x = lp_maximize(c, box, rhs)
-            if status == OPTIMAL and value > 0:
-                return tuple(x)
-    return None
-
-
 def coordinate_range(A, b, j):
     """(lo, hi) of coordinate j over {A x <= b}; None marks unbounded ends."""
     n = len(A[0])

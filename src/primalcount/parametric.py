@@ -43,10 +43,9 @@ from .lp import (
     interior_point,
     lp_feasible,
     lp_maximize,
-    recession_ray,
     remove_redundant,
 )
-from .polytope import ClosedCone, extreme_rays
+from .polytope import ClosedCone, _homogenized_rays, extreme_rays
 
 
 class ParametricPolytope:
@@ -132,12 +131,17 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
     solution as an affine map of q, deduplicates identical maps, keeps
     maps feasible somewhere in Q, and attaches the q-independent cone
     spanned by the rows that are tight identically in q.  Raises
-    UnboundedError when the family has a recession direction, and
+    UnboundedError when the family has a recession direction, read off
+    the homogenized cone of {x : A x <= 1} without an LP, and
     NotFullDimensionalError when some vertex map forces the polytope
     into a hyperplane on a full-dimensional part of Q.
     """
     d, p = pp.dim, pp.qdim
-    if recession_ray(pp.A) is not None:
+    # Every nonempty P_q has the recession cone {A x <= 0} of {A x <= 1},
+    # a set with 0 in its interior: bounded exactly when its homogenized
+    # cone is pointed and no ray has t = 0.
+    rays = _homogenized_rays(pp.A, [1] * len(pp.A))
+    if rays is None or any(ray[-1] == 0 for ray in rays):
         raise UnboundedError("polyhedron unbounded")
     seen = {}
     order = []

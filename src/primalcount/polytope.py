@@ -17,7 +17,6 @@ from .linalg import (
     dot,
     is_zero_vec,
     rank,
-    solve,
     transpose,
     vec_primitive,
     vec_sub,
@@ -66,9 +65,6 @@ class HPolytope:
     @property
     def nrows(self) -> int:
         return len(self.A)
-
-    def contains(self, x) -> bool:
-        return all(dot(row, x) <= rhs for row, rhs in zip(self.A, self.b))
 
 
 @dataclass(frozen=True)
@@ -130,53 +126,62 @@ class SimplicialCone:
         return tuple(Fraction(-dot(n, shifted), self.index) for n in self.normals)
 
 
-def _require_nonempty_full_dim_bounded(P: HPolytope):
-    if P.nrows == 0:
-        raise UnboundedError("polyhedron unbounded")
-    if not lp.lp_feasible(P.A, P.b):
-        return False
-    if lp.interior_point(P.A, P.b) is None:
-        raise NotFullDimensionalError("polyhedron not full-dimensional")
-    if lp.recession_ray(P.A) is not None:
-        raise UnboundedError("polyhedron unbounded")
-    return True
-
-
 def enumerate_vertices(P: HPolytope):
     """All vertices of a bounded full-dimensional polytope, sorted.
 
-    Every d-subset of rows with invertible submatrix contributes its
-    basic solution when feasible; coincident solutions merge and each
-    vertex records the full set of rows tight at it.  Returns [] for an
-    empty polytope and raises for unbounded or lower-dimensional input.
+    The vertices are the extreme rays (x, t) with t > 0 of the homogenized
+    cone {(x, t) : A x - b t <= 0, t >= 0}, each giving the point x / t;
+    each vertex records the full set of rows tight at it.  Returns [] for
+    an empty polytope and raises for unbounded or lower-dimensional input.
+    LPs run only when that cone is not pointed or not full-dimensional,
+    to tell those cases apart.
     """
-    if not _require_nonempty_full_dim_bounded(P):
-        return []
-    d = P.dim
-    points = {}
-    for subset in combinations(range(P.nrows), d):
-        M = [P.A[i] for i in subset]
-        try:
-            x = solve(M, [P.b[i] for i in subset])
-        except SingularMatrixError:
-            continue
-        if P.contains(x):
-            points[x] = None
+    rays = _homogenized_rays(P.A, P.b)
+    if rays is None:
+        if not lp.lp_feasible(P.A, P.b):
+            return []
+        if lp.interior_point(P.A, P.b) is None:
+            raise NotFullDimensionalError("polyhedron not full-dimensional")
+        raise UnboundedError("polyhedron unbounded")
+    if any(ray[-1] == 0 for ray in rays):
+        raise UnboundedError("polyhedron unbounded")
     vertices = []
-    for x in sorted(points):
+    for x in sorted(tuple(Fraction(xi, ray[-1]) for xi in ray[:-1])
+                    for ray in rays):
         tight = frozenset(i for i in range(P.nrows)
                           if dot(P.A[i], x) == P.b[i])
         vertices.append(Vertex(point=x, tight=tight))
     return vertices
 
 
+def _homogenized_rays(A, b):
+    """Extreme rays (x, t) of the cone {(x, t) : A x - b t <= 0, t >= 0}.
+
+    When {A x <= b} is nonempty and full-dimensional, the rays with t > 0
+    are its vertices scaled by t and the rays with t = 0 its extreme
+    recession directions.  None when the cone is not pointed or not
+    full-dimensional: the set is empty, lower-dimensional, contains a
+    line, or has no rows.
+    """
+    if not A:
+        return None
+    normals = [tuple(row) + (-bi,) for row, bi in zip(A, b)]
+    normals.append((0,) * len(A[0]) + (-1,))
+    try:
+        return extreme_rays(normals)
+    except DegenerateConeError:
+        return None
+
+
 def extreme_rays(normals):
     """Extreme rays of the pointed cone {x : n . x <= 0} for integer normals n.
 
     Incremental double description: start from a simplicial subcone
-    given by d independent normals, then cut with the remaining ones.
-    Rays come back primitive and sorted.  Raises if the cone is not
-    pointed or the normals do not span.
+    given by d independent normals, then cut with the remaining ones
+    (Motzkin et al. 1953; Fukuda & Prodon 1996).  Serves the cones at
+    vertices and, through the homogenized cone, vertex enumeration itself.
+    Rays come back primitive and sorted.  Raises DegenerateConeError if
+    the cone is not pointed or not full-dimensional.
     """
     normals = [tuple(n) for n in normals]
     d = len(normals[0])

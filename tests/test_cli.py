@@ -128,6 +128,15 @@ class TestExitCodes:
         assert main(["count", str(path)]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_semantic_error_lower_dimensional(self, tmp_path, capsys):
+        # the line x = 0 in the plane: lower-dimensional before unbounded
+        path = tmp_path / "line.txt"
+        path.write_text("2 2\n1 0 0\n-1 0 0\n")
+        assert main(["count", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: polyhedron not full-dimensional\n"
+
     def test_max_index_validation(self, square_file):
         assert main(["count", square_file, "--max-index", "0"]) == 1
 

@@ -10,7 +10,6 @@ from primalcount.lp import (
     interior_point,
     lp_feasible,
     lp_maximize,
-    recession_ray,
     remove_redundant,
 )
 from primalcount.linalg import det, dot, solve
@@ -109,14 +108,6 @@ def test_interior_point():
     assert all(dot(row, p) < rhs for row, rhs in zip(A, b))
     # A segment in the plane has no interior.
     assert interior_point([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 0, 0]) is None
-
-
-def test_recession_ray():
-    assert recession_ray([[1, 0], [-1, 0], [0, 1], [0, -1]]) is None
-    ray = recession_ray([[-1, 0], [0, -1]])  # the nonnegative quadrant
-    assert ray is not None
-    assert ray != (0, 0)
-    assert dot((-1, 0), ray) <= 0 and dot((0, -1), ray) <= 0
 
 
 def test_coordinate_range():

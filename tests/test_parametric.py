@@ -84,6 +84,12 @@ class TestEnumerateParametricVertices:
             enumerate_parametric_vertices(ParametricPolytope(
                 A=[[1, 0], [0, 1]], E=[[1], [1]], f=[0, 0]))
 
+    def test_family_with_a_line_rejected(self):
+        # -q <= x <= q leaves y free: the recession cone is a line
+        with pytest.raises(UnboundedError):
+            enumerate_parametric_vertices(ParametricPolytope(
+                A=[[1, 0], [-1, 0]], E=[[1], [1]], f=[0, 0]))
+
     def test_always_lower_dimensional_family_rejected(self):
         # x <= q and -x <= -q pin x = q on a full-dimensional q-region.
         with pytest.raises(NotFullDimensionalError):

@@ -6,10 +6,12 @@ import pytest
 
 from primalcount.errors import NotFullDimensionalError, UnboundedError
 from primalcount.linalg import det, dot, rank, solve, vec_sub
+from primalcount.lp import OPTIMAL, interior_point, lp_feasible, lp_maximize
 from primalcount.polytope import (
     ClosedCone,
     HPolytope,
     SimplicialCone,
+    Vertex,
     enumerate_vertices,
     extreme_rays,
     triangulate,
@@ -57,6 +59,24 @@ def test_lower_dimensional_raises():
     P = HPolytope(A=((1, 0), (-1, 0), (0, 1), (0, -1)), b=(1, 0, 0, 0))
     with pytest.raises(NotFullDimensionalError):
         enumerate_vertices(P)
+
+
+@pytest.mark.parametrize("A", [((1, 0), (-1, 0)), ((0, 0, 1), (0, 0, -1))])
+def test_line_and_plane_are_not_full_dimensional(A):
+    # x = 0 in R^2 and z = 0 in R^3 contain lines, but are lower-dimensional first
+    with pytest.raises(NotFullDimensionalError):
+        enumerate_vertices(HPolytope(A=A, b=(0, 0)))
+
+
+def test_empty_set_with_recession_direction():
+    # x <= -1 and x >= 0 contradict; the rows also allow y -> infinity
+    P = HPolytope(A=((1, 0), (-1, 0), (0, -1)), b=(-1, 0, 0))
+    assert enumerate_vertices(P) == []
+
+
+def test_no_rows_is_unbounded():
+    with pytest.raises(UnboundedError):
+        enumerate_vertices(HPolytope(A=(), b=()))
 
 
 def test_zero_row_rejected():
@@ -109,6 +129,136 @@ def test_random_vertices_match_brute_force():
         for v in vs:
             assert all(dot(P.A[i], v.point) == P.b[i] for i in v.tight)
             assert rank([P.A[i] for i in v.tight]) == P.dim
+
+
+def _has_recession_ray(A):
+    """Whether {x : A x <= 0} is nontrivial: 2d LPs over its unit box."""
+    d = len(A[0])
+    box_A = [list(row) for row in A]
+    box_b = [0] * len(A)
+    for j in range(d):
+        for sign in (1, -1):
+            e = [0] * d
+            e[j] = sign
+            box_A.append(e)
+            box_b.append(1)
+    for c in box_A[len(A):]:
+        status, value, _ = lp_maximize(c, box_A, box_b)
+        if status == OPTIMAL and value > 0:
+            return True
+    return False
+
+
+def vertices_reference(P):
+    """Vertices by LP checks and basic solutions of every d-subset of rows.
+
+    An independent route to enumerate_vertices' result: feasibility,
+    interior and recession LPs decide [] and the exceptions in that
+    order, then brute_vertices gives the points.
+    """
+    if P.nrows == 0:
+        raise UnboundedError("polyhedron unbounded")
+    if not lp_feasible(P.A, P.b):
+        return []
+    if interior_point(P.A, P.b) is None:
+        raise NotFullDimensionalError("polyhedron not full-dimensional")
+    if _has_recession_ray(P.A):
+        raise UnboundedError("polyhedron unbounded")
+    return [Vertex(point=x, tight=frozenset(i for i in range(P.nrows)
+                                            if dot(P.A[i], x) == P.b[i]))
+            for x in sorted(brute_vertices(P))]
+
+
+def outcome(find, P):
+    """(point, tight) pairs, or the type of the exception raised."""
+    try:
+        return [(v.point, v.tight) for v in find(P)]
+    except (UnboundedError, NotFullDimensionalError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(P):
+    got = outcome(enumerate_vertices, P)
+    assert got == outcome(vertices_reference, P), P
+    if isinstance(got, list):
+        assert all(isinstance(c, Fraction) for x, _ in got for c in x)
+    return got
+
+
+def test_vertices_match_reference_on_random_systems():
+    # few rows with small entries, often with a planted equality a.x = c
+    # or a repeated row, so empty, lower-dimensional, unbounded and
+    # bounded systems all occur
+    rng = random.Random(2718)
+    kinds = []
+    for _ in range(1000):
+        d = rng.randint(1, 3)
+        A, b = [], []
+        for _ in range(rng.randint(1, 2 * d + 2)):
+            row = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(row):
+                A.append(row)
+                b.append(rng.randint(-2, 3))
+        if A and rng.random() < 0.4:
+            i = rng.randrange(len(A))
+            A.append(tuple(-x for x in A[i]))
+            b.append(-b[i])
+        if A and rng.random() < 0.2:
+            i = rng.randrange(len(A))
+            A.append(A[i])
+            b.append(b[i])
+        got = assert_same_outcome(HPolytope(A=tuple(A), b=tuple(b)))
+        kinds.append(got if isinstance(got, type) else bool(got))
+    assert all(kinds.count(kind) >= 50 for kind in
+               (UnboundedError, NotFullDimensionalError, False, True))
+
+
+def test_vertices_match_reference_on_boxes_with_cuts():
+    # 3-d boxes with sides in [0, 9] and 0-3 random cuts, unfiltered
+    rng = random.Random(1618)
+    for k in range(200):
+        A, b = [], []
+        for j in range(3):
+            for sign in (1, -1):
+                e = [0, 0, 0]
+                e[j] = sign
+                A.append(tuple(e))
+                b.append(rng.randint(0, 9))
+        for _ in range(k % 4):
+            cut = tuple(rng.randint(-9, 9) for _ in range(3))
+            if any(cut):
+                A.append(cut)
+                b.append(rng.randint(-9, 9))
+        assert_same_outcome(HPolytope(A=tuple(A), b=tuple(b)))
+
+
+def test_vertices_match_reference_on_degenerate_vertices():
+    # square pyramid over [0, 2]^2: four sides meet at the apex (1, 1, 1)
+    pyramid = HPolytope(A=((0, 0, -1), (-1, 0, 1), (0, -1, 1), (1, 0, 1),
+                           (0, 1, 1)),
+                        b=(0, 0, 0, 2, 2))
+    got = assert_same_outcome(pyramid)
+    assert got[-1] == ((2, 2, 0), frozenset({0, 3, 4}))
+    assert ((1, 1, 1), frozenset({1, 2, 3, 4})) in got
+    octahedron = HPolytope(A=tuple(product((1, -1), repeat=3)), b=(1,) * 8)
+    got = assert_same_outcome(octahedron)
+    assert len(got) == 6 and all(len(tight) == 4 for _, tight in got)
+
+
+def test_vertices_match_reference_on_duplicate_and_rational_rows():
+    rows = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1))
+    rhs = (2, 0, 2, 0, 3)
+    doubled = HPolytope(A=rows + rows[:2] + ((2, 0),), b=rhs + rhs[:2] + (4,))
+    got = assert_same_outcome(doubled)
+    assert [x for x, _ in got] == [(0, 0), (0, 2), (1, 2), (2, 0), (2, 1)]
+    assert got[3][1] == frozenset({0, 3, 5, 7})
+    # x <= 3/2, x >= 0, y >= 0 and 4x + 3y <= 6, written with fractions
+    rational = HPolytope(A=((Fraction(1, 2), 0), (-1, 0), (0, Fraction(-1, 3)),
+                            (Fraction(1, 3), Fraction(1, 4))),
+                         b=(Fraction(3, 4), 0, 0, Fraction(1, 2)))
+    got = assert_same_outcome(rational)
+    assert got == [((0, 0), frozenset({1, 2})), ((0, 2), frozenset({1, 3})),
+                   ((Fraction(3, 2), 0), frozenset({0, 2, 3}))]
 
 
 # ---------------------------------------------------------------------------
