@@ -37,9 +37,11 @@ class Box:
 def bounding_box(P: HPolytope):
     """Smallest integer box containing P, or None when P is empty.
 
-    Raises UnboundedError (via the coordinate LPs) when some coordinate
-    is unbounded over P.
+    Raises UnboundedError when P has no rows, or (via the coordinate
+    LPs) when some coordinate is unbounded over P.
     """
+    if not P.A:
+        raise UnboundedError("polyhedron unbounded")
     if not lp_feasible(P.A, P.b):
         return None
     lower, upper = [], []

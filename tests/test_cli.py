@@ -329,6 +329,14 @@ class TestOracle:
         path.write_text("2 4\n1 0 1000\n-1 0 1000\n0 1 1000\n0 -1 1000\n")
         assert main(["oracle", str(path), "--oracle-cap", "100"]) == 3
 
+    def test_no_rows_is_unbounded(self, tmp_path, capsys):
+        path = tmp_path / "plane.txt"
+        path.write_text("2 0\n")
+        assert main(["oracle", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: polyhedron unbounded\n"
+
     def test_json(self, square_file, capsys):
         assert main(["oracle", square_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"count": "4"}

@@ -33,6 +33,11 @@ def test_bounding_box():
     assert bounding_box(poly([(1,), (-1,)], [-1, 0])) is None
     with pytest.raises(UnboundedError):
         bounding_box(poly([(1, 0), (0, 1), (0, -1)], [0, 1, 1]))
+    # no rows: all of space, whose dimension the rows would have carried
+    with pytest.raises(UnboundedError):
+        bounding_box(poly([], []))
+    with pytest.raises(UnboundedError):
+        brute_count(poly([], []))
 
 
 def test_bounding_box_no_integer_candidates():
