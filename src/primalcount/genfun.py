@@ -49,22 +49,27 @@ def parallelepiped_points(cone: HalfOpenCone, apex):
     by rounding its coordinates.  With apex = a / q for an integer vector
     a, the base cone's integer normals give q * index * mu_j(x) =
     normals[j] . (a - q x), so the rounding is floor division of integers.
-    Returns exactly index many points.
+    Returns exactly index many points.  A unimodular cone (index 1) has
+    the one residue class of 0 and needs no Smith form.
     """
     base = cone.base
     rays = base.rays
     d = len(rays)
-    snf = smith_normal_form(transpose(rays))
+    if base.index == 1:
+        sizes, W = (), ()  # one residue class: the walk yields only k = ()
+    else:
+        snf = smith_normal_form(transpose(rays))
+        sizes, W = snf.s, snf.W
     apex = [Fraction(a) for a in apex]
     q = lcm(*(a.denominator for a in apex))
     den = q * base.index
     # q * index * mu_j(W k) = <normal_j, a> - q <normal_j, W k>, affine in k
     a = [x.numerator * (q // x.denominator) for x in apex]
     base_num = [dot(n, a) for n in base.normals]
-    wcols = transpose(snf.W)  # wcols[i] is the i-th column of W
+    wcols = transpose(W)  # wcols[i] is the i-th column of W
     shift = [[q * dot(n, w) for w in wcols] for n in base.normals]
     points = []
-    for k in product(*(range(s) for s in snf.s)):
+    for k in product(*(range(s) for s in sizes)):
         x = [sum(k_i * w[t] for k_i, w in zip(k, wcols)) for t in range(d)]
         for j in range(d):
             num = base_num[j] - sum(k_i * s for k_i, s in zip(k, shift[j]))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import add, neg, sub
 
 from .linalg import dot, lll_reduce, vec_sub
 from .polytope import ClosedCone, SimplicialCone, triangulate
@@ -262,9 +263,12 @@ def find_w(cone: SimplicialCone):
     integral LLL reduces it with a unimodular transform U, and no matrix
     is inverted here.  Each c in {-1, 0, 1}^d gives the candidate w = c U,
     whose alpha numerators over index are c times the reduced rows, so
-    candidates are scored in integers.  If none beats norm 1, an
-    exhaustive box search finishes the job (one always exists).
-    Deterministic: minimal sup-norm, ties by lexicographic order.
+    candidates are scored in integers.  c and -c give w and -w, one
+    candidate up to sign, so only the (3^d - 1) / 2 classes with first
+    nonzero entry +1 are scored, each turned to the sign that the full
+    search would keep.  If none beats norm 1, an exhaustive box search
+    finishes the job (one always exists).  Deterministic: minimal
+    sup-norm, ties by lexicographic order.
     """
     rays, index = cone.rays, cone.index
     d = len(rays)
@@ -291,24 +295,31 @@ def find_w(cone: SimplicialCone):
             if top < index:
                 yield top, w, num
 
-    rows = [u + r for u, r in zip(U, reduced)]  # w and numerators side by side
-
-    def combos(k, acc):
-        """(w, numerators) of acc + sum_{i >= k} c_i rows[i], c_i in {-1, 0, 1}.
-
-        Depth first, so the first pair is acc itself and only d partial
-        sums are alive at once.
-        """
-        if k == d:
-            yield acc[:d], acc[d:]
-            return
-        yield from combos(k + 1, acc)
-        yield from combos(k + 1, tuple(a + b for a, b in zip(acc, rows[k])))
-        yield from combos(k + 1, tuple(a - b for a, b in zip(acc, rows[k])))
-
-    pairs = combos(0, (0,) * (2 * d))
-    next(pairs)  # c = 0
-    best = min(admissible(pairs), default=None)
+    # c and -c give (w, num) and (-w, -num), one candidate up to sign, so
+    # only c whose first nonzero entry is +1 is scored: c = e_k + t, with
+    # t any {-1, 0, 1} combination of rows k+1 .. d-1, kept as (t U, t
+    # reduced).  w = c U is primitive already, since c is and U is
+    # unimodular.
+    best = None
+    tails = [((0,) * d, (0,) * d)]
+    for k in range(d - 1, -1, -1):
+        u, r = U[k], reduced[k]
+        for tw, tn in tails:
+            num = tuple(map(add, r, tn))
+            hi, lo = max(num), min(num)
+            top = hi if hi > -lo else -lo
+            if top >= index:
+                continue
+            w = tuple(map(add, u, tw))
+            minus_w = tuple(map(neg, w))
+            # all alphas <= 0, or mixed signs and -w lexicographically smaller
+            if hi <= 0 or (lo < 0 and minus_w < w):
+                w, num = minus_w, tuple(map(neg, num))
+            if best is None or (top, w) < best[:2]:
+                best = (top, w, num)
+        if k:
+            tails += [(tuple(map(f, tw, u)), tuple(map(f, tn, r)))
+                      for f in (add, sub) for tw, tn in tails]
 
     if best is None:
         r = _int_root(index, d)
@@ -329,20 +340,22 @@ def decompose_step(cone: HalfOpenCone, w, alpha):
 
     Child m swaps ray m for w and inherits sign(alpha_m); children with
     alpha_m = 0 vanish.  Facet flags follow facet_strictness, so the
-    signed sum of the children equals the parent exactly.
+    signed sum of the children equals the parent exactly.  Each child
+    gets its normals and index from the parent's by one exact integer
+    rank-one update (SimplicialCone._with_ray), with no elimination.
     """
-    d = len(cone.base.rays)
+    base = cone.base
+    d = len(base.rays)
+    num = tuple(-dot(n, w) for n in base.normals)  # index * alpha
     children = []
     for m in range(1, d + 1):
         am = alpha[m - 1]
         if am == 0:
             continue
         eps = 1 if am > 0 else -1
-        child_rays = tuple(w if j == m - 1 else cone.base.rays[j] for j in range(d))
         sigma = tuple(facet_strictness(cone.sigma, alpha, 0 if j == m - 1 else j + 1, m)
                       for j in range(d))
-        child = HalfOpenCone(base=SimplicialCone(apex=cone.base.apex, rays=child_rays),
-                             sigma=sigma)
+        child = HalfOpenCone(base=base._with_ray(m - 1, w, num), sigma=sigma)
         children.append((eps, child))
     return children
 

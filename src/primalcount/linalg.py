@@ -97,12 +97,17 @@ def _check_square(M):
 
 
 def _int_row(row):
-    """(m, m * row) for the least positive integer m making m * row integral."""
+    """(m, m * row) for the least positive integer m making m * row integral.
+
+    Only the non-int entries become Fractions; int entries are scaled as
+    ints.
+    """
     if all(isinstance(x, int) for x in row):
         return 1, list(row)
-    fracs = [Fraction(x) for x in row]
-    mult = lcm(*(f.denominator for f in fracs))
-    return mult, [as_int(f * mult) for f in fracs]
+    row = [x if isinstance(x, int) else Fraction(x) for x in row]
+    mult = lcm(*(x.denominator for x in row if not isinstance(x, int)))
+    return mult, [x * mult if isinstance(x, int) else x.numerator * (mult // x.denominator)
+                  for x in row]
 
 
 def det(M):
@@ -328,6 +333,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
 
     The rows may be rational; denominators are cleared up front and the
     scale divided back out at the end, which leaves the transform intact.
+    Integer rows (find_w's case) are copied as they are.
     transform is unimodular with transform * basis == reduced, so the
     reduced rows generate exactly the input lattice.  Raises ValueError
     on linearly dependent rows.
@@ -335,8 +341,11 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     m = len(basis)
     if m == 0:
         return (), ()
-    scale = lcm(*(Fraction(x).denominator for row in basis for x in row))
-    rows = [[as_int(Fraction(x) * scale) for x in row] for row in basis]
+    if all(isinstance(x, int) for row in basis for x in row):
+        scale, rows = 1, [list(row) for row in basis]
+    else:
+        scale = lcm(*(Fraction(x).denominator for row in basis for x in row))
+        rows = [[as_int(Fraction(x) * scale) for x in row] for row in basis]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     p, q = Fraction(delta).numerator, Fraction(delta).denominator
 

@@ -100,6 +100,8 @@ class SimplicialCone:
     and index is |det| of the ray matrix (1 means unimodular).  So
     index * lam_j == -normals[j] . (x - apex) in ray coordinates, and the
     signs of those products decide facet sides without any Fraction.
+    Built from rays, a cone eliminates once; a signed-decomposition child
+    instead takes its normals from its parent's (_with_ray).
     """
 
     apex: tuple
@@ -119,6 +121,30 @@ class SimplicialCone:
         object.__setattr__(self, "normals",
                            tuple(tuple(sign * x for x in row) for row in adj))
         object.__setattr__(self, "index", abs(det_r))
+
+    def _with_ray(self, m, w, num):
+        """The cone with rays[m] replaced by w, normals by a rank-one update.
+
+        num[j] = -normals[j] . w, so w = sum (num[j] / index) rays[j], and
+        num[m] != 0.  The new cone has index |num[m]|, normal s normals[m]
+        opposite w and s (num[m] normals[j] - num[j] normals[m]) / index
+        opposite every other ray j, with s = sign(num[m]).  These meet the
+        new rays as the normal identity requires, which determines them,
+        so they are the integer normals an elimination would give and the
+        division is exact.
+        """
+        n_m, c_m = self.normals[m], num[m]
+        s = 1 if c_m > 0 else -1
+        normals = tuple(
+            tuple(s * x for x in n_m) if j == m else
+            tuple(s * (c_m * a - c_j * b) // self.index for a, b in zip(n, n_m))
+            for j, (n, c_j) in enumerate(zip(self.normals, num)))
+        child = object.__new__(SimplicialCone)
+        object.__setattr__(child, "apex", self.apex)
+        object.__setattr__(child, "rays", self.rays[:m] + (w,) + self.rays[m + 1:])
+        object.__setattr__(child, "normals", normals)
+        object.__setattr__(child, "index", abs(c_m))
+        return child
 
     def coefficients(self, x):
         """Coefficients lam with x - apex == sum lam_j rays[j]."""

@@ -7,6 +7,7 @@ from math import ceil, floor, lcm
 
 import pytest
 
+from primalcount import genfun
 from primalcount.genfun import (
     CompiledLeaves,
     GenFun,
@@ -145,6 +146,35 @@ def test_parallelepiped_matches_fraction_reference():
     assert seen["det"] == {True, False}
     assert seen["den"] == set(range(1, 8))
     assert seen["mixed"] >= 50 and seen["negative"] >= 50
+
+
+def test_unimodular_parallelepiped_needs_no_smith_form(monkeypatch):
+    # Index-1 cones have one residue class: the same single point as the
+    # Fraction reference, for rational apexes and mixed flags, and no
+    # Smith form; cones of larger index still take one.
+    calls = []
+    real = genfun.smith_normal_form
+    monkeypatch.setattr(genfun, "smith_normal_form",
+                        lambda B: calls.append(B) or real(B))
+    rng = random.Random(19)
+    seen = {1: 0, "big": 0, "mixed": 0}
+    while seen[1] < 150 or seen["big"] < 30:
+        d = rng.choice((2, 3, 4))
+        rays = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d))
+        D = abs(det(transpose(rays)))
+        if D == 0 or D > 30:
+            continue
+        sigma = tuple(rng.choice([1, -1]) for _ in range(d))
+        den = rng.randint(1, 6)
+        apex = tuple(Fraction(rng.randint(-5 * den, 5 * den), den) for _ in range(d))
+        cone = hoc(rays, sigma)
+        before = len(calls)
+        got = parallelepiped_points(cone, apex)
+        assert got == parallelepiped_reference(cone, apex), (rays, sigma, apex)
+        assert len(calls) - before == (D > 1)
+        seen[1 if D == 1 else "big"] += 1
+        seen["mixed"] += D == 1 and len(set(sigma)) == 2
+    assert seen["mixed"] >= 50
 
 
 def test_parallelepiped_halfopen_lambda_membership():

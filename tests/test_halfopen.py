@@ -21,7 +21,14 @@ from primalcount.halfopen import (
     signed_decompose,
 )
 from primalcount.linalg import det, identity, mat_mul, solve, transpose
-from primalcount.polytope import ClosedCone, SimplicialCone, triangulate
+from primalcount.polytope import (
+    ClosedCone,
+    HPolytope,
+    SimplicialCone,
+    enumerate_vertices,
+    triangulate,
+    vertex_cone,
+)
 
 
 def hoc(rays, sigma, apex=None):
@@ -379,6 +386,74 @@ def test_int_root_brackets_the_root():
             assert r ** d <= n < (r + 1) ** d, (n, d, r)
 
 
+def find_w_reference(cone):
+    """The full candidate search: every c in {-1, 0, 1}^d, then the box.
+
+    c and -c are scored separately, and every candidate is made
+    primitive and turned by the same rule as the box candidates.
+    """
+    rays, index = cone.rays, cone.index
+    d = len(rays)
+    outer = [[-x for x in n] for n in cone.normals]
+    reduced, U = halfopen.lll_reduce([list(col) for col in zip(*outer)])
+
+    def admissible(pairs):
+        for w, num in pairs:
+            g = gcd(*w)
+            if g > 1:
+                w = tuple(x // g for x in w)
+                num = tuple(a // g for a in num)
+            if all(a <= 0 for a in num):
+                w = tuple(-x for x in w)
+                num = tuple(-a for a in num)
+            top = max(abs(a) for a in num)
+            if top < index:
+                yield top, w, num
+
+    rows = [u + r for u, r in zip(U, reduced)]
+
+    def combos(k, acc):
+        if k == d:
+            yield acc[:d], acc[d:]
+            return
+        yield from combos(k + 1, acc)
+        yield from combos(k + 1, tuple(a + b for a, b in zip(acc, rows[k])))
+        yield from combos(k + 1, tuple(a - b for a, b in zip(acc, rows[k])))
+
+    pairs = combos(0, (0,) * (2 * d))
+    next(pairs)  # c = 0
+    best = min(admissible(pairs), default=None)
+    if best is None:
+        r = halfopen._int_root(index, d)
+        bounds = [sum(abs(x) for x in col) for col in zip(*rays)]
+        ranges = [range(-((s + r - 1) // r), (s + r - 1) // r + 1) for s in bounds]
+        box = ((w, tuple(sum(a * b for a, b in zip(col, w)) for col in outer))
+               for w in product(*ranges) if any(w))
+        best = min(admissible(box))
+    _, w, num = best
+    return w, tuple(Fraction(a, index) for a in num)
+
+
+def test_find_w_matches_full_search():
+    # 3000 random cones, d = 2..4; the winner's alphas have mixed signs
+    # in many of them, where the half search must pick the lexicographic
+    # minimum of w and -w.
+    rng = random.Random(29)
+    checked, mixed = 0, 0
+    while checked < 3000:
+        d = 2 + checked % 3
+        lim = rng.choice((3, 8, 30))
+        rays = tuple(tuple(rng.randint(-lim, lim) for _ in range(d)) for _ in range(d))
+        if abs(det(transpose(rays))) < 2:
+            continue
+        checked += 1
+        cone = cone_of(rays)
+        got = find_w(cone)
+        assert got == find_w_reference(cone), rays
+        mixed += min(got[1]) < 0 < max(got[1])
+    assert mixed >= 300
+
+
 def test_find_w_deterministic():
     rays = ((2, 1, 0), (0, 3, 1), (1, 0, 4))
     assert find_w(cone_of(rays)) == find_w(cone_of(rays))
@@ -412,6 +487,53 @@ def test_decompose_step_identity_random():
         for x in points:
             total = sum(eps for eps, child in children if child.contains(x))
             assert total == (1 if parent.contains(x) else 0), (rays, sigma, x)
+
+
+def assert_children_match_fresh_cones(children):
+    # the rank-one update gives the normals and index that one
+    # elimination of the child's own rays gives
+    for _, child in children:
+        fresh = SimplicialCone(apex=child.base.apex, rays=child.base.rays)
+        assert child.base.normals == fresh.normals, child.base.rays
+        assert child.base.index == fresh.index, child.base.rays
+        assert child.base == fresh
+
+
+def test_decompose_step_children_match_fresh_cones():
+    rng = random.Random(13)
+    checked = 0
+    while checked < 400:
+        d = 2 + checked % 3
+        rays = tuple(tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(d))
+        if abs(det(transpose(rays))) < 2:
+            continue
+        checked += 1
+        apex = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
+        parent = hoc(rays, [rng.choice((1, -1)) for _ in range(d)], apex)
+        w, alpha = find_w(parent.base)
+        children = decompose_step(parent, w, alpha)
+        assert len(children) == sum(a != 0 for a in alpha)
+        assert_children_match_fresh_cones(children)
+
+
+def test_signed_decompose_children_match_fresh_cones(monkeypatch):
+    # every split of every vertex cone of the 4-d skew simplex
+    # x >= 0, 5 x1 + 7 x2 + 9 x3 + 11 x4 <= 40 (vertex indices up to 1331)
+    real_step = halfopen.decompose_step
+    seen = []
+
+    def checked_step(cone, w, alpha):
+        children = real_step(cone, w, alpha)
+        assert_children_match_fresh_cones(children)
+        seen.append(cone.index)
+        return children
+
+    monkeypatch.setattr(halfopen, "decompose_step", checked_step)
+    A = tuple(tuple(-int(i == j) for j in range(4)) for i in range(4)) + ((5, 7, 9, 11),)
+    P = HPolytope(A=A, b=(0, 0, 0, 0, 40))
+    for v in enumerate_vertices(P):
+        signed_decompose(vertex_cone(P, v))
+    assert max(seen) == 1331 and len(seen) > 50
 
 
 def test_signed_decompose_two_dim():

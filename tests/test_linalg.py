@@ -366,6 +366,23 @@ def test_lll_matches_reference_random():
         done += 1
 
 
+def test_lll_integer_input_matches_reference():
+    # integer rows as lists, as find_w passes them: copied, not scaled
+    rng = random.Random(77)
+    done = 0
+    while done < 120:
+        n = 2 + done % 3
+        basis = [list(row) for row in random_int_matrix(rng, n, -40, 40)]
+        if det(basis) == 0:
+            continue
+        before = [row[:] for row in basis]
+        reduced, U = lll_reduce(basis)
+        assert (reduced, U) == lll_reference(basis)
+        assert all(type(x) is int for row in reduced for x in row)
+        assert basis == before
+        done += 1
+
+
 def test_lll_matches_reference_rational_input():
     basis = ((Fraction(1, 3), 0), (Fraction(1, 2), Fraction(1, 6)))
     assert lll_reduce(basis) == lll_reference(basis)

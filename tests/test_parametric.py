@@ -600,7 +600,11 @@ class TestCompiledChambers:
         assert calls == []
         assert sum(counts) > 0
         evaluate_count(pp, (7, 9), max_index=max_index, via="activities")
-        assert "smith" in calls and "pp" in calls  # the counters do count
+        # the counters do count; at max index 1 every leaf is unimodular
+        # and takes no Smith form, even on the activities route
+        assert "pp" in calls
+        if max_index > 1:
+            assert "smith" in calls
 
 
 def cells_reference(base, hyperplanes, interior_point=interior_point):
