@@ -14,8 +14,6 @@ from .errors import (
     UnboundedError,
 )
 from .genfun import (
-    GenFun,
-    GenFunTerm,
     count_leaves,
     count_polytope,
     gf_term,
@@ -24,20 +22,14 @@ from .genfun import (
 )
 from .halfopen import (
     HalfOpenCone,
-    HalfOpenPolyhedron,
-    SignedConeSum,
     exactify,
     facet_strictness,
-    find_w,
     halfopen_triangulate,
     signed_decompose,
 )
 from .oracle import brute_count
 from .parametric import (
-    Chamber,
-    HalfOpenChamber,
     ParametricPolytope,
-    ParametricVertex,
     chambers_max_dim,
     enumerate_parametric_vertices,
     evaluate_count,
@@ -45,35 +37,22 @@ from .parametric import (
     halfopen_chambers,
 )
 from .polytope import (
-    ClosedCone,
     HPolytope,
-    SimplicialCone,
-    Vertex,
     enumerate_vertices,
     triangulate,
     vertex_cone,
 )
 
 __all__ = [
-    "Chamber",
-    "ClosedCone",
     "DegenerateConeError",
-    "GenFun",
-    "GenFunTerm",
     "HPolytope",
-    "HalfOpenChamber",
     "HalfOpenCone",
-    "HalfOpenPolyhedron",
     "NotFullDimensionalError",
     "OracleTooLargeError",
     "ParametricPolytope",
-    "ParametricVertex",
     "ParseError",
-    "SignedConeSum",
-    "SimplicialCone",
     "SingularMatrixError",
     "UnboundedError",
-    "Vertex",
     "brute_count",
     "chambers_max_dim",
     "count_leaves",
@@ -83,7 +62,6 @@ __all__ = [
     "evaluate_count",
     "exactify",
     "facet_strictness",
-    "find_w",
     "gf_term",
     "halfopen_activity_regions",
     "halfopen_chambers",

@@ -19,7 +19,7 @@ from math import lcm
 from operator import mul
 
 from .halfopen import HalfOpenCone, signed_decompose
-from .linalg import dot, smith_normal_form, transpose
+from .linalg import _int_row, dot, smith_normal_form, transpose
 from .polytope import HPolytope, enumerate_vertices, vertex_cone
 
 
@@ -60,11 +60,9 @@ def parallelepiped_points(cone: HalfOpenCone, apex):
     else:
         snf = smith_normal_form(transpose(rays))
         sizes, W = snf.s, snf.W
-    apex = [Fraction(a) for a in apex]
-    q = lcm(*(a.denominator for a in apex))
+    q, a = _int_row(apex)
     den = q * base.index
     # q * index * mu_j(W k) = <normal_j, a> - q <normal_j, W k>, affine in k
-    a = [x.numerator * (q // x.denominator) for x in apex]
     base_num = [dot(n, a) for n in base.normals]
     wcols = transpose(W)  # wcols[i] is the i-th column of W
     shift = [[q * dot(n, w) for w in wcols] for n in base.normals]
@@ -247,11 +245,9 @@ def leaf_program(leaves, residues, direction):
         rows = tuple((dot(direction, x) + shift,
                       tuple(dot(n, x) - 1 for n in base.normals))
                      for x in xs)
-        weights = _falling_weights(gains, eps)
-        den = lcm(*(w.denominator for w in weights))
+        den, u = _int_row(_falling_weights(gains, eps))
         records.append((base.normals, tuple(int(s < 0) for s in leaf.sigma),
-                        base.index, gains, rows,
-                        tuple(int(w * den) for w in weights)))
+                        base.index, gains, rows, tuple(u)))
         dens.append(den)
     return tuple(records), tuple(dens)
 

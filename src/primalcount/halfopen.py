@@ -10,10 +10,10 @@ over faces is ever needed.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import add, neg, sub
 
-from .linalg import dot, lll_reduce, vec_sub
+from .linalg import _int_row, dot, lll_reduce, vec_sub
 from .polytope import ClosedCone, SimplicialCone, triangulate
 
 
@@ -58,12 +58,12 @@ class HalfOpenCone:
 def integral_row(normal, rhs):
     """The inequality normal . x <= rhs scaled to an integer normal.
 
-    Scales by the lcm of the normal's denominators, so integer rows come
-    back unchanged; the right-hand side stays an exact Fraction.
+    Scales by the lcm of the normal's denominators (linalg._int_row), so
+    integer rows come back unchanged; the right-hand side stays an exact
+    Fraction.
     """
-    normal = [Fraction(x) for x in normal]
-    scale = lcm(*(x.denominator for x in normal))
-    return tuple(int(x * scale) for x in normal), Fraction(rhs) * scale
+    scale, ints = _int_row(normal)
+    return tuple(ints), Fraction(rhs) * scale
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,13 @@ tuples; everything is immutable and every result is exact.  Python ints
 already provide arbitrary precision and Fraction keeps rationals in
 lowest terms, so the numeric types here are the builtins.
 
-There is one Gaussian elimination, the fraction-free Gauss-Jordan
-_gauss_jordan: det, rank, solve, inverse and adjugate_int scale their
-rows to integers and call it.
+_int_row is the one rule that turns a row of ints and Fractions into
+integers over a common denominator; every module that clears
+denominators calls it.  There is one Gaussian elimination, the
+fraction-free Gauss-Jordan _gauss_jordan: det, rank and solve scale
+their rows to integers with _int_row and call it, and adjugate_int
+calls it on integer rows.  Smith normal form and LLL take integer rows
+only.
 """
 
 from dataclasses import dataclass
@@ -61,9 +65,7 @@ def vec_primitive(v):
     """
     if is_zero_vec(v):
         raise ValueError("zero vector has no primitive form")
-    fracs = [Fraction(a) for a in v]
-    scale = lcm(*(f.denominator for f in fracs))
-    ints = [as_int(f * scale) for f in fracs]
+    ints = _int_row(v)[1]
     g = gcd(*ints)
     return tuple(a // g for a in ints)
 
@@ -99,15 +101,15 @@ def _check_square(M):
 def _int_row(row):
     """(m, m * row) for the least positive integer m making m * row integral.
 
-    Only the non-int entries become Fractions; int entries are scaled as
-    ints.
+    row holds ints and Fractions (any numbers.Rational).  m is the lcm of
+    their denominators and m * row a new list of ints, integral Fractions
+    included, read from each entry's numerator and denominator without
+    Fraction arithmetic.
     """
     if all(isinstance(x, int) for x in row):
         return 1, list(row)
-    row = [x if isinstance(x, int) else Fraction(x) for x in row]
-    mult = lcm(*(x.denominator for x in row if not isinstance(x, int)))
-    return mult, [x * mult if isinstance(x, int) else x.numerator * (mult // x.denominator)
-                  for x in row]
+    m = lcm(*[x.denominator for x in row])
+    return m, [x.numerator * (m // x.denominator) for x in row]
 
 
 def det(M):
@@ -181,18 +183,6 @@ def solve(M, rhs):
     if r < n:
         raise SingularMatrixError("singular matrix")
     return tuple(Fraction(row[n], d) for row in rows)
-
-
-def inverse(M):
-    """Exact inverse of a square matrix of ints or Fractions, as Fractions.
-
-    With S the diagonal of row scales that make S M integral,
-    M^-1 = adj(S M) S / det(S M), so no Fraction arithmetic is needed.
-    """
-    _check_square(M)
-    scales, rows = zip(*(_int_row(row) for row in M))
-    adj, d = adjugate_int(rows)
-    return tuple(tuple(Fraction(a * s, d) for a, s in zip(row, scales)) for row in adj)
 
 
 def adjugate_int(M):
@@ -320,34 +310,28 @@ def _round_half_even(a, b):
     return q
 
 
-def lll_reduce(basis, delta=Fraction(3, 4)):
-    """LLL-reduce a basis given as matrix rows; returns (reduced, transform).
+def lll_reduce(basis):
+    """LLL-reduce a basis given as integer rows; returns (reduced, transform).
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7): instead of rational Gram-Schmidt data it keeps
-    the Gram determinants D[i] = |b*_0|^2 ... |b*_{i-1}|^2 and the
-    integers lam[k][j] = D[j+1] mu_kj, and updates both in place on each
-    size reduction and swap.  Row k is size-reduced against rows k-1 ... 0
+    Theory, Alg. 2.6.7) with delta = 3/4: instead of rational
+    Gram-Schmidt data it keeps the Gram determinants
+    D[i] = |b*_0|^2 ... |b*_{i-1}|^2 and the integers
+    lam[k][j] = D[j+1] mu_kj, and updates both in place on each size
+    reduction and swap.  Row k is size-reduced against rows k-1 ... 0
     (rounding mu half to even) before the Lovasz test
-    |b*_k|^2 >= (delta - mu_{k,k-1}^2) |b*_{k-1}|^2.
+    |b*_k|^2 >= (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2.
 
-    The rows may be rational; denominators are cleared up front and the
-    scale divided back out at the end, which leaves the transform intact.
-    Integer rows (find_w's case) are copied as they are.
-    transform is unimodular with transform * basis == reduced, so the
-    reduced rows generate exactly the input lattice.  Raises ValueError
-    on linearly dependent rows.
+    The rows must be integers (find_w passes the adjugate lattice); they
+    are copied, not changed.  transform is unimodular with
+    transform * basis == reduced, so the reduced rows generate exactly
+    the input lattice.  Raises ValueError on linearly dependent rows.
     """
     m = len(basis)
     if m == 0:
         return (), ()
-    if all(isinstance(x, int) for row in basis for x in row):
-        scale, rows = 1, [list(row) for row in basis]
-    else:
-        scale = lcm(*(Fraction(x).denominator for row in basis for x in row))
-        rows = [[as_int(Fraction(x) * scale) for x in row] for row in basis]
+    rows = [list(row) for row in basis]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    p, q = Fraction(delta).numerator, Fraction(delta).denominator
 
     D = [1] * (m + 1)
     lam = [[0] * m for _ in range(m)]
@@ -376,8 +360,8 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
                 for i in range(j):
                     lk[i] -= r * lj[i]
         t = lk[k - 1]
-        # the Lovasz test multiplied by D[k] D[k-1], with delta = p / q
-        if q * (D[k + 1] * D[k - 1] + t * t) >= p * D[k] * D[k]:
+        # the Lovasz test with delta = 3/4, multiplied by 4 D[k] D[k-1]
+        if 4 * (D[k + 1] * D[k - 1] + t * t) >= 3 * D[k] * D[k]:
             k += 1
             continue
         # swap rows k-1 and k (Cohen's SWAPI); lam[k][k-1] is unchanged
@@ -393,8 +377,4 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
         D[k] = B
         k = max(k - 1, 1)
 
-    if scale == 1:
-        reduced = tuple(tuple(r) for r in rows)
-    else:
-        reduced = tuple(tuple(Fraction(x, scale) for x in r) for r in rows)
-    return reduced, tuple(tuple(r) for r in U)
+    return tuple(tuple(r) for r in rows), tuple(tuple(r) for r in U)

@@ -14,7 +14,7 @@ compiled once per chamber into integer arithmetic.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -37,7 +37,7 @@ from .halfopen import (
     perturbed_direction,
     signed_decompose,
 )
-from .linalg import dot, identity, inverse
+from .linalg import _int_row, adjugate_int, dot, identity
 from .lp import (
     OPTIMAL,
     interior_point,
@@ -100,41 +100,39 @@ class ParametricVertex:
 
 @dataclass(frozen=True)
 class Chamber:
-    region: HalfOpenPolyhedron  # closed
+    """A chamber: its region in q-space, the vertices active on it and a
+    point of its interior.  chambers_max_dim gives closed regions;
+    halfopen_chambers gives the same chambers with their walls opened,
+    so some region rows may be strict."""
+
+    region: HalfOpenPolyhedron
     active: tuple  # of ParametricVertex
     sample: tuple  # interior point
 
 
-@dataclass(frozen=True)
-class HalfOpenChamber:
-    region: HalfOpenPolyhedron
-    active: tuple  # of ParametricVertex
-    sample: tuple
-
-
 def _integer_row(g, h):
     """Scale a rational inequality g . q <= h to a primitive integer normal."""
-    denoms = [Fraction(x).denominator for x in g]
-    scale = lcm(*denoms) if denoms else 1
-    gi = [int(Fraction(x) * scale) for x in g]
-    common = gcd(*(abs(v) for v in gi)) if any(gi) else 1
+    g, h = integral_row(g, h)
+    common = gcd(*g)
     if common > 1:
-        gi = [v // common for v in gi]
-        scale = Fraction(scale, common)
-    return tuple(gi), Fraction(h) * scale
+        return tuple(x // common for x in g), h / common
+    return g, h
 
 
 def enumerate_parametric_vertices(pp: ParametricPolytope):
     """All distinct vertex maps of the family, with activity regions.
 
-    Walks every full-rank d-subset of rows, solves for the basic
-    solution as an affine map of q, deduplicates identical maps, keeps
-    maps feasible somewhere in Q, and attaches the q-independent cone
-    spanned by the rows that are tight identically in q.  Raises
-    UnboundedError when the family has a recession direction, read off
-    the homogenized cone of {x : A x <= 1} without an LP, and
-    NotFullDimensionalError when some vertex map forces the polytope
-    into a hyperplane on a full-dimensional part of Q.
+    Walks every full-rank d-subset B of rows and solves for the basic
+    solution as an affine map of q.  A is integral, so with
+    (adj, det) = adjugate_int(A_B) the map is M = adj E_B / det and
+    c = adj f_B / det, Fractions in lowest terms, with no rational
+    elimination.  Deduplicates identical maps, keeping the first basis,
+    keeps the maps feasible somewhere in Q in sorted (M, c) order, and
+    attaches the q-independent cone spanned by the rows that are tight
+    identically in q.  Raises UnboundedError when the family has a
+    recession direction, read off the homogenized cone of {x : A x <= 1}
+    without an LP, and NotFullDimensionalError when some vertex map
+    forces the polytope into a hyperplane on a full-dimensional part of Q.
     """
     d, p = pp.dim, pp.qdim
     # Every nonempty P_q has the recession cone {A x <= 0} of {A x <= 1},
@@ -146,16 +144,15 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
     seen = {}
     order = []
     for basis in combinations(range(len(pp.A)), d):
-        sub = [pp.A[i] for i in basis]
         try:
-            inv = inverse(sub)
+            adj, det_b = adjugate_int([pp.A[i] for i in basis])
         except SingularMatrixError:
             continue
-        Esub = [pp.E[i] for i in basis]
+        ecols = list(zip(*(pp.E[i] for i in basis)))
         fsub = [pp.f[i] for i in basis]
-        M = tuple(tuple(sum(inv[r][k] * Esub[k][j] for k in range(d))
-                        for j in range(p)) for r in range(d))
-        c = tuple(sum(inv[r][k] * fsub[k] for k in range(d)) for r in range(d))
+        M = tuple(tuple(Fraction(dot(row, col), det_b) for col in ecols)
+                  for row in adj)
+        c = tuple(dot(row, fsub) / det_b for row in adj)
         key = (M, c)
         if key in seen:
             continue
@@ -356,7 +353,9 @@ def _halfopen_region(region, y_q, chambers):
 def halfopen_chambers(chambers, y_q=None):
     """Half-open chambers that partition the union of the closed chambers.
 
-    Every parameter point in any chamber closure lands in exactly one
+    Returns one Chamber per input chamber, with the same active vertices
+    and sample and a region whose wall rows may be strict.  Every
+    parameter point in any chamber closure lands in exactly one
     half-open chamber.  y_q must not be orthogonal to any wall normal;
     it is repaired by perturbation when it is.
     """
@@ -368,8 +367,7 @@ def halfopen_chambers(chambers, y_q=None):
     out = []
     for ch in chambers:
         region = _halfopen_region(ch.region, y_q, chambers)
-        out.append(HalfOpenChamber(region=region, active=ch.active,
-                                   sample=ch.sample))
+        out.append(Chamber(region=region, active=ch.active, sample=ch.sample))
     return out
 
 
@@ -415,10 +413,11 @@ def _contains_scaled(rows, z, D):
 
 def _integer_map(vertex):
     """v(q) = M q + c as (M', c', m) with M = M' / m and c = c' / m."""
-    m = lcm(*(x.denominator for row in vertex.map_M for x in row),
-            *(x.denominator for x in vertex.map_c))
-    return (tuple(tuple(int(x * m) for x in row) for row in vertex.map_M),
-            tuple(int(x * m) for x in vertex.map_c), m)
+    width = len(vertex.map_M[0]) + 1
+    m, ints = _int_row([x for row, c in zip(vertex.map_M, vertex.map_c)
+                        for x in (*row, c)])
+    rows = [ints[i:i + width] for i in range(0, len(ints), width)]
+    return tuple(tuple(r[:-1]) for r in rows), tuple(r[-1] for r in rows), m
 
 
 @dataclass(frozen=True)
@@ -502,8 +501,7 @@ class ParametricAnalysis:
         return self._compiled[k]
 
     def _count_compiled(self, q0, stats):
-        D = lcm(*(x.denominator for x in q0))
-        z = tuple(x.numerator * (D // x.denominator) for x in q0)
+        D, z = _int_row(q0)
         if not _contains_scaled(self._qset_rows, z, D):
             return None
         k = next((k for k, rows in enumerate(self._chamber_rows)

@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from . import lp
 from .errors import (
@@ -13,6 +12,7 @@ from .errors import (
     UnboundedError,
 )
 from .linalg import (
+    _int_row,
     adjugate_int,
     dot,
     is_zero_vec,
@@ -27,7 +27,8 @@ from .linalg import (
 class HPolytope:
     """The set {x : A x <= b} with integer A and b.
 
-    Rational input rows are scaled row-by-row to integers, exactly.
+    Rational input rows (ints and Fractions) are scaled row by row to
+    integers by linalg._int_row, exactly.
     Rows are validated to be rectangular, nonzero and at least
     1-dimensional; boundedness is a property of the data and is checked
     by the operations that need it, not by the constructor.
@@ -41,9 +42,7 @@ class HPolytope:
             raise ValueError("row count mismatch between A and b")
         rows, rhs = [], []
         for row, bi in zip(self.A, self.b):
-            entries = [Fraction(x) for x in row] + [Fraction(bi)]
-            scale = lcm(*(e.denominator for e in entries))
-            ints = [int(e * scale) for e in entries]
+            ints = _int_row((*row, bi))[1]
             rows.append(tuple(ints[:-1]))
             rhs.append(ints[-1])
         A, b = tuple(rows), tuple(rhs)
@@ -254,8 +253,7 @@ def vertex_cone(P: HPolytope, v: Vertex) -> ClosedCone:
     """The cone of feasible directions at a vertex, shifted to its apex."""
     normals = [P.A[i] for i in sorted(v.tight)]
     rays = extreme_rays(normals)
-    return ClosedCone(apex=tuple(Fraction(x) for x in v.point),
-                      rays=tuple(rays), normals=tuple(normals))
+    return ClosedCone(apex=v.point, rays=tuple(rays), normals=tuple(normals))
 
 
 def _boundary_facets(pieces):

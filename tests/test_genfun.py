@@ -23,7 +23,7 @@ from primalcount.genfun import (
 )
 from primalcount.errors import NotFullDimensionalError
 from primalcount.halfopen import HalfOpenCone, signed_decompose
-from primalcount.linalg import det, dot, inverse, smith_normal_form, transpose
+from primalcount.linalg import det, dot, identity, smith_normal_form, solve, transpose
 from primalcount.polytope import HPolytope, SimplicialCone, enumerate_vertices, vertex_cone
 
 
@@ -93,7 +93,8 @@ def test_parallelepiped_against_box_scan():
 def parallelepiped_reference(cone, apex):
     """parallelepiped_points in Fraction arithmetic, from rational dual normals.
 
-    dual_j = -(row j of (R^T)^-1) has dual_j . rays[i] == -delta_ij, so
+    With R the matrix of ray rows, dual_j = -(row j of (R^T)^-1) = -R^-1 e_j
+    has dual_j . rays[i] == -delta_ij, so
     mu_j = dual_j . (apex - x) is x's j-th ray coordinate relative to
     the apex, rounded by floor and ceil of Fractions.
     """
@@ -101,7 +102,7 @@ def parallelepiped_reference(cone, apex):
     d = len(rays)
     cols = transpose(rays)
     snf = smith_normal_form(cols)
-    duals = [tuple(-x for x in row) for row in inverse(cols)]
+    duals = [tuple(-x for x in solve(rays, e)) for e in identity(d)]
     base_mu = [dot(n, apex) for n in duals]
     wcols = transpose(snf.W)
     shift = [[dot(n, w) for w in wcols] for n in duals]
