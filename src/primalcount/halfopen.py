@@ -201,7 +201,8 @@ def facet_strictness(sigma, alpha, l, m):
     by w; l = 0 addresses the child's facet opposite w, any other l
     addresses the child's facet opposite parent ray l.  The flag depends
     only on the signs of the alphas, the parent flags, and the order of
-    l and m, case by case:
+    l and m, so any positive multiple of alpha serves, such as the
+    integer numerators index * alpha that find_w returns; case by case:
 
       l = 0:                     sign(alpha_m) * sigma_m
       alpha_l = 0:               sigma_l
@@ -251,10 +252,11 @@ def _int_root(n: int, d: int) -> int:
 def find_w(cone: SimplicialCone):
     """A short auxiliary ray for one signed decomposition step.
 
-    Returns (w, alpha) with w a primitive integer vector, alpha its
-    coefficients in the cone's rays, every nonzero |alpha_i| < 1 (so all
+    Returns (w, num) with w a primitive integer vector and num = index *
+    alpha the integer numerators of its coefficients alpha in the cone's
+    rays, num_j = -normals[j] . w.  Every nonzero |alpha_i| < 1 (so all
     children have strictly smaller index), and not all nonzero alphas
-    negative.
+    are negative.
 
     With R the matrix whose rows are the rays, alpha = w R^-1, so the
     alphas form the lattice spanned by the rows of R^-1.  Scaled by the
@@ -332,28 +334,29 @@ def find_w(cone: SimplicialCone):
     if best is None:
         raise RuntimeError("no admissible ray found")  # impossible for index > 1
     _, w, num = best
-    return w, tuple(Fraction(a, index) for a in num)
+    return w, num
 
 
-def decompose_step(cone: HalfOpenCone, w, alpha):
+def decompose_step(cone: HalfOpenCone, w, num):
     """One level of signed decomposition: the children replacing each ray.
 
-    Child m swaps ray m for w and inherits sign(alpha_m); children with
-    alpha_m = 0 vanish.  Facet flags follow facet_strictness, so the
-    signed sum of the children equals the parent exactly.  Each child
-    gets its normals and index from the parent's by one exact integer
-    rank-one update (SimplicialCone._with_ray), with no elimination.
+    (w, num) is find_w's result for the base cone: num = index * alpha,
+    with num_j = -normals[j] . w.  Child m swaps ray m for w and inherits
+    sign(alpha_m); children with alpha_m = 0 vanish.  Facet flags follow
+    facet_strictness, so the signed sum of the children equals the
+    parent exactly.  Each child gets its normals and index from the
+    parent's by one exact integer rank-one update
+    (SimplicialCone._with_ray), with no elimination.
     """
     base = cone.base
     d = len(base.rays)
-    num = tuple(-dot(n, w) for n in base.normals)  # index * alpha
     children = []
     for m in range(1, d + 1):
-        am = alpha[m - 1]
+        am = num[m - 1]
         if am == 0:
             continue
         eps = 1 if am > 0 else -1
-        sigma = tuple(facet_strictness(cone.sigma, alpha, 0 if j == m - 1 else j + 1, m)
+        sigma = tuple(facet_strictness(cone.sigma, num, 0 if j == m - 1 else j + 1, m)
                       for j in range(d))
         child = HalfOpenCone(base=base._with_ray(m - 1, w, num), sigma=sigma)
         children.append((eps, child))
@@ -386,8 +389,8 @@ def signed_decompose(cone, max_index: int = 1, stats=None):
             if current.index <= max_index:
                 leaves.append((eps, current))
                 continue
-            w, alpha = find_w(current.base)
-            for ceps, child in decompose_step(current, w, alpha):
+            w, num = find_w(current.base)
+            for ceps, child in decompose_step(current, w, num):
                 if stats is not None:
                     stats.setdefault("splits", []).append((current.index, child.index))
                 stack.append((eps * ceps, child, depth + 1))

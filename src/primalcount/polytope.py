@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import lp
 from .errors import (
@@ -68,8 +69,17 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class Vertex:
+    """A vertex of an HPolytope, as enumerate_vertices returns it.
+
+    tight holds the indices of all rows active at the point, and rays the
+    primitive integer directions of the edges leaving it, sorted: the
+    extreme rays of its tangent cone.  Vertices compare by point and
+    tight set only.
+    """
+
     point: tuple          # Fractions
-    tight: frozenset      # indices of all rows active at the point
+    tight: frozenset
+    rays: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -154,59 +164,105 @@ class SimplicialCone:
 def enumerate_vertices(P: HPolytope):
     """All vertices of a bounded full-dimensional polytope, sorted.
 
-    The vertices are the extreme rays (x, t) with t > 0 of the homogenized
-    cone {(x, t) : A x - b t <= 0, t >= 0}, each giving the point x / t;
-    each vertex records the full set of rows tight at it.  Returns [] for
-    an empty polytope and raises for unbounded or lower-dimensional input.
-    LPs run only when that cone is not pointed or not full-dimensional,
-    to tell those cases apart.
+    One double description of the homogenized cone
+    {(x, t) : A x - b t <= 0, t >= 0} gives everything: its extreme rays
+    (x, t), all with t > 0, are the vertices x / t; a ray's incidence
+    mask is its tight set, the rows with A_i . x == b_i t; and rays
+    adjacent in that cone span the edges, so the rays of the vertex cone
+    at x / t are primitive(t x' - t' x) over its neighbours (x', t').
+    Returns [] for an empty polytope and raises for unbounded or
+    lower-dimensional input.  LPs run only when that cone is not pointed
+    or not full-dimensional, to tell those cases apart.
     """
-    rays = _homogenized_rays(P.A, P.b)
-    if rays is None:
+    cone = _homogenized_cone(P.A, P.b)
+    if cone is None:
         if not lp.lp_feasible(P.A, P.b):
             return []
         if lp.interior_point(P.A, P.b) is None:
             raise NotFullDimensionalError("polyhedron not full-dimensional")
         raise UnboundedError("polyhedron unbounded")
+    rays, masks = cone
     if any(ray[-1] == 0 for ray in rays):
         raise UnboundedError("polyhedron unbounded")
     vertices = []
-    for x in sorted(tuple(Fraction(xi, ray[-1]) for xi in ray[:-1])
-                    for ray in rays):
-        tight = frozenset(i for i in range(P.nrows)
-                          if dot(P.A[i], x) == P.b[i])
-        vertices.append(Vertex(point=x, tight=tight))
+    # the homogenized cone lies in R^(dim + 1), so adjacency needs dim - 1
+    for k, (*x, t) in enumerate(rays):
+        edges = set()
+        for j, (*y, s) in enumerate(rays):
+            if j != k and _adjacent(masks, masks[j] & masks[k], P.dim - 1):
+                edges.add(vec_primitive(tuple(t * a - s * b for a, b in zip(y, x))))
+        vertices.append(Vertex(point=tuple(Fraction(a, t) for a in x),
+                               tight=frozenset(i for i in range(P.nrows)
+                                               if masks[k] >> i & 1),
+                               rays=tuple(sorted(edges))))
+    vertices.sort(key=lambda v: v.point)
     return vertices
 
 
-def _homogenized_rays(A, b):
-    """Extreme rays (x, t) of the cone {(x, t) : A x - b t <= 0, t >= 0}.
+def _homogenized_cone(A, b):
+    """Double description (rays, masks) of {(x, t) : A x - b t <= 0, t >= 0}.
 
-    When {A x <= b} is nonempty and full-dimensional, the rays with t > 0
-    are its vertices scaled by t and the rays with t = 0 its extreme
-    recession directions.  None when the cone is not pointed or not
-    full-dimensional: the set is empty, lower-dimensional, contains a
-    line, or has no rows.
+    Bit i of a mask, for i < len(A), is row i of A x <= b; the last bit
+    is t >= 0.  When {A x <= b} is nonempty and full-dimensional, the
+    rays with t > 0 are its vertices scaled by t and the rays with t = 0
+    its extreme recession directions.  None when the cone is not pointed
+    or not full-dimensional: the set is empty, lower-dimensional,
+    contains a line, or has no rows.
     """
     if not A:
         return None
     normals = [tuple(row) + (-bi,) for row, bi in zip(A, b)]
     normals.append((0,) * len(A[0]) + (-1,))
     try:
-        return extreme_rays(normals)
+        return _double_description(normals)
     except DegenerateConeError:
         return None
+
+
+def _homogenized_rays(A, b):
+    """The rays of _homogenized_cone(A, b), or None."""
+    cone = _homogenized_cone(A, b)
+    return None if cone is None else cone[0]
+
+
+def _adjacent(masks, common, need):
+    """Whether two extreme rays whose incidence masks meet in common are
+    adjacent, by the combinatorial test.
+
+    masks are the incidence masks of all extreme rays of a pointed cone
+    in R^d, and need = d - 2.  Two rays are adjacent exactly when their
+    common incidence set has at least d - 2 members and no third ray's
+    incidence set contains it (Fukuda & Prodon 1996): the smallest face
+    holding both is then 2-dimensional.
+    """
+    return (common.bit_count() >= need
+            and sum(z & common == common for z in masks) == 2)
 
 
 def extreme_rays(normals):
     """Extreme rays of the pointed cone {x : n . x <= 0} for integer normals n.
 
+    Primitive and sorted; the rays of _double_description without its
+    incidence masks.  Raises DegenerateConeError if the cone is not
+    pointed or not full-dimensional.
+    """
+    return _double_description(normals)[0]
+
+
+def _double_description(normals):
+    """Extreme rays of {x : n . x <= 0} and their incidence bitmasks.
+
     Incremental double description: start from a simplicial subcone
-    given by d independent normals, then cut with the remaining ones
-    (Motzkin et al. 1953; Fukuda & Prodon 1996).  Serves the cones at
-    vertices and, through the homogenized cone, vertex enumeration itself.
-    Rays come back primitive and sorted.  Raises DegenerateConeError if
-    the cone is not pointed or not full-dimensional.
+    given by the first d independent normals, then cut with the
+    remaining ones in order (Motzkin et al. 1953; Fukuda & Prodon 1996).
+    Bit i of a ray's mask is set when normals[i] . ray == 0 among the
+    normals cut so far.  A cut keeps the rays it does not separate and
+    joins each adjacent pair it separates (_adjacent, read off the
+    masks); the joined ray's mask is the pair's common mask plus the new
+    normal.  No rank is taken until the final full-dimensionality test.
+    Returns (rays, masks), rays primitive and sorted, masks aligned.
+    Raises DegenerateConeError if the cone is not pointed or not
+    full-dimensional.
     """
     normals = [tuple(n) for n in normals]
     d = len(normals[0])
@@ -218,42 +274,48 @@ def extreme_rays(normals):
         break
     else:
         raise DegenerateConeError("cone is not pointed")
-    # the columns of -M^-1 = -adj / det, scaled by det^2 > 0
+    # the columns of -M^-1 = -adj / det, scaled by det^2 > 0; ray j lies
+    # on every base hyperplane but its own
     rays = [vec_primitive(tuple(-det_m * row[j] for row in adj)) for j in range(d)]
-    processed = [normals[i] for i in base]
+    full = sum(1 << i for i in base)
+    masks = [full ^ (1 << i) for i in base]
 
-    for i in range(len(normals)):
+    for i, n in enumerate(normals):
         if i in base:
             continue
-        n = normals[i]
-        vals = [dot(n, r) for r in rays]
-        keep = [r for r, v in zip(rays, vals) if v <= 0]
-        new = []
-        for (r1, v1), (r2, v2) in combinations(zip(rays, vals), 2):
-            if v1 * v2 >= 0:
+        bit = 1 << i
+        vals = [sum(map(mul, n, r)) for r in rays]
+        keep = [(r, z | bit if v == 0 else z)
+                for r, z, v in zip(rays, masks, vals) if v <= 0]
+        for a, va in enumerate(vals):
+            if va <= 0:
                 continue
-            tight_both = [m for m in processed
-                          if dot(m, r1) == 0 and dot(m, r2) == 0]
-            if rank(tight_both) != d - 2:
-                continue
-            if v1 < 0:
-                (r1, v1), (r2, v2) = (r2, v2), (r1, v1)
-            new.append(vec_primitive(tuple(v1 * b - v2 * a
-                                           for a, b in zip(r1, r2))))
-        processed.append(n)
-        rays = keep + [r for r in new if r not in keep]
+            for b, vb in enumerate(vals):
+                if vb >= 0:
+                    continue
+                common = masks[a] & masks[b]
+                if not _adjacent(masks, common, d - 2):
+                    continue
+                keep.append((vec_primitive(tuple(va * y - vb * x for x, y
+                                                 in zip(rays[a], rays[b]))),
+                             common | bit))
+        rays = [r for r, _ in keep]
+        masks = [z for _, z in keep]
 
-    rays = sorted(set(rays))
     if rank(rays) != d:
         raise DegenerateConeError("cone is not full-dimensional")
-    return rays
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    return [rays[k] for k in order], [masks[k] for k in order]
 
 
 def vertex_cone(P: HPolytope, v: Vertex) -> ClosedCone:
-    """The cone of feasible directions at a vertex, shifted to its apex."""
-    normals = [P.A[i] for i in sorted(v.tight)]
-    rays = extreme_rays(normals)
-    return ClosedCone(apex=v.point, rays=tuple(rays), normals=tuple(normals))
+    """The cone of feasible directions at a vertex, shifted to its apex.
+
+    v must come from enumerate_vertices(P): the rays are the edge
+    directions it recorded, and the normals the rows tight at v.
+    """
+    normals = tuple(P.A[i] for i in sorted(v.tight))
+    return ClosedCone(apex=v.point, rays=v.rays, normals=normals)
 
 
 def _boundary_facets(pieces):

@@ -230,8 +230,8 @@ def test_facet_strictness_three_dim_table():
 def test_decompose_step_three_dim_children():
     parent = hoc([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (-1, 1, -1))
     w = (-1, 1, 1)
-    alpha = (Fraction(-1), Fraction(1), Fraction(1))
-    children = decompose_step(parent, w, alpha)
+    num = (-1, 1, 1)  # index 1, so num = alpha
+    children = decompose_step(parent, w, num)
     by_slot = {}
     for eps, child in children:
         slot = child.base.rays.index(w)
@@ -287,15 +287,18 @@ def cone_of(rays):
 
 
 def test_find_w_known_cones():
-    w, alpha = find_w(cone_of(((1, 0), (0, 2))))
+    # find_w returns the numerators num = index * alpha
+    w, num = find_w(cone_of(((1, 0), (0, 2))))
     assert w == (0, 1)
-    assert alpha == (Fraction(0), Fraction(1, 2))
+    assert num == (0, 1)  # alpha = (0, 1/2), index 2
 
-    w, alpha = find_w(cone_of(((1, 0), (1, 3))))
-    assert max(abs(a) for a in alpha) <= Fraction(2, 3)
+    w, num = find_w(cone_of(((1, 0), (1, 3))))
     index = abs(det(transpose(((1, 0), (1, 3)))))
-    for a in alpha:
-        assert abs(a) * index <= 2  # every child has index at most 2
+    assert index == 3
+    assert all(isinstance(a, int) for a in num)
+    assert max(abs(Fraction(a, index)) for a in num) <= Fraction(2, 3)
+    for a in num:
+        assert abs(a) <= 2  # every child has index at most 2
 
 
 def test_find_w_rejects_unimodular():
@@ -313,7 +316,9 @@ def test_find_w_properties_random():
         if abs(dcol) < 2:
             continue
         checked += 1
-        w, alpha = find_w(cone_of(rays))
+        w, num = find_w(cone_of(rays))
+        assert all(isinstance(a, int) for a in num)
+        alpha = tuple(Fraction(a, abs(dcol)) for a in num)
         assert any(x != 0 for x in w)
         assert gcd(*(abs(x) for x in w)) == 1
         # consistency: w = sum alpha_i rays_i
@@ -372,7 +377,9 @@ def test_find_w_box_fallback(monkeypatch):
                   for i in range(d))
         U = mat_mul(L, V)
         monkeypatch.setattr(halfopen, "lll_reduce", lambda basis: (mat_mul(U, basis), U))
-        assert find_w(cone_of(rays)) == _box_reference(rays), rays
+        cone = cone_of(rays)
+        w_ref, alpha_ref = _box_reference(rays)
+        assert find_w(cone) == (w_ref, tuple(cone.index * a for a in alpha_ref)), rays
     assert len(fallbacks) == 12
 
 
@@ -449,7 +456,9 @@ def test_find_w_matches_full_search():
         checked += 1
         cone = cone_of(rays)
         got = find_w(cone)
-        assert got == find_w_reference(cone), rays
+        w_ref, alpha_ref = find_w_reference(cone)
+        assert got == (w_ref, tuple(cone.index * a for a in alpha_ref)), rays
+        assert all(isinstance(a, int) for a in got[1])
         mixed += min(got[1]) < 0 < max(got[1])
     assert mixed >= 300
 
@@ -478,8 +487,8 @@ def test_decompose_step_identity_random():
         checked += 1
         sigma = tuple(rng.choice([1, -1]) for _ in range(d))
         parent = hoc(rays, sigma)
-        w, alpha = find_w(parent.base)
-        children = decompose_step(parent, w, alpha)
+        w, num = find_w(parent.base)
+        children = decompose_step(parent, w, num)
         points = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(60)]
         points += [tuple(2 * x for x in w), tuple(-1 * x for x in w)]
         points += [r for r in rays]
@@ -510,9 +519,9 @@ def test_decompose_step_children_match_fresh_cones():
         checked += 1
         apex = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
         parent = hoc(rays, [rng.choice((1, -1)) for _ in range(d)], apex)
-        w, alpha = find_w(parent.base)
-        children = decompose_step(parent, w, alpha)
-        assert len(children) == sum(a != 0 for a in alpha)
+        w, num = find_w(parent.base)
+        children = decompose_step(parent, w, num)
+        assert len(children) == sum(a != 0 for a in num)
         assert_children_match_fresh_cones(children)
 
 
@@ -522,8 +531,8 @@ def test_signed_decompose_children_match_fresh_cones(monkeypatch):
     real_step = halfopen.decompose_step
     seen = []
 
-    def checked_step(cone, w, alpha):
-        children = real_step(cone, w, alpha)
+    def checked_step(cone, w, num):
+        children = real_step(cone, w, num)
         assert_children_match_fresh_cones(children)
         seen.append(cone.index)
         return children

@@ -4,8 +4,12 @@ from itertools import combinations, product
 
 import pytest
 
-from primalcount.errors import NotFullDimensionalError, UnboundedError
-from primalcount.linalg import det, dot, rank, solve, vec_sub
+from primalcount.errors import (
+    DegenerateConeError,
+    NotFullDimensionalError,
+    UnboundedError,
+)
+from primalcount.linalg import adjugate_int, det, dot, rank, solve, vec_primitive, vec_sub
 from primalcount.lp import OPTIMAL, interior_point, lp_feasible, lp_maximize
 from primalcount.polytope import (
     ClosedCone,
@@ -131,6 +135,54 @@ def test_random_vertices_match_brute_force():
             assert rank([P.A[i] for i in v.tight]) == P.dim
 
 
+def extreme_rays_reference(normals):
+    """Extreme rays of {x : n . x <= 0} by the rank-based double description.
+
+    The same incremental double description as extreme_rays, but two
+    rays are adjacent when the normals tight at both have rank d - 2,
+    computed by elimination for every pair, so it shares no adjacency
+    code with the incidence bitmasks.
+    """
+    normals = [tuple(n) for n in normals]
+    d = len(normals[0])
+    for base in combinations(range(len(normals)), d):
+        try:
+            adj, det_m = adjugate_int([normals[i] for i in base])
+        except SingularMatrixError:
+            continue
+        break
+    else:
+        raise DegenerateConeError("cone is not pointed")
+    rays = [vec_primitive(tuple(-det_m * row[j] for row in adj)) for j in range(d)]
+    processed = [normals[i] for i in base]
+
+    for i in range(len(normals)):
+        if i in base:
+            continue
+        n = normals[i]
+        vals = [dot(n, r) for r in rays]
+        keep = [r for r, v in zip(rays, vals) if v <= 0]
+        new = []
+        for (r1, v1), (r2, v2) in combinations(zip(rays, vals), 2):
+            if v1 * v2 >= 0:
+                continue
+            tight_both = [m for m in processed
+                          if dot(m, r1) == 0 and dot(m, r2) == 0]
+            if rank(tight_both) != d - 2:
+                continue
+            if v1 < 0:
+                (r1, v1), (r2, v2) = (r2, v2), (r1, v1)
+            new.append(vec_primitive(tuple(v1 * b - v2 * a
+                                           for a, b in zip(r1, r2))))
+        processed.append(n)
+        rays = keep + [r for r in new if r not in keep]
+
+    rays = sorted(set(rays))
+    if rank(rays) != d:
+        raise DegenerateConeError("cone is not full-dimensional")
+    return rays
+
+
 def _has_recession_ray(A):
     """Whether {x : A x <= 0} is nontrivial: 2d LPs over its unit box."""
     d = len(A[0])
@@ -154,7 +206,8 @@ def vertices_reference(P):
 
     An independent route to enumerate_vertices' result: feasibility,
     interior and recession LPs decide [] and the exceptions in that
-    order, then brute_vertices gives the points.
+    order, then brute_vertices gives the points, and
+    extreme_rays_reference the rays at each.
     """
     if P.nrows == 0:
         raise UnboundedError("polyhedron unbounded")
@@ -164,24 +217,41 @@ def vertices_reference(P):
         raise NotFullDimensionalError("polyhedron not full-dimensional")
     if _has_recession_ray(P.A):
         raise UnboundedError("polyhedron unbounded")
-    return [Vertex(point=x, tight=frozenset(i for i in range(P.nrows)
-                                            if dot(P.A[i], x) == P.b[i]))
-            for x in sorted(brute_vertices(P))]
+    vertices = []
+    for x in sorted(brute_vertices(P)):
+        tight = frozenset(i for i in range(P.nrows) if dot(P.A[i], x) == P.b[i])
+        rays = extreme_rays_reference([P.A[i] for i in sorted(tight)])
+        vertices.append(Vertex(point=x, tight=tight, rays=tuple(rays)))
+    return vertices
 
 
-def outcome(find, P):
-    """(point, tight) pairs, or the type of the exception raised."""
+def found(find, P):
+    """The vertex list, or the type of the exception raised."""
     try:
-        return [(v.point, v.tight) for v in find(P)]
+        return find(P)
     except (UnboundedError, NotFullDimensionalError) as exc:
         return type(exc)
 
 
 def assert_same_outcome(P):
-    got = outcome(enumerate_vertices, P)
-    assert got == outcome(vertices_reference, P), P
-    if isinstance(got, list):
-        assert all(isinstance(c, Fraction) for x, _ in got for c in x)
+    """Check enumerate_vertices against vertices_reference.
+
+    Returns the (point, tight) pairs, or the type of the exception both
+    raise.  The tight sets of the reference are the Fraction ones,
+    dot(A_i, x) == b_i, and every vertex cone must equal the one built
+    from the reference's rank-based double description of its tight rows.
+    """
+    vertices, reference = found(enumerate_vertices, P), found(vertices_reference, P)
+    if isinstance(vertices, type) or isinstance(reference, type):
+        assert vertices == reference, P
+        return vertices
+    got = [(v.point, v.tight) for v in vertices]
+    assert got == [(v.point, v.tight) for v in reference], P
+    assert all(isinstance(c, Fraction) for x, _ in got for c in x)
+    for v, ref in zip(vertices, reference):
+        normals = tuple(P.A[i] for i in sorted(ref.tight))
+        assert vertex_cone(P, v) == ClosedCone(apex=ref.point, rays=ref.rays,
+                                               normals=normals), (P, v)
     return got
 
 
@@ -243,6 +313,15 @@ def test_vertices_match_reference_on_degenerate_vertices():
     octahedron = HPolytope(A=tuple(product((1, -1), repeat=3)), b=(1,) * 8)
     got = assert_same_outcome(octahedron)
     assert len(got) == 6 and all(len(tight) == 4 for _, tight in got)
+    assert all(len(v.rays) == 4 for v in enumerate_vertices(octahedron))
+    # the cube [0, 2]^3 with the cut x + y + z <= 6 through its vertex (2, 2, 2)
+    cube = HPolytope(A=((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                        (0, 0, 1), (0, 0, -1), (1, 1, 1)),
+                     b=(2, 0, 2, 0, 2, 0, 6))
+    got = assert_same_outcome(cube)
+    assert got[-1] == ((2, 2, 2), frozenset({0, 2, 4, 6}))
+    corner = enumerate_vertices(cube)[-1]
+    assert corner.rays == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
 
 def test_vertices_match_reference_on_duplicate_and_rational_rows():
@@ -292,6 +371,54 @@ def test_extreme_rays_simplicial():
 def test_extreme_rays_scaled_input_gives_primitive():
     rays = extreme_rays([(-2, 0), (0, -3)])
     assert rays == [(0, 1), (1, 0)]
+
+
+def rays_outcome(find, normals):
+    """The rays, or the DegenerateConeError message."""
+    try:
+        return find(normals)
+    except DegenerateConeError as exc:
+        return str(exc)
+
+
+def test_extreme_rays_match_reference_on_random_cones():
+    # d = 2..5: random normals, turned against a hidden interior direction
+    # most of the time, with duplicate, scaled, redundant (a sum of two
+    # others) and opposite normals planted, so pointed, not pointed and
+    # lower-dimensional cones all occur
+    rng = random.Random(1123)
+    kinds = []
+    for case in range(600):
+        d = 2 + case % 4
+        y = tuple(rng.randint(-3, 3) for _ in range(d))
+        normals = []
+        for _ in range(rng.randint(1, d + 5)):
+            n = tuple(rng.randint(-3, 3) for _ in range(d))
+            if not any(n):
+                continue
+            if rng.random() < 0.8 and dot(n, y) > 0:
+                n = tuple(-x for x in n)
+            normals.append(n)
+        if not normals:
+            continue
+        for _ in range(rng.randint(0, 3)):
+            plant = rng.random()
+            a, b = rng.choice(normals), rng.choice(normals)
+            if plant < 0.3:
+                normals.append(a)
+            elif plant < 0.5:
+                normals.append(tuple(2 * x for x in a))
+            elif plant < 0.85:
+                if any(p + q for p, q in zip(a, b)):
+                    normals.append(tuple(p + q for p, q in zip(a, b)))
+            else:
+                normals.append(tuple(-x for x in a))
+        rng.shuffle(normals)
+        got = rays_outcome(extreme_rays, normals)
+        assert got == rays_outcome(extreme_rays_reference, normals), normals
+        kinds.append(got if isinstance(got, str) else len(got) > d)
+    assert all(kinds.count(kind) >= 40 for kind in
+               ("cone is not pointed", "cone is not full-dimensional", False, True))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +499,7 @@ def test_triangulate_random_cones_cover():
         if not normals:
             continue  # not pointed
         rays = extreme_rays(normals)
+        assert rays == extreme_rays_reference(normals)
         C = ClosedCone(apex=(0,) * d, rays=tuple(rays), normals=tuple(normals))
         pieces = triangulate(C)
         for piece in pieces:
