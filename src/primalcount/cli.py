@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrixError,
     UnboundedError,
 )
-from .genfun import count_polytope
+from .genfun import DEFAULT_MAX_INDEX, count_polytope
 from .halfopen import HalfOpenPolyhedron, signed_decompose
 from .oracle import DEFAULT_CAP, brute_count
 from .parametric import ParametricPolytope, evaluate_count
@@ -408,8 +408,8 @@ def _read(path):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("file", help="input file")
-    common.add_argument("--max-index", type=int, default=1, metavar="L",
-                        help="stop decomposing cones at this index")
+    common.add_argument("--max-index", type=int, default=DEFAULT_MAX_INDEX,
+                        metavar="L", help="stop decomposing cones at this index")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--verify", action="store_true",

@@ -2,25 +2,37 @@
 
 Each cone contributes a term: the lattice points of its fundamental
 parallelepiped as numerator exponents over the product of (1 - z^ray)
-denominators.  Lattice point counts come out by specializing the sum of
-all terms at z = 1, which every single term has as a pole: substituting
-z = t^mu for a direction mu that kills no denominator, then t = 1 + u,
-turns the specialization into reading one coefficient of an exact
-truncated power series.  leaf_program and CompiledLeaves fix that
-direction and the series for leaves that are counted at many apexes,
-which leaves only integer rounding and one polynomial per parallelepiped
-point.
+denominators.  The points are walked one per residue class of the rays'
+lattice, through the box spanned by the diagonal of the rays' Hermite
+form.  Counting decomposes cones only down to index DEFAULT_MAX_INDEX
+and walks the parallelepipeds of those leaves, as LattE does.  Lattice
+point counts come out by specializing the sum of all terms at z = 1,
+which every single term has as a pole: substituting z = t^mu for a
+direction mu that kills no denominator, then t = 1 + u, turns the
+specialization into reading one coefficient of an exact truncated power
+series.  leaf_program and CompiledLeaves fix that direction and the
+series for leaves that are counted at many apexes, which leaves only
+integer rounding and one polynomial per parallelepiped point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from operator import mul
 
 from .halfopen import HalfOpenCone, signed_decompose
-from .linalg import _int_row, dot, smith_normal_form, transpose
+from .linalg import _int_row, dot, hermite_diagonal
+# Not called here: the walk uses hermite_diagonal.  The name stays bound
+# because perfbench's tracer test looks for it in this module.
+from .linalg import smith_normal_form  # noqa: F401
 from .polytope import HPolytope, enumerate_vertices, vertex_cone
+
+# The index at which counting stops decomposing a cone and walks its
+# parallelepiped instead.  Measured on random boxes, skew simplices and a
+# parametric sweep (README, "--max-index"): every L from 20 to 50 is about
+# twice as fast as the unimodular L = 1 on fixed counts, and the sweep
+# does not tell them apart; 20 keeps the leaves small.
+DEFAULT_MAX_INDEX = 20
 
 
 @dataclass(frozen=True)
@@ -43,40 +55,51 @@ def parallelepiped_points(cone: HalfOpenCone, apex):
     """Lattice points of the half-open fundamental parallelepiped at apex.
 
     The parallelepiped consists of apex + sum mu_j rays[j] with mu_j in
-    [0,1) on closed facets and (0,1] on strict ones.  A Smith
-    decomposition of the ray matrix walks one representative x per
-    residue class, then each representative is translated into the box
-    by rounding its coordinates.  With apex = a / q for an integer vector
-    a, the base cone's integer normals give q * index * mu_j(x) =
-    normals[j] . (a - q x), so the rounding is floor division of integers.
-    Returns exactly index many points.  A unimodular cone (index 1) has
-    the one residue class of 0 and needs no Smith form.
+    [0,1) on closed facets and (0,1] on strict ones.  The box
+    0 <= k_i < h_i, with h the diagonal of the Hermite form of the ray
+    rows (linalg.hermite_diagonal), holds one lattice point k per residue
+    class of the rays' lattice; each is translated into the
+    parallelepiped by whole rays.  With apex = a / q for an integer
+    vector a, the base cone's integer normals give q * index * mu_j(k) =
+    normals[j] . (a - q k), integers that the walk updates by one step
+    per move through the box, so the rounding is floor division.
+    Returns exactly index many points, sorted.  A unimodular cone (index
+    1) has the one residue class of 0 and needs no Hermite form.
     """
     base = cone.base
-    rays = base.rays
+    rays, normals = base.rays, base.normals
     d = len(rays)
-    if base.index == 1:
-        sizes, W = (), ()  # one residue class: the walk yields only k = ()
-    else:
-        snf = smith_normal_form(transpose(rays))
-        sizes, W = snf.s, snf.W
+    sizes = (1,) * d if base.index == 1 else hermite_diagonal(rays)
     q, a = _int_row(apex)
     den = q * base.index
-    # q * index * mu_j(W k) = <normal_j, a> - q <normal_j, W k>, affine in k
-    base_num = [dot(n, a) for n in base.normals]
-    wcols = transpose(W)  # wcols[i] is the i-th column of W
-    shift = [[q * dot(n, w) for w in wcols] for n in base.normals]
+    strict = [s < 0 for s in cone.sigma]
+    num = [dot(n, a) for n in normals]  # at k = 0
+    # moving k along axis i lowers num[j] by q * normals[j][i]; an axis
+    # of size 1 never moves
+    axes = [(i, sizes[i], [q * n[i] for n in normals])
+            for i in range(d) if sizes[i] > 1]
+    k = [0] * d
     points = []
-    for k in product(*(range(s) for s in sizes)):
-        x = [sum(k_i * w[t] for k_i, w in zip(k, wcols)) for t in range(d)]
+    while True:
+        x = list(k)
         for j in range(d):
-            num = base_num[j] - sum(k_i * s for k_i, s in zip(k, shift[j]))
             # closed: -floor(mu_j); strict: 1 - ceil(mu_j)
-            n_j = -(num // den) if cone.sigma[j] > 0 else 1 + (-num) // den
+            n_j = 1 + (-num[j]) // den if strict[j] else -(num[j] // den)
             if n_j:
                 for t in range(d):
                     x[t] += n_j * rays[j][t]
         points.append(tuple(x))
+        # the next k in the box: the last axis moves fastest
+        for i, size, step in reversed(axes):
+            if k[i] + 1 < size:
+                k[i] += 1
+                num = [v - s for v, s in zip(num, step)]
+                break
+            num = [v + k[i] * s for v, s in zip(num, step)]
+            k[i] = 0
+        else:
+            break
+    points.sort()
     return points
 
 
@@ -307,11 +330,13 @@ def count_leaves(pairs) -> int:
     return specialize_at_one(GenFun(terms=terms))
 
 
-def count_polytope(P: HPolytope, max_index: int = 1, stats=None) -> int:
+def count_polytope(P: HPolytope, max_index: int = DEFAULT_MAX_INDEX,
+                   stats=None) -> int:
     """Number of integer points in a bounded polytope, exactly.
 
     Signed-decomposes every vertex cone down to index at most max_index
-    and counts the leaves at their vertex with count_leaves.
+    and counts the leaves at their vertex with count_leaves.  The count
+    is the same for every max_index >= 1.
     """
     vertices = enumerate_vertices(P)
     if not vertices:

@@ -9,11 +9,12 @@ over faces is ever needed.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
-from .linalg import _int_row, dot, lll_reduce, vec_sub
+from .linalg import _int_row, dot, lll_reduce
 from .polytope import ClosedCone, SimplicialCone, triangulate
 
 
@@ -40,17 +41,30 @@ class HalfOpenCone:
     def index(self) -> int:
         return self.base.index
 
+    @cached_property
+    def _apex_numerators(self):
+        """(q, c): apex = a / q with a integer (_int_row), c_j = normals[j] . a."""
+        q, a = _int_row(self.base.apex)
+        return q, tuple(sum(map(mul, n, a)) for n in self.base.normals)
+
     def contains(self, x) -> bool:
         """Exact membership from the signs of the base cone's integer normals.
 
-        normals[j] . (x - apex) is -index * lam_j, so no division is
-        needed, and the arithmetic is integral when apex and x are.
+        normals[j] . (x - apex) is -index * lam_j.  With apex = a / q and
+        x = y / p for integer vectors a and y, its sign is that of
+        q (normals[j] . y) - p (normals[j] . a), so the test is in
+        integers: q (normals[j] . y) <= p c_j, strict where flagged.  The
+        c_j = normals[j] . a are computed once per cone.
         """
-        apex = self.base.apex
-        shifted = x if all(a == 0 for a in apex) else vec_sub(x, apex)
-        for normal, flag in zip(self.base.normals, self.sigma):
-            p = dot(normal, shifted)
-            if p > 0 or (p == 0 and flag < 0):
+        return self._contains_scaled(*_int_row(x))
+
+    def _contains_scaled(self, p, y):
+        """contains(y / p) for an integer vector y and p > 0."""
+        q, c = self._apex_numerators
+        for normal, c_j, flag in zip(self.base.normals, c, self.sigma):
+            v = q * sum(map(mul, normal, y))
+            rhs = p * c_j
+            if v > rhs or (v == rhs and flag < 0):
                 return False
         return True
 
@@ -60,10 +74,11 @@ def integral_row(normal, rhs):
 
     Scales by the lcm of the normal's denominators (linalg._int_row), so
     integer rows come back unchanged; the right-hand side stays an exact
-    Fraction.
+    Fraction.  Entries that are not ints or Fractions raise TypeError.
     """
     scale, ints = _int_row(normal)
-    return tuple(ints), Fraction(rhs) * scale
+    den, (num,) = _int_row((rhs,))
+    return tuple(ints), Fraction(num * scale, den)
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,8 @@ class SignedConeSum:
     terms: tuple  # of (eps, HalfOpenCone)
 
     def evaluate(self, x) -> int:
-        return sum(eps for eps, cone in self.terms if cone.contains(x))
+        p, y = _int_row(x)
+        return sum(eps for eps, cone in self.terms if cone._contains_scaled(p, y))
 
     def to_json(self):
         out = []

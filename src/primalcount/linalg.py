@@ -10,8 +10,10 @@ integers over a common denominator; every module that clears
 denominators calls it.  There is one Gaussian elimination, the
 fraction-free Gauss-Jordan _gauss_jordan: det, rank and solve scale
 their rows to integers with _int_row and call it, and adjugate_int
-calls it on integer rows.  Smith normal form and LLL take integer rows
-only.
+calls it on integer rows.  The Hermite diagonal, the Smith normal form
+and LLL take integer rows only.  Counting walks residue classes with
+hermite_diagonal; smith_normal_form is kept as the classical reference
+walk that the tests compare against.
 """
 
 from dataclasses import dataclass
@@ -31,16 +33,8 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
 
 
 def is_zero_vec(v) -> bool:
@@ -82,15 +76,6 @@ def transpose(M):
     return tuple(zip(*M)) if M else ()
 
 
-def mat_vec(M, v):
-    return tuple(dot(row, v) for row in M)
-
-
-def mat_mul(A, B):
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
 def _check_square(M):
     n = len(M)
     if n == 0 or any(len(row) != n for row in M):
@@ -104,11 +89,17 @@ def _int_row(row):
     row holds ints and Fractions (any numbers.Rational).  m is the lcm of
     their denominators and m * row a new list of ints, integral Fractions
     included, read from each entry's numerator and denominator without
-    Fraction arithmetic.
+    Fraction arithmetic.  Any other entry, such as a float or a str,
+    raises TypeError.
     """
     if all(isinstance(x, int) for x in row):
         return 1, list(row)
-    m = lcm(*[x.denominator for x in row])
+    try:
+        m = lcm(*[x.denominator for x in row])
+    except AttributeError:
+        bad = next(x for x in row if not hasattr(x, "denominator"))
+        raise TypeError("entries must be int or Fraction, not "
+                        f"{type(bad).__name__}") from None
     return m, [x.numerator * (m // x.denominator) for x in row]
 
 
@@ -201,7 +192,59 @@ def adjugate_int(M):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Hermite and Smith normal forms
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g and |g| = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def hermite_diagonal(rows):
+    """Diagonal h of the lower-triangular Hermite normal form of integer rows.
+
+    Unimodular row operations bring a nonsingular integer matrix R to a
+    lower-triangular H = U R with positive diagonal h, and the rows of H
+    generate the lattice of the rows of R.  So the box 0 <= k_i < h_i
+    holds exactly one point of each class of Z^n modulo that lattice:
+    row n of H reduces k's last coordinate into [0, h_n), then row n - 1
+    the one before, without touching the last, and so on.  prod(h) is
+    |det R|, the number of classes.  Columns are cleared from the last:
+    an extended-gcd step on two rows is unimodular and leaves one of
+    them without an entry in the column, so the rows end with one entry
+    left, +-h for that column, and that row leaves the elimination.
+    Only the diagonal is kept, so no other entry of H is reduced.
+    Raises SingularMatrixError when R is singular.
+    """
+    n = _check_square(rows)
+    M = [list(row) for row in rows]
+    h = []
+    for c in range(n - 1, -1, -1):
+        top = None  # the row that keeps column c, at full width c + 1
+        rest = []  # the others, cut to columns 0 .. c - 1
+        for row in M:
+            b = row[c]
+            if b == 0:
+                rest.append(row[:c])
+            elif top is None:
+                top = row
+            else:
+                a = top[c]
+                g, s, t = _xgcd(a, b)
+                ua, ub = a // g, b // g
+                rest.append([ua * y - ub * x for x, y in zip(top[:c], row)])
+                top = [s * x + t * y for x, y in zip(top, row)]
+        if top is None:
+            raise SingularMatrixError("singular matrix")
+        h.append(abs(top[c]))
+        M = rest
+    return tuple(reversed(h))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .errors import (
     UnboundedError,
 )
 from .genfun import (
+    DEFAULT_MAX_INDEX,
     CompiledLeaves,
     count_leaves,
     generic_directions,
@@ -78,7 +79,7 @@ class ParametricPolytope:
         self.qset = qset
         self._analyses = {}
 
-    def analysis(self, max_index=1):
+    def analysis(self, max_index=DEFAULT_MAX_INDEX):
         if max_index not in self._analyses:
             self._analyses[max_index] = ParametricAnalysis(self, max_index)
         return self._analyses[max_index]
@@ -438,7 +439,8 @@ class ParametricAnalysis:
     as an independent check of the compiled route.
     """
 
-    def __init__(self, pp: ParametricPolytope, max_index: int = 1):
+    def __init__(self, pp: ParametricPolytope,
+                 max_index: int = DEFAULT_MAX_INDEX):
         # qset and qdim, not pp: pp caches this analysis, and a reference
         # back would make a cycle that outlives pp until a full collection
         self.qset, self.qdim = pp.qset, pp.qdim
@@ -557,8 +559,9 @@ class ParametricAnalysis:
         return count
 
 
-def evaluate_count(pp: ParametricPolytope, q0, max_index: int = 1,
-                   stats=None, via="chambers") -> int:
+def evaluate_count(pp: ParametricPolytope, q0,
+                   max_index: int = DEFAULT_MAX_INDEX, stats=None,
+                   via="chambers") -> int:
     """Exact |P_q0 intersect Z^d| for one parameter value.
 
     Returns 0 when q0 lies outside Q or outside every chamber (the

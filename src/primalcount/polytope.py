@@ -155,11 +155,6 @@ class SimplicialCone:
         object.__setattr__(child, "index", abs(c_m))
         return child
 
-    def coefficients(self, x):
-        """Coefficients lam with x - apex == sum lam_j rays[j]."""
-        shifted = vec_sub(x, self.apex)
-        return tuple(Fraction(-dot(n, shifted), self.index) for n in self.normals)
-
 
 def enumerate_vertices(P: HPolytope):
     """All vertices of a bounded full-dimensional polytope, sorted.

@@ -10,8 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import floor, lcm, log2
+from pathlib import Path
 
-from primalcount.cli import main
+from primalcount.cli import main, parse_parametric, parse_polytope
 from primalcount.genfun import (
     GenFun,
     count_polytope,
@@ -27,7 +28,7 @@ from primalcount.halfopen import (
     halfopen_triangulate,
     signed_decompose,
 )
-from primalcount.linalg import det, rank, solve, transpose, vec_add, vec_primitive, vec_scale
+from primalcount.linalg import det, rank, solve, transpose, vec_primitive
 from primalcount.lp import interior_point
 from primalcount.oracle import brute_count
 from primalcount.parametric import ParametricPolytope, evaluate_count
@@ -208,10 +209,11 @@ def test_acceptance_04_halfopen_triangulation_partitions():
             points = [base_pt]
             for r in cone.rays:
                 for k in (1, 2, 3):
-                    points.append(vec_add(base_pt, vec_scale(k, r)))
+                    points.append(tuple(p + k * x for p, x in zip(base_pt, r)))
             for ri, rj in combinations(cone.rays, 2):
                 for a, b in ((1, 1), (1, 2), (2, 1)):
-                    points.append(vec_add(base_pt, vec_add(vec_scale(a, ri), vec_scale(b, rj))))
+                    points.append(tuple(p + a * x + b * y
+                                        for p, x, y in zip(base_pt, ri, rj)))
             while len(points) < 10000:
                 points.append(tuple(base_pt[i] + rng.randint(-7, 7) for i in range(d)))
             for x in points:
@@ -309,6 +311,26 @@ def test_acceptance_08_count_invariant_under_max_index():
         assert count_polytope(P, max_index=10) == got
         assert count_polytope(P, max_index=100) == got
     print("acceptance 8 PASS: max_index in {1, 10, 100} gives identical counts")
+
+
+def test_default_max_index_counts_match_unimodular_leaves():
+    # the default stopping index changes the leaves, never a count: the
+    # acceptance corpus, the polytopes of tests/data and the sweep family
+    # at its chamber samples and a few wall and rational points
+    for P, got in _counting_corpus():
+        assert count_polytope(P) == got
+    data = Path(__file__).parent / "data"
+    for name in ("octahedron.txt", "skew4.txt"):
+        P = parse_polytope((data / name).read_text())
+        assert count_polytope(P) == count_polytope(P, max_index=1), name
+    pp = parse_parametric((data / "sweep_family.txt").read_text())
+    points = [ch.sample for ch in pp.analysis().chambers]
+    points += [(0, 0), (7, 9), (Fraction(7, 3), Fraction(11, 3)), (100, 3)]
+    for q in points:
+        want = evaluate_count(pp, q, max_index=1)
+        assert evaluate_count(pp, q) == want, q
+        assert evaluate_count(pp, q, via="activities") == want, q
+    print("default max_index: counts equal max_index 1 on the corpus and tests/data")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Tests for generating functions, parallelepiped points, and counting."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, lcm
+from pathlib import Path
 
 import pytest
 
-from primalcount import genfun
+from primalcount import genfun, linalg
+from primalcount.cli import parse_parametric
 from primalcount.genfun import (
     CompiledLeaves,
     GenFun,
@@ -26,6 +29,8 @@ from primalcount.halfopen import HalfOpenCone, signed_decompose
 from primalcount.linalg import det, dot, identity, smith_normal_form, solve, transpose
 from primalcount.polytope import HPolytope, SimplicialCone, enumerate_vertices, vertex_cone
 
+DATA = Path(__file__).parent / "data"
+
 
 def hoc(rays, sigma, apex=None):
     d = len(rays[0])
@@ -33,6 +38,12 @@ def hoc(rays, sigma, apex=None):
         apex = (Fraction(0),) * d
     return HalfOpenCone(base=SimplicialCone(apex=tuple(apex), rays=tuple(map(tuple, rays))),
                         sigma=tuple(sigma))
+
+
+def coefficients(cone, x):
+    """Fraction ray coordinates lam of x: x - apex == sum lam_j rays[j]."""
+    shifted = tuple(a - b for a, b in zip(x, cone.base.apex))
+    return solve(transpose(cone.base.rays), shifted)
 
 
 def brute_parallelepiped(rays, sigma, apex):
@@ -47,7 +58,7 @@ def brute_parallelepiped(rays, sigma, apex):
     cone = hoc(rays, sigma, apex)
     found = []
     for x in product(*(range(int(lo) - 1, int(hi) + 2) for lo, hi in bounds)):
-        lam = cone.base.coefficients(x)
+        lam = coefficients(cone, x)
         ok = True
         for l, s in zip(lam, sigma):
             if s > 0 and not (0 <= l < 1):
@@ -120,7 +131,7 @@ def parallelepiped_reference(cone, apex):
 
 
 def test_parallelepiped_matches_fraction_reference():
-    # Same points in the same order as the rational-dual computation,
+    # The points of the rational-dual computation on a Smith walk, sorted,
     # for d = 2..4, both signs of det, mixed flags and apexes with
     # denominators 1..7 and negative coordinates.
     rng = random.Random(11)
@@ -138,7 +149,7 @@ def test_parallelepiped_matches_fraction_reference():
         apex = tuple(Fraction(rng.randint(-6 * den, 6 * den), den) for _ in range(d))
         cone = hoc(rays, sigma)
         got = parallelepiped_points(cone, apex)
-        assert got == parallelepiped_reference(cone, apex), (rays, sigma, apex)
+        assert got == sorted(parallelepiped_reference(cone, apex)), (rays, sigma, apex)
         assert len(got) == abs(D)
         seen["det"].add(D > 0)
         seen["den"].add(max(a.denominator for a in apex))
@@ -149,17 +160,24 @@ def test_parallelepiped_matches_fraction_reference():
     assert seen["mixed"] >= 50 and seen["negative"] >= 50
 
 
-def test_unimodular_parallelepiped_needs_no_smith_form(monkeypatch):
-    # Index-1 cones have one residue class: the same single point as the
-    # Fraction reference, for rational apexes and mixed flags, and no
-    # Smith form; cones of larger index still take one.
-    calls = []
-    real = genfun.smith_normal_form
-    monkeypatch.setattr(genfun, "smith_normal_form",
-                        lambda B: calls.append(B) or real(B))
+def test_no_smith_form_for_any_index(monkeypatch):
+    # Residue classes come from the Hermite box at every index: with every
+    # binding of smith_normal_form made to raise, the walk still gives the
+    # sorted points of the Smith-walk reference on cones of index 1..30
+    # with rational apexes and mixed flags, and fixed counts, both
+    # parametric routes and chamber compilation run at indices above 1.
+    def refuse(B):
+        raise AssertionError("smith_normal_form called")
+
+    real = linalg.smith_normal_form
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "primalcount"
+                and vars(module).get("smith_normal_form") is real):
+            monkeypatch.setattr(module, "smith_normal_form", refuse)
+    assert linalg.smith_normal_form is refuse
     rng = random.Random(19)
     seen = {1: 0, "big": 0, "mixed": 0}
-    while seen[1] < 150 or seen["big"] < 30:
+    while seen[1] < 60 or seen["big"] < 200:
         d = rng.choice((2, 3, 4))
         rays = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d))
         D = abs(det(transpose(rays)))
@@ -169,13 +187,27 @@ def test_unimodular_parallelepiped_needs_no_smith_form(monkeypatch):
         den = rng.randint(1, 6)
         apex = tuple(Fraction(rng.randint(-5 * den, 5 * den), den) for _ in range(d))
         cone = hoc(rays, sigma)
-        before = len(calls)
-        got = parallelepiped_points(cone, apex)
-        assert got == parallelepiped_reference(cone, apex), (rays, sigma, apex)
-        assert len(calls) - before == (D > 1)
+        want = sorted(parallelepiped_reference(cone, apex))  # its own Smith form
+        assert parallelepiped_points(cone, apex) == want, (rays, sigma, apex)
         seen[1 if D == 1 else "big"] += 1
-        seen["mixed"] += D == 1 and len(set(sigma)) == 2
-    assert seen["mixed"] >= 50
+        seen["mixed"] += len(set(sigma)) == 2
+    assert seen["mixed"] >= 100
+
+    A = [(-2, 1), (1, -3), (1, 1)]
+    b = [0, 0, 11]
+    stats = {}
+    assert count_polytope(HPolytope(A=tuple(A), b=tuple(b)), stats=stats) == \
+        brute_box_count(A, b, [(-1, 12), (-1, 12)])
+    assert stats["num_cones"] > 0
+    pp = parse_parametric((DATA / "sweep_family.txt").read_text())
+    for max_index in (5, 20):
+        analysis = pp.analysis(max_index)
+        for ch in analysis.chambers:
+            assert analysis.count_at(ch.sample) == \
+                analysis.count_at(ch.sample, via="activities")
+        leaves = {leaf for v in analysis.vertices if v.cone is not None
+                  for _, leaf in analysis._decomposition(v)[0]}
+        assert max(leaf.index for leaf in leaves) > 1
 
 
 def test_parallelepiped_halfopen_lambda_membership():
@@ -183,7 +215,7 @@ def test_parallelepiped_halfopen_lambda_membership():
     pts = parallelepiped_points(cone, (0, 0))
     assert len(pts) == 6
     for p in pts:
-        lam = cone.base.coefficients(p)
+        lam = coefficients(cone, p)
         assert 0 < lam[0] <= 1
         assert 0 <= lam[1] < 1
 

@@ -20,7 +20,7 @@ from primalcount.halfopen import (
     perturbed_direction,
     signed_decompose,
 )
-from primalcount.linalg import det, identity, mat_mul, solve, transpose
+from primalcount.linalg import det, dot, identity, solve, transpose
 from primalcount.polytope import (
     ClosedCone,
     HPolytope,
@@ -29,6 +29,17 @@ from primalcount.polytope import (
     triangulate,
     vertex_cone,
 )
+
+
+def mat_mul(A, B):
+    return tuple(tuple(dot(row, col) for col in transpose(B)) for row in A)
+
+
+def contains_reference(cone, x):
+    """HalfOpenCone.contains in Fractions, from the ray coordinates of x."""
+    shifted = tuple(Fraction(a) - b for a, b in zip(x, cone.base.apex))
+    lam = solve(transpose(cone.base.rays), shifted)
+    return all(l > 0 if s < 0 else l >= 0 for l, s in zip(lam, cone.sigma))
 
 
 def hoc(rays, sigma, apex=None):
@@ -67,9 +78,43 @@ def test_halfopen_cone_contains_matches_coefficients():
         cone = hoc(rays, sigma)
         for _ in range(20):
             x = (rng.randint(-5, 5), rng.randint(-5, 5))
-            lam = cone.base.coefficients(x)
-            expected = all(l > 0 if s < 0 else l >= 0 for l, s in zip(lam, sigma))
-            assert cone.contains(x) == expected
+            assert cone.contains(x) == contains_reference(cone, x)
+
+
+def test_contains_matches_fraction_reference_with_rational_apexes():
+    # The integer test q (normals . y) <= p c_j, x = y / p, against the
+    # Fraction ray coordinates, in d = 2..4 with rational apexes, at
+    # integer points, rational points and points on the facets.
+    rng = random.Random(29)
+    seen = {"in": 0, "out": 0, "facet": 0}
+    cones = 0
+    while cones < 120:
+        d = 2 + cones % 3
+        rays = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d))
+        if det(transpose(rays)) == 0:
+            continue
+        cones += 1
+        sigma = tuple(rng.choice([1, -1]) for _ in range(d))
+        den = rng.randint(1, 5)
+        apex = tuple(Fraction(rng.randint(-4 * den, 4 * den), den) for _ in range(d))
+        cone = hoc(rays, sigma, apex)
+        for k in range(30):
+            if k % 3 == 0:
+                x = tuple(rng.randint(-6, 6) for _ in range(d))
+            elif k % 3 == 1:
+                x = tuple(Fraction(rng.randint(-18, 18), rng.randint(1, 3))
+                          for _ in range(d))
+            else:
+                # a point of the cone's boundary or its mirror image
+                lam = [Fraction(rng.randint(-2, 6), rng.randint(1, 3)) for _ in range(d)]
+                lam[rng.randrange(d)] = 0
+                x = tuple(a + sum(l * r[t] for l, r in zip(lam, rays))
+                          for t, a in enumerate(apex))
+                seen["facet"] += 1
+            want = contains_reference(cone, x)
+            assert cone.contains(x) == want, (rays, sigma, apex, x)
+            seen["in" if want else "out"] += 1
+    assert min(seen.values()) >= 300
 
 
 def test_halfopen_cone_fractional_apex():

@@ -225,6 +225,30 @@ def test_type_check_catches_integral_fractions(monkeypatch):
         assert_same(got, want)
 
 
+@pytest.mark.parametrize("bad", [1.5, "1/2", 2.0])
+def test_float_and_str_entries_raise_type_error(bad):
+    # exact input only: a float, even an integral one, or a str is refused
+    # by name instead of failing on a missing attribute
+    message = "int or Fraction, not " + type(bad).__name__
+    with pytest.raises(TypeError, match=message):
+        _int_row((Fraction(1, 2), bad))
+    with pytest.raises(TypeError, match=message):
+        HPolytope(A=((1,), (-1,)), b=(bad, 0))
+    with pytest.raises(TypeError, match=message):
+        HPolytope(A=((bad,), (-1,)), b=(1, 0))
+    with pytest.raises(TypeError, match=message):
+        integral_row((1, bad), 0)
+    with pytest.raises(TypeError, match=message):
+        integral_row((1, 2), bad)
+    with pytest.raises(TypeError, match=message):
+        ParametricPolytope(A=[[1], [-1]], E=[[1], [0]], f=[bad, 0])
+    with pytest.raises(TypeError, match=message):
+        ParametricPolytope(A=[[1], [-1]], E=[[bad], [0]], f=[1, 0])
+    # the all-int rows of the fast path and exact rationals still pass
+    assert _int_row((1, 2)) == (1, [1, 2])
+    assert HPolytope(A=((2,), (-1,)), b=(Fraction(3, 2), 0)).b == (3, 0)
+
+
 # ---------------------------------------------------------------------------
 # parametric vertex maps against the inverse route
 

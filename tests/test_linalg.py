@@ -9,16 +9,23 @@ from primalcount.linalg import (
     adjugate_int,
     det,
     dot,
+    hermite_diagonal,
     identity,
     lll_reduce,
-    mat_mul,
-    mat_vec,
     rank,
     smith_normal_form,
     solve,
     transpose,
     vec_primitive,
 )
+
+
+def mat_vec(M, v):
+    return tuple(dot(row, v) for row in M)
+
+
+def mat_mul(A, B):
+    return tuple(tuple(dot(row, col) for col in transpose(B)) for row in A)
 
 
 def det_cofactor(M):
@@ -284,6 +291,57 @@ def test_smith_random_invariants():
 def test_smith_determinism():
     B = ((4, 6, 2), (2, 8, 4), (6, 2, 8))
     assert smith_normal_form(B) == smith_normal_form(B)
+
+
+# ---------------------------------------------------------------------------
+# Hermite diagonal
+
+
+def same_class(rows, u, v):
+    """Whether u - v lies in the lattice of the rows, by Fraction solve."""
+    coords = solve(transpose(rows), tuple(a - b for a, b in zip(u, v)))
+    return all(c.denominator == 1 for c in coords)
+
+
+def test_hermite_diagonal_known_cases():
+    assert hermite_diagonal(((2, 0), (0, 3))) == (2, 3)
+    # rows (1, 0), (1, 2): the classes are told apart by y mod 2
+    assert hermite_diagonal(((1, 0), (1, 2))) == (1, 2)
+    assert hermite_diagonal(((0, 1), (1, 0))) == (1, 1)
+    assert hermite_diagonal(((-3,),)) == (3,)
+    assert hermite_diagonal(identity(4)) == (1, 1, 1, 1)
+    with pytest.raises(SingularMatrixError):
+        hermite_diagonal(((1, 2), (2, 4)))
+
+
+def test_hermite_box_has_det_size_and_distinct_classes():
+    # prod(h) = |det R|, and the box 0 <= k_i < h_i holds pairwise
+    # inequivalent points, so it is a full set of residue classes
+    rng = random.Random(41)
+    done = 0
+    nontrivial = 0
+    while done < 150:
+        n = rng.randint(1, 4)
+        R = random_int_matrix(rng, n, -5, 5)
+        D = det(R)
+        if D == 0 or abs(D) > 40:
+            continue
+        h = hermite_diagonal(R)
+        assert all(isinstance(x, int) and x > 0 for x in h)
+        box = list(product(*(range(x) for x in h)))
+        assert len(box) == abs(D)
+        for i, u in enumerate(box):
+            for v in box[:i]:
+                assert not same_class(R, u, v), (R, u, v)
+        # any lattice translate of a box point stays in its class
+        k = rng.choice(box)
+        c = [rng.randint(-3, 3) for _ in R]
+        shifted = tuple(a + sum(ci * r[t] for ci, r in zip(c, R))
+                        for t, a in enumerate(k))
+        assert same_class(R, shifted, k)
+        nontrivial += sum(x > 1 for x in h) > 1
+        done += 1
+    assert nontrivial >= 5  # some boxes are not a single axis
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from primalcount import genfun, linalg, parametric
+from primalcount import genfun, parametric
 from primalcount.cli import parse_parametric
 from primalcount.errors import NotFullDimensionalError, UnboundedError
 from primalcount.genfun import count_leaves, count_polytope
@@ -343,7 +343,8 @@ class TestEvaluateCount:
 
     def test_stats_do_not_depend_on_earlier_evaluations(self):
         # x >= 0 and five rows a.x <= e.q + f over q >= 0: vertex cones of
-        # different decomposition depths are active at different q.
+        # different decomposition depths are active at different q.  Depths
+        # differ only when cones are decomposed to unimodular leaves.
         def family():
             return ParametricPolytope(
                 A=[[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 2, 3], [3, 2, 1],
@@ -355,16 +356,16 @@ class TestEvaluateCount:
 
         q = (100, 3)
         fresh = {}
-        want = evaluate_count(family(), q, stats=fresh)
+        want = evaluate_count(family(), q, max_index=1, stats=fresh)
         warm_pp = family()
         depths = []
         for earlier in ((1, 1), (7, 9)):
             stats = {}
-            evaluate_count(warm_pp, earlier, stats=stats)
+            evaluate_count(warm_pp, earlier, max_index=1, stats=stats)
             depths.append(stats["max_depth"])
         assert max(depths) > fresh["max_depth"]  # a deeper cone came first
         warm = {}
-        assert evaluate_count(warm_pp, q, stats=warm) == want
+        assert evaluate_count(warm_pp, q, max_index=1, stats=warm) == want
         assert warm == fresh
 
     def test_parameter_dimension_mismatch(self):
@@ -571,10 +572,10 @@ class TestCompiledChambers:
             evaluate_count(interval_family(), [1], via="vertices")
 
     @pytest.mark.parametrize("max_index", [1, 5])
-    def test_no_smith_form_after_each_chamber_is_compiled(self, max_index,
-                                                           monkeypatch):
-        # Each chamber compiles once; later evaluations run no Smith form,
-        # no parallelepiped walk and no compilation.
+    def test_no_walk_or_compilation_after_each_chamber_is_compiled(self, max_index,
+                                                                   monkeypatch):
+        # Each chamber compiles once; later evaluations run no
+        # parallelepiped walk and no compilation.
         pp = sweep_family()
         analysis = pp.analysis(max_index)
         for chamber in analysis.chambers:
@@ -588,9 +589,6 @@ class TestCompiledChambers:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (genfun, linalg):
-            monkeypatch.setattr(module, "smith_normal_form",
-                                counted("smith", module.smith_normal_form))
         monkeypatch.setattr(genfun, "parallelepiped_points",
                             counted("pp", genfun.parallelepiped_points))
         monkeypatch.setattr(parametric, "CompiledLeaves",
@@ -600,11 +598,7 @@ class TestCompiledChambers:
         assert calls == []
         assert sum(counts) > 0
         evaluate_count(pp, (7, 9), max_index=max_index, via="activities")
-        # the counters do count; at max index 1 every leaf is unimodular
-        # and takes no Smith form, even on the activities route
-        assert "pp" in calls
-        if max_index > 1:
-            assert "smith" in calls
+        assert "pp" in calls  # the counter does count
 
 
 def cells_reference(base, hyperplanes, interior_point=interior_point):

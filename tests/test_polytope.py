@@ -9,7 +9,16 @@ from primalcount.errors import (
     NotFullDimensionalError,
     UnboundedError,
 )
-from primalcount.linalg import adjugate_int, det, dot, rank, solve, vec_primitive, vec_sub
+from primalcount.linalg import (
+    adjugate_int,
+    det,
+    dot,
+    rank,
+    solve,
+    transpose,
+    vec_primitive,
+    vec_sub,
+)
 from primalcount.lp import OPTIMAL, interior_point, lp_feasible, lp_maximize
 from primalcount.polytope import (
     ClosedCone,
@@ -425,8 +434,13 @@ def test_extreme_rays_match_reference_on_random_cones():
 # triangulation
 
 
+def coefficients(cone: SimplicialCone, x):
+    """Fraction ray coordinates lam of x: x - apex == sum lam_j rays[j]."""
+    return solve(transpose(cone.rays), vec_sub(x, cone.apex))
+
+
 def in_simplicial(cone: SimplicialCone, x) -> bool:
-    return all(c >= 0 for c in cone.coefficients(x))
+    return all(c >= 0 for c in coefficients(cone, x))
 
 
 def test_triangulate_simplicial_is_identity():
@@ -556,7 +570,10 @@ def test_simplicial_cone_duals():
         for i, ri in enumerate(cone.rays):
             assert dot(nj, ri) == (-1 if i == j else 0)
     assert cone.index == 2
-    assert cone.coefficients((2, 2)) == (1, 1)
+    assert coefficients(cone, (2, 2)) == (1, 1)
+    for x in ((2, 2), (3, -1), (0, 5)):
+        assert coefficients(cone, x) == tuple(
+            Fraction(-dot(n, x), cone.index) for n in cone.normals)
 
 
 def test_simplicial_cone_normals():
@@ -568,7 +585,7 @@ def test_simplicial_cone_normals():
             assert all(isinstance(x, int) for x in nj)
             for i, ri in enumerate(cone.rays):
                 assert dot(nj, ri) == (-cone.index if i == j else 0)
-        assert sorted(cone.coefficients((2, 2))) == [1, 1]
+        assert sorted(coefficients(cone, (2, 2))) == [1, 1]
 
 
 def test_simplicial_cone_rejects_dependent_rays():
