@@ -325,8 +325,11 @@ def count_leaves(pairs) -> int:
     to apex.  Sums the leaves' generating-function terms and specializes
     the total at z = 1.
     """
-    terms = tuple(gf_term(leaf, apex, sign=eps)
-                  for apex, leaves in pairs for eps, leaf in leaves)
+    # A list first: CPython builds tuple(generator) at a guessed size and
+    # resizes it, and a resized tuple of fewer than 20 items that is freed
+    # stays on the tuple free list, so each count would keep one behind.
+    terms = tuple([gf_term(leaf, apex, sign=eps)
+                   for apex, leaves in pairs for eps, leaf in leaves])
     return specialize_at_one(GenFun(terms=terms))
 
 
