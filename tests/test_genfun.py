@@ -193,12 +193,10 @@ def test_no_smith_form_for_any_index(monkeypatch):
         seen["mixed"] += len(set(sigma)) == 2
     assert seen["mixed"] >= 100
 
-    A = [(-2, 1), (1, -3), (1, 1)]
+    A = [(-2, 1), (1, -3), (1, 1)]  # vertex cones of index 5, 3 and 4
     b = [0, 0, 11]
-    stats = {}
-    assert count_polytope(HPolytope(A=tuple(A), b=tuple(b)), stats=stats) == \
+    assert count_polytope(HPolytope(A=tuple(A), b=tuple(b))) == \
         brute_box_count(A, b, [(-1, 12), (-1, 12)])
-    assert stats["num_cones"] > 0
     pp = parse_parametric((DATA / "sweep_family.txt").read_text())
     for max_index in (5, 20):
         analysis = pp.analysis(max_index)
@@ -435,6 +433,29 @@ def test_count_skew_triangle_and_stop_levels():
     expected = brute_box_count(A, b, [(-1, 12), (-1, 12)])
     counts = {ell: count_polytope(P, max_index=ell) for ell in (1, 10, 100)}
     assert set(counts.values()) == {expected}
+
+
+def test_repeated_counts_keep_no_memory():
+    # A count leaves nothing allocated behind.  tuple() of a generator is
+    # resized after it is built, and a resized tuple of fewer than 20
+    # items stays on CPython's tuple free list when freed, so leaf terms
+    # built that way kept one block per count.
+    pyramid = HPolytope(A=((0, 0, -1), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
+                        b=(0, 1, 1, 1, 1))
+    stats = {}
+    count_polytope(pyramid, stats=stats)
+    n = stats["num_cones"]  # the size of the term tuple, used by nothing else
+    assert n == 6
+    for _ in range(100):
+        count_polytope(pyramid)
+    # holding 2000 tuples of that size empties its free list, whatever
+    # earlier tests left there
+    held = [tuple([k] * n) for k in range(2000)]
+    before = sys.getallocatedblocks()
+    for _ in range(500):
+        count_polytope(pyramid)
+    assert sys.getallocatedblocks() - before < 100
+    del held
 
 
 def test_count_stats():
