@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from primalcount import genfun, parametric
+from primalcount import genfun, linalg, parametric
 from primalcount.cli import parse_parametric
 from primalcount.errors import NotFullDimensionalError, UnboundedError
 from primalcount.genfun import count_leaves, count_polytope
@@ -572,10 +572,10 @@ class TestCompiledChambers:
             evaluate_count(interval_family(), [1], via="vertices")
 
     @pytest.mark.parametrize("max_index", [1, 5])
-    def test_no_walk_or_compilation_after_each_chamber_is_compiled(self, max_index,
-                                                                   monkeypatch):
-        # Each chamber compiles once; later evaluations run no
-        # parallelepiped walk and no compilation.
+    def test_no_smith_form_after_each_chamber_is_compiled(self, max_index,
+                                                           monkeypatch):
+        # Each chamber compiles once; later evaluations run no Smith form,
+        # no parallelepiped walk and no compilation.
         pp = sweep_family()
         analysis = pp.analysis(max_index)
         for chamber in analysis.chambers:
@@ -589,6 +589,9 @@ class TestCompiledChambers:
                 return fn(*args, **kwargs)
             return wrapper
 
+        for module in (genfun, linalg):
+            monkeypatch.setattr(module, "smith_normal_form",
+                                counted("smith", module.smith_normal_form))
         monkeypatch.setattr(genfun, "parallelepiped_points",
                             counted("pp", genfun.parallelepiped_points))
         monkeypatch.setattr(parametric, "CompiledLeaves",
@@ -598,7 +601,10 @@ class TestCompiledChambers:
         assert calls == []
         assert sum(counts) > 0
         evaluate_count(pp, (7, 9), max_index=max_index, via="activities")
-        assert "pp" in calls  # the counter does count
+        # the walk counter does count; residue classes come from the
+        # Hermite box, so even the activities route takes no Smith form
+        assert "pp" in calls
+        assert "smith" not in calls
 
 
 def cells_reference(base, hyperplanes, interior_point=interior_point):
