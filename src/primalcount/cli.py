@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the half-open chamber decomposition")
     decompose = sub.add_parser("decompose", parents=[common],
                                help="print one vertex cone's signed "
-                                    "unimodular decomposition")
+                                    "decomposition into leaves of index "
+                                    "at most --max-index")
     decompose.add_argument("--vertex", type=int, default=0, metavar="K",
                            help="vertex index (sorted order)")
     sub.add_parser("oracle", parents=[common],

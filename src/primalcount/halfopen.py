@@ -12,9 +12,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 
-from .linalg import _int_row, dot, lll_reduce
+from .linalg import _apex_rows, _int_row, _rows_hold, dot, lll_reduce
 from .polytope import ClosedCone, SimplicialCone, triangulate
 
 
@@ -42,31 +42,20 @@ class HalfOpenCone:
         return self.base.index
 
     @cached_property
-    def _apex_numerators(self):
-        """(q, c): apex = a / q with a integer (_int_row), c_j = normals[j] . a."""
-        q, a = _int_row(self.base.apex)
-        return q, tuple(sum(map(mul, n, a)) for n in self.base.normals)
+    def int_rows(self):
+        """The facets as linalg._apex_rows, strict where sigma is -1."""
+        return _apex_rows(self.base.apex, self.base.normals,
+                          [s < 0 for s in self.sigma])
 
     def contains(self, x) -> bool:
         """Exact membership from the signs of the base cone's integer normals.
 
         normals[j] . (x - apex) is -index * lam_j.  With apex = a / q and
         x = y / p for integer vectors a and y, its sign is that of
-        q (normals[j] . y) - p (normals[j] . a), so the test is in
-        integers: q (normals[j] . y) <= p c_j, strict where flagged.  The
-        c_j = normals[j] . a are computed once per cone.
+        q (normals[j] . y) - p (normals[j] . a): linalg._rows_hold on
+        int_rows decides it in integers, strict where flagged.
         """
-        return self._contains_scaled(*_int_row(x))
-
-    def _contains_scaled(self, p, y):
-        """contains(y / p) for an integer vector y and p > 0."""
-        q, c = self._apex_numerators
-        for normal, c_j, flag in zip(self.base.normals, c, self.sigma):
-            v = q * sum(map(mul, normal, y))
-            rhs = p * c_j
-            if v > rhs or (v == rhs and flag < 0):
-                return False
-        return True
+        return _rows_hold(self.int_rows, *_int_row(x))
 
 
 def integral_row(normal, rhs):
@@ -98,28 +87,33 @@ class HalfOpenPolyhedron:
     def is_closed(self) -> bool:
         return all(not strict for _, _, strict in self.rows)
 
+    @cached_property
+    def int_rows(self):
+        """Each row g . x <= num / den as the _rows_hold row (den g, num)."""
+        return tuple((tuple(h.denominator * x for x in g), h.numerator, strict)
+                     for g, h, strict in self.rows)
+
+    def _scaled(self, x):
+        """_int_row(x), for a point x of the rows' dimension."""
+        if self.rows and len(x) != len(self.rows[0][0]):
+            raise ValueError("dimension mismatch")
+        return _int_row(x)
+
     def contains(self, x) -> bool:
-        for normal, rhs, strict in self.rows:
-            v = dot(normal, x)
-            if v > rhs or (strict and v == rhs):
-                return False
-        return True
+        return _rows_hold(self.int_rows, *self._scaled(x))
 
     def contains_nearby(self, x, direction) -> bool:
         """Membership of x + t * direction for all small t > 0, exactly.
 
-        Decides by first-order comparison, no epsilon arithmetic: a tight
-        row must strictly improve, a slack row always survives.
+        Decides by first-order comparison, no epsilon arithmetic: x lies
+        in the closure, and each row tight at x holds for direction at 0.
         """
-        for normal, rhs, strict in self.rows:
-            v = dot(normal, x)
-            if v > rhs:
-                return False
-            if v == rhs:
-                slope = dot(normal, direction)
-                if slope > 0 or (slope == 0 and strict):
-                    return False
-        return True
+        p, y = self._scaled(x)
+        if not _rows_hold([(g, h, False) for g, h, _ in self.int_rows], p, y):
+            return False
+        tight = [(g, 0, strict) for g, h, strict in self.int_rows
+                 if not _rows_hold([(g, h, True)], p, y)]
+        return _rows_hold(tight, *self._scaled(direction))
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,8 @@ class SignedConeSum:
 
     def evaluate(self, x) -> int:
         p, y = _int_row(x)
-        return sum(eps for eps, cone in self.terms if cone._contains_scaled(p, y))
+        return sum(eps for eps, cone in self.terms
+                   if _rows_hold(cone.int_rows, p, y))
 
     def to_json(self):
         out = []

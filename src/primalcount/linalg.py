@@ -7,7 +7,9 @@ lowest terms, so the numeric types here are the builtins.
 
 _int_row is the one rule that turns a row of ints and Fractions into
 integers over a common denominator; every module that clears
-denominators calls it.  There is one Gaussian elimination, the
+denominators calls it.  _rows_hold is the one membership rule: cones
+(rows from _apex_rows), half-open polyhedra and chambers test a point
+against integer rows.  There is one Gaussian elimination, the
 fraction-free Gauss-Jordan _gauss_jordan: det, rank and solve scale
 their rows to integers with _int_row and call it, and adjugate_int
 calls it on integer rows.  The Hermite diagonal, the Smith normal form
@@ -19,6 +21,7 @@ walk that the tests compare against.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import SingularMatrixError
 
@@ -31,10 +34,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum(a * b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def is_zero_vec(v) -> bool:
@@ -101,6 +100,25 @@ def _int_row(row):
         raise TypeError("entries must be int or Fraction, not "
                         f"{type(bad).__name__}") from None
     return m, [x.numerator * (m // x.denominator) for x in row]
+
+
+def _rows_hold(rows, p, y):
+    """Whether x = y / p (integer y, p > 0) satisfies every integer row
+    (g, h, strict), that is g . y <= h * p, or < where strict."""
+    for g, h, strict in rows:
+        v = sum(map(mul, g, y))
+        rhs = h * p
+        if v > rhs or (strict and v == rhs):
+            return False
+    return True
+
+
+def _apex_rows(apex, normals, strict):
+    """The cone {x : n . (x - apex) <= 0} as _rows_hold rows, < where
+    strict: with apex = a / q (_int_row) each n gives (q n, n . a)."""
+    q, a = _int_row(apex)
+    return tuple((tuple(q * x for x in n), sum(map(mul, n, a)), s)
+                 for n, s in zip(normals, strict))
 
 
 def det(M):

@@ -38,7 +38,7 @@ from .halfopen import (
     perturbed_direction,
     signed_decompose,
 )
-from .linalg import _int_row, adjugate_int, dot, identity
+from .linalg import _int_row, _rows_hold, adjugate_int, dot, identity
 from .lp import (
     OPTIMAL,
     interior_point,
@@ -393,25 +393,6 @@ def halfopen_activity_regions(vertices, chambers, y_q=None):
     return [(v, _halfopen_region(v.activity, y_q, chambers)) for v in vertices]
 
 
-def _integer_rows(region):
-    """A region's rows g . q <= h as (g * den(h), num(h), strict).
-
-    At q = z / D with integer z and D > 0 the row holds iff
-    g' . z <= h' * D (< when strict), so membership needs no Fraction.
-    """
-    return tuple((tuple(x * h.denominator for x in g), h.numerator, strict)
-                 for g, h, strict in region.rows)
-
-
-def _contains_scaled(rows, z, D):
-    for g, h, strict in rows:
-        v = sum(map(mul, g, z))
-        rhs = h * D
-        if v > rhs or (strict and v == rhs):
-            return False
-    return True
-
-
 def _integer_map(vertex):
     """v(q) = M q + c as (M', c', m) with M = M' / m and c = c' / m."""
     width = len(vertex.map_M[0]) + 1
@@ -431,12 +412,12 @@ class _CompiledChamber:
 class ParametricAnalysis:
     """Precomputed chambers, half-open regions, and cone decompositions.
 
-    Evaluation through the chambers is compiled: every half-open chamber
-    and Q keep their rows as integers (_integer_rows), and a chamber's
-    active vertex maps and leaves become a _CompiledChamber on the first
+    Evaluation through the chambers is compiled: q is tested against the
+    int_rows of Q and the half-open chambers, and a chamber's active
+    vertex maps and leaves become a _CompiledChamber on the first
     evaluation that lands in it.  Evaluation through the activity regions
-    stays on Fractions, count_leaves and the generating-function terms,
-    as an independent check of the compiled route.
+    counts with Fractions, count_leaves and the generating-function
+    terms, as an independent check of the compiled route.
     """
 
     def __init__(self, pp: ParametricPolytope,
@@ -461,8 +442,8 @@ class ParametricAnalysis:
         self._decomps = {}
         self._residues = {}
         self._programs = {}
-        self._qset_rows = _integer_rows(pp.qset)
-        self._chamber_rows = [_integer_rows(ho.region) for ho in self.open_chambers]
+        self._qset_rows = pp.qset.int_rows
+        self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
         self._compiled = {}
 
     def _decomposition(self, vertex: ParametricVertex):
@@ -504,10 +485,10 @@ class ParametricAnalysis:
 
     def _count_compiled(self, q0, stats):
         D, z = _int_row(q0)
-        if not _contains_scaled(self._qset_rows, z, D):
+        if not _rows_hold(self._qset_rows, D, z):
             return None
         k = next((k for k, rows in enumerate(self._chamber_rows)
-                  if _contains_scaled(rows, z, D)), None)
+                  if _rows_hold(rows, D, z)), None)
         if k is None:
             return None
         chamber = self._compile(k)
@@ -541,9 +522,8 @@ class ParametricAnalysis:
         via="activities" sums count_leaves over the vertices whose
         half-open activity region contains q0.  Both report num_vertices,
         num_cones and max_depth in stats, or stats["outside"] for 0
-        outside.
+        outside.  Entries of q0 other than ints and Fractions raise TypeError.
         """
-        q0 = tuple(Fraction(x) for x in q0)
         if len(q0) != self.qdim:
             raise ValueError("parameter dimension mismatch")
         if via == "chambers":

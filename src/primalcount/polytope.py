@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 
@@ -13,14 +14,15 @@ from .errors import (
     UnboundedError,
 )
 from .linalg import (
+    _apex_rows,
     _int_row,
+    _rows_hold,
     adjugate_int,
     dot,
     is_zero_vec,
     rank,
     transpose,
     vec_primitive,
-    vec_sub,
 )
 
 
@@ -94,9 +96,12 @@ class ClosedCone:
     rays: tuple           # primitive integer vectors, sorted
     normals: tuple        # integer outer normals
 
+    @cached_property
+    def int_rows(self):
+        return _apex_rows(self.apex, self.normals, [False] * len(self.normals))
+
     def contains(self, x) -> bool:
-        shifted = vec_sub(x, self.apex)
-        return all(dot(n, shifted) <= 0 for n in self.normals)
+        return _rows_hold(self.int_rows, *_int_row(x))
 
 
 @dataclass(frozen=True)

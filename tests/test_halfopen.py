@@ -42,6 +42,32 @@ def contains_reference(cone, x):
     return all(l > 0 if s < 0 else l >= 0 for l, s in zip(lam, cone.sigma))
 
 
+def closed_reference(cone, x):
+    """ClosedCone.contains in Fractions: n . (x - apex) <= 0 for every normal."""
+    shifted = tuple(Fraction(a) - b for a, b in zip(x, cone.apex))
+    return all(dot(n, shifted) <= 0 for n in cone.normals)
+
+
+def polyhedron_reference(poly, x):
+    """HalfOpenPolyhedron.contains in Fractions, row by row."""
+    return all(dot(g, x) < h if strict else dot(g, x) <= h
+               for g, h, strict in poly.rows)
+
+
+def nearby_reference(poly, x, direction):
+    """HalfOpenPolyhedron.contains_nearby in Fractions: a tight row must
+    strictly improve along direction, or stay level when it is weak."""
+    for g, h, strict in poly.rows:
+        v = dot(g, x)
+        if v > h:
+            return False
+        if v == h:
+            slope = dot(g, direction)
+            if slope > 0 or (slope == 0 and strict):
+                return False
+    return True
+
+
 def hoc(rays, sigma, apex=None):
     d = len(rays[0])
     if apex is None:
@@ -69,11 +95,15 @@ def test_halfopen_cone_contains_quadrant():
 
 
 def test_halfopen_cone_contains_matches_coefficients():
-    # The integer test q (normals . y) <= p c_j, x = y / p, against the
-    # Fraction ray coordinates, in d = 2..4 with rational apexes, at
-    # integer points, rational points and points on the facets.
+    # The integer row tests of HalfOpenCone, ClosedCone and
+    # HalfOpenPolyhedron (contains and contains_nearby) against Fraction
+    # references, in d = 2..4 with rational apexes, at integer points,
+    # rational points and points on the facets.  The closed cone adds a
+    # redundant normal; the polyhedron takes the cone's facets as rational
+    # rows, strict where the cone's flags are, plus one random rational row.
     rng = random.Random(29)
-    seen = {"in": 0, "out": 0, "facet": 0}
+    seen = {"in": 0, "out": 0, "facet": 0, "closed in": 0, "closed out": 0,
+            "poly in": 0, "poly out": 0, "nearby in": 0, "nearby out": 0}
     cones = 0
     while cones < 120:
         d = 2 + cones % 3
@@ -85,6 +115,16 @@ def test_halfopen_cone_contains_matches_coefficients():
         den = rng.randint(1, 5)
         apex = tuple(Fraction(rng.randint(-4 * den, 4 * den), den) for _ in range(d))
         cone = hoc(rays, sigma, apex)
+        normals = cone.base.normals
+        closed = ClosedCone(apex=apex, rays=rays,
+                            normals=normals + (tuple(map(sum, zip(*normals))),))
+        scales = [Fraction(1, rng.randint(1, 3)) for _ in range(d)]
+        extra = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d))
+        poly = HalfOpenPolyhedron.from_inequalities(
+            [tuple(k * a for a in n) for k, n in zip(scales, normals)] + [extra],
+            [k * dot(n, apex) for k, n in zip(scales, normals)]
+            + [Fraction(rng.randint(-10, 30), rng.randint(1, 3))],
+            [s < 0 for s in sigma] + [rng.random() < 0.5])
         for k in range(30):
             if k % 3 == 0:
                 x = tuple(rng.randint(-6, 6) for _ in range(d))
@@ -101,6 +141,17 @@ def test_halfopen_cone_contains_matches_coefficients():
             want = contains_reference(cone, x)
             assert cone.contains(x) == want, (rays, sigma, apex, x)
             seen["in" if want else "out"] += 1
+            want = closed_reference(closed, x)
+            assert closed.contains(x) == want, (closed, x)
+            seen["closed in" if want else "closed out"] += 1
+            want = polyhedron_reference(poly, x)
+            assert poly.contains(x) == want, (poly, x)
+            seen["poly in" if want else "poly out"] += 1
+            direction = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                              for _ in range(d))
+            want = nearby_reference(poly, x, direction)
+            assert poly.contains_nearby(x, direction) == want, (poly, x, direction)
+            seen["nearby in" if want else "nearby out"] += 1
     assert min(seen.values()) >= 300
 
 
@@ -122,6 +173,10 @@ def test_halfopen_polyhedron_membership():
     assert P.contains((1, 2))
     assert not P.contains((2, 1))
     assert not P.contains((3, 1))
+    with pytest.raises(ValueError, match="dimension"):
+        P.contains((1, 1, 1))
+    with pytest.raises(ValueError, match="dimension"):
+        P.contains_nearby((1, 1), (1,))
     assert not P.is_closed()
 
 

@@ -497,12 +497,18 @@ def sweep_points(seed, count):
     return points
 
 
+def rows_hold_fraction(region, q):
+    """Membership of q in a half-open region, row by row in Fractions."""
+    return all(linalg.dot(g, q) < h if strict else linalg.dot(g, q) <= h
+               for g, h, strict in region.rows)
+
+
 def reference_count(analysis, q, cache):
     """count_leaves over the active vertices of the Fraction-tested chamber."""
     q = tuple(Fraction(x) for x in q)
-    if not analysis.qset.contains(q):
+    if not rows_hold_fraction(analysis.qset, q):
         return 0
-    hits = [ho for ho in analysis.open_chambers if ho.region.contains(q)]
+    hits = [ho for ho in analysis.open_chambers if rows_hold_fraction(ho.region, q)]
     if not hits:
         return 0
     pairs = []
@@ -566,6 +572,16 @@ class TestCompiledChambers:
             assert evaluate_count(pp, q, stats=compiled) == \
                 evaluate_count(pp, q, stats=reference, via="activities")
             assert compiled == reference
+
+    def test_non_rational_parameters_rejected(self):
+        # Floats and strings are not counted at a guessed value: both
+        # routes reject them, as polytope and family input do.
+        pp = sweep_family()
+        for q in [(0.1, 2), ("7/3", "11/3")]:
+            for via in ("chambers", "activities"):
+                with pytest.raises(TypeError, match="int or Fraction"):
+                    evaluate_count(pp, q, via=via)
+        assert evaluate_count(pp, (Fraction(7, 3), Fraction(11, 3))) == 3
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError, match="unknown evaluation mode"):

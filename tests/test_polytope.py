@@ -17,7 +17,6 @@ from primalcount.linalg import (
     solve,
     transpose,
     vec_primitive,
-    vec_sub,
 )
 from primalcount.lp import OPTIMAL, interior_point, lp_feasible, lp_maximize
 from primalcount.polytope import (
@@ -432,6 +431,10 @@ def test_extreme_rays_match_reference_on_random_cones():
 
 # ---------------------------------------------------------------------------
 # triangulation
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def coefficients(cone: SimplicialCone, x):
