@@ -2,17 +2,20 @@
 
 Each cone contributes a term: the lattice points of its fundamental
 parallelepiped as numerator exponents over the product of (1 - z^ray)
-denominators.  The points are walked one per residue class of the rays'
-lattice, through the box spanned by the diagonal of the rays' Hermite
-form.  Counting decomposes cones only down to index DEFAULT_MAX_INDEX
-and walks the parallelepipeds of those leaves, as LattE does.  Lattice
+denominators.  There is one point per residue class of the rays'
+lattice, and the box spanned by the diagonal of the rays' Hermite form
+holds one of each; _box_columns is the one walk of that box.  Lattice
 point counts come out by specializing the sum of all terms at z = 1,
 which every single term has as a pole: substituting z = t^mu for a
 direction mu that kills no denominator, then t = 1 + u, turns the
 specialization into reading one coefficient of an exact truncated power
-series.  leaf_program and CompiledLeaves fix that direction and the
-series for leaves that are counted at many apexes, which leaves only
-integer rounding and one polynomial per parallelepiped point.
+series.  specialize_at_one does this for built terms (gf_term, GenFun).
+Counting decomposes cones only down to index DEFAULT_MAX_INDEX, as
+LattE does, and count_leaves sums each leaf's share of the same
+specialization while it walks the leaf's box, in integers, with no
+point or term built.  leaf_program and CompiledLeaves fix the direction
+and the series for leaves that are counted at many apexes, which leaves
+only integer rounding and one polynomial per parallelepiped point.
 """
 
 from dataclasses import dataclass
@@ -21,18 +24,19 @@ from math import lcm
 from operator import mul
 
 from .halfopen import HalfOpenCone, signed_decompose
-from .linalg import _int_row, dot, hermite_diagonal
+from .linalg import _int_row, dot, hermite_diagonal, identity
 # Not called here: the walk uses hermite_diagonal.  The name stays bound
 # because perfbench's tracer test looks for it in this module.
 from .linalg import smith_normal_form  # noqa: F401
 from .polytope import HPolytope, enumerate_vertices, vertex_cone
 
 # The index at which counting stops decomposing a cone and walks its
-# parallelepiped instead.  Measured on random boxes, skew simplices and a
-# parametric sweep (README, "--max-index"): every L from 20 to 50 is about
-# twice as fast as the unimodular L = 1 on fixed counts, and the sweep
-# does not tell them apart; 20 keeps the leaves small.
-DEFAULT_MAX_INDEX = 20
+# Hermite box instead.  Measured on random boxes, skew simplices and a
+# parametric sweep (README, "--max-index"): with count_leaves summing a
+# leaf's share during the walk, a box point costs far less than a split,
+# and 200 was the fastest of L = 1, 20, 50, 100, 200 on fixed counts; the
+# sweep does not tell 20 to 200 apart.
+DEFAULT_MAX_INDEX = 200
 
 
 @dataclass(frozen=True)
@@ -51,56 +55,58 @@ class GenFun:
     terms: tuple
 
 
+def _box_columns(cone: HalfOpenCone, q, a, rows):
+    """The Hermite box of a leaf at apex a / q, walked as integer columns.
+
+    The box 0 <= k_i < h_i, with h the diagonal of the Hermite form of
+    the ray rows (linalg.hermite_diagonal), holds one lattice point k per
+    residue class of the rays' lattice; an index-1 cone has only k = 0
+    and needs no Hermite form.  Returns one list per facet j, holding
+    normals[j] . (a - q k) - strict[j], then one list per (e, c) in rows,
+    holding e . k + c; every list runs over the whole box in the same
+    order, the last axis fastest.  All of them are affine in k, so each
+    list is its value at k = 0 spread over the box one axis at a time.
+    """
+    base = cone.base
+    normals = base.normals
+    columns = [[sum(map(mul, n, a)) - (s < 0)] for n, s in zip(normals, cone.sigma)]
+    columns += [[c] for _, c in rows]
+    if base.index > 1:
+        coeffs = [[-q * x for x in n] for n in normals] + [e for e, _ in rows]
+        for i, size in enumerate(hermite_diagonal(base.rays)):
+            if size > 1:
+                for j, e in enumerate(coeffs):
+                    steps = [t * e[i] for t in range(size)]
+                    columns[j] = [v + s for v in columns[j] for s in steps]
+    return columns
+
+
 def parallelepiped_points(cone: HalfOpenCone, apex):
     """Lattice points of the half-open fundamental parallelepiped at apex.
 
     The parallelepiped consists of apex + sum mu_j rays[j] with mu_j in
-    [0,1) on closed facets and (0,1] on strict ones.  The box
-    0 <= k_i < h_i, with h the diagonal of the Hermite form of the ray
-    rows (linalg.hermite_diagonal), holds one lattice point k per residue
-    class of the rays' lattice; each is translated into the
-    parallelepiped by whole rays.  With apex = a / q for an integer
-    vector a, the base cone's integer normals give q * index * mu_j(k) =
-    normals[j] . (a - q k), integers that the walk updates by one step
-    per move through the box, so the rounding is floor division.
-    Returns exactly index many points, sorted.  A unimodular cone (index
-    1) has the one residue class of 0 and needs no Hermite form.
+    [0,1) on closed facets and (0,1] on strict ones.  Each point k of the
+    Hermite box (_box_columns) is one residue class of the rays' lattice,
+    translated into the parallelepiped by whole rays.  With apex = a / q
+    for an integer vector a, the base cone's integer normals give
+    q * index * mu_j(k) = normals[j] . (a - q k), and with the strict
+    flag subtracted from that numerator, -floor(mu_j) on closed facets
+    and 1 - ceil(mu_j) on strict ones are both -(numerator // (q index)).
+    Returns exactly index many points, sorted.
     """
-    base = cone.base
-    rays, normals = base.rays, base.normals
+    rays = cone.base.rays
     d = len(rays)
-    sizes = (1,) * d if base.index == 1 else hermite_diagonal(rays)
     q, a = _int_row(apex)
-    den = q * base.index
-    strict = [s < 0 for s in cone.sigma]
-    num = [dot(n, a) for n in normals]  # at k = 0
-    # moving k along axis i lowers num[j] by q * normals[j][i]; an axis
-    # of size 1 never moves
-    axes = [(i, sizes[i], [q * n[i] for n in normals])
-            for i in range(d) if sizes[i] > 1]
-    k = [0] * d
-    points = []
-    while True:
-        x = list(k)
-        for j in range(d):
-            # closed: -floor(mu_j); strict: 1 - ceil(mu_j)
-            n_j = 1 + (-num[j]) // den if strict[j] else -(num[j] // den)
-            if n_j:
-                for t in range(d):
-                    x[t] += n_j * rays[j][t]
-        points.append(tuple(x))
-        # the next k in the box: the last axis moves fastest
-        for i, size, step in reversed(axes):
-            if k[i] + 1 < size:
-                k[i] += 1
-                num = [v - s for v, s in zip(num, step)]
-                break
-            num = [v + k[i] * s for v, s in zip(num, step)]
-            k[i] = 0
-        else:
-            break
-    points.sort()
-    return points
+    den = q * cone.base.index
+    columns = _box_columns(cone, q, a, [(e, 0) for e in identity(d)])
+    floors = [[v // den for v in column] for column in columns[:d]]
+    coords = []
+    for t, x in enumerate(columns[d:]):
+        for f, ray in zip(floors, rays):
+            if ray[t]:
+                x = [v - ray[t] * n for v, n in zip(x, f)]
+        coords.append(x)
+    return sorted(zip(*coords))
 
 
 def gf_term(cone: HalfOpenCone, apex, sign: int = 1) -> GenFunTerm:
@@ -142,18 +148,6 @@ def _binomials(N, order):
     return out
 
 
-def _poly_mul_trunc(a, b, order):
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def specialize_at_one(g: GenFun, direction=None) -> int:
     """Exact number of lattice points of the set generating g.
 
@@ -182,24 +176,47 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
     for term in g.terms:
         exps = [dot(direction, b) for b in term.denominator_rays]
         shift = sum(-e for e in exps if e < 0)
-        nneg = sum(1 for e in exps if e < 0)
-        sgn = term.sign * (-1 if (nneg + d) % 2 else 1)
         num = [0] * (d + 1)
         for p in term.numerator_exponents:
             for k, c in enumerate(_binomials(dot(direction, p) + shift, d)):
                 num[k] += c
-        H = [1]
-        for e in exps:
-            # 1 - (1+u)^a = -u * (C(a,1) + C(a,2) u + ...)
-            H = _poly_mul_trunc(H, _binomials(abs(e), d + 1)[1:], d)
-        pw = [H[0] ** k for k in range(d + 2)]
-        Q = []
-        for k in range(d + 1):
-            Q.append(pw[k] * num[k]
-                     - sum(H[i] * pw[i - 1] * Q[k - i] for i in range(1, k + 1)))
-        total += Fraction(sgn * Q[d], pw[d + 1])
+        total += _term_share(num, exps, term.sign)
     assert total.denominator == 1, "specialization must produce an integer"
     return int(total)
+
+
+def _denominator_series(exps):
+    """(s, H): the sign and integer series of a term's denominator.
+
+    exps are the <mu, ray> of the term's rays.  After z = (1+u)^mu and
+    1/(1 - t^(-a)) = -t^a / (1 - t^a) for each negative exponent, the
+    denominator is s u^d H(u) with s = (-1)^(d + #negative) and H the
+    product of C(|e|,1) + C(|e|,2) u + ... over exps, truncated at u^d.
+    """
+    d = len(exps)
+    H = [1]
+    for e in exps:
+        # 1 - (1+u)^a = -u * (C(a,1) + C(a,2) u + ...)
+        b = _binomials(abs(e), d + 1)[1:]
+        H = [sum(map(mul, H[:k + 1], b[k::-1])) for k in range(d + 1)]
+    nneg = sum(1 for e in exps if e < 0)
+    return (-1 if (nneg + d) % 2 else 1), H
+
+
+def _term_share(num, exps, sign):
+    """sgn * Q_d / h0^(d+1), one term's share of specialize_at_one.
+
+    num[k] sums C(N, k) over the term's numerator points and exps are
+    the <mu, ray> of its denominator rays.
+    """
+    d = len(exps)
+    s, H = _denominator_series(exps)
+    h0 = H[0]
+    G = [H[i] * h0 ** (i - 1) for i in range(1, d + 1)]  # G[i-1] = H_i h0^(i-1)
+    Q = []
+    for k in range(d + 1):
+        Q.append(h0 ** k * num[k] - sum(map(mul, G, Q[::-1])))
+    return Fraction(s * sign * Q[d], h0 ** (d + 1))
 
 
 def leaf_residues(cone: HalfOpenCone):
@@ -221,9 +238,7 @@ def _falling_weights(exps, sign):
     Q_d expanded in the num_k.  exps are the <mu, ray> of the term.
     """
     d = len(exps)
-    H = [1]
-    for e in exps:
-        H = _poly_mul_trunc(H, _binomials(abs(e), d + 1)[1:], d)
+    s, H = _denominator_series(exps)
     pw = [H[0] ** k for k in range(d + 2)]
     Q = []  # Q[k][i]: the coefficient of num_i in Q_k
     for k in range(d + 1):
@@ -234,8 +249,7 @@ def _falling_weights(exps, sign):
             for t, v in enumerate(Q[k - i]):
                 row[t] -= c * v
         Q.append(row)
-    nneg = sum(1 for e in exps if e < 0)
-    sgn = sign * (-1 if (nneg + d) % 2 else 1)
+    sgn = s * sign
     fact = 1
     out = []
     for k, w in enumerate(Q[d]):
@@ -322,15 +336,42 @@ def count_leaves(pairs) -> int:
 
     pairs holds (apex, leaves) with leaves a sequence of (sign,
     HalfOpenCone) as signed_decompose returns them; each leaf is moved
-    to apex.  Sums the leaves' generating-function terms and specializes
-    the total at z = 1.
+    to apex.  The result is specialize_at_one of the leaves' gf_terms,
+    but each leaf's share is summed while its Hermite box is walked
+    (_box_columns).  With apex = a / q, taken once per apex, den = q *
+    index and num_j the walk's numerators normals[j] . (a - q k) -
+    strict[j], the parallelepiped point of residue k is
+    k - sum_j (num_j // den) rays[j] (parallelepiped_points).  So
+    N = <mu, point> + shift is <mu, k> + shift - sum_j g_j (num_j // den)
+    with g_j = <mu, rays[j]>, all integers from the walk.  The falling
+    factorials N (N-1) ... (N-t+1), summed over the box, are t! times
+    the sums of C(N, t) that the series recurrence reads, so no point,
+    term or binomial of a point is built.
     """
-    # A list first: CPython builds tuple(generator) at a guessed size and
-    # resizes it, and a resized tuple of fewer than 20 items that is freed
-    # stays on the tuple free list, so each count would keep one behind.
-    terms = tuple([gf_term(leaf, apex, sign=eps)
-                   for apex, leaves in pairs for eps, leaf in leaves])
-    return specialize_at_one(GenFun(terms=terms))
+    mu = next(generic_directions({ray for _, leaves in pairs
+                                  for _, leaf in leaves for ray in leaf.base.rays}))
+    total = Fraction(0)
+    for apex, leaves in pairs:
+        q, a = _int_row(apex)
+        for eps, leaf in leaves:
+            base = leaf.base
+            d = len(base.rays)
+            den = q * base.index
+            gains = [sum(map(mul, mu, ray)) for ray in base.rays]
+            shift = sum(-g for g in gains if g < 0)
+            columns = _box_columns(leaf, q, a, [(mu, shift)])
+            Ns = columns[d]
+            for g, column in zip(gains, columns):
+                Ns = [N - g * (v // den) for N, v in zip(Ns, column)]
+            # the falling factorials N (N-1) ... (N-t+1), summed over Ns
+            num, fact, f = [base.index, sum(Ns)], 1, Ns
+            for t in range(1, d):
+                fact *= t + 1
+                f = [x * (N - t) for x, N in zip(f, Ns)]
+                num.append(sum(f) // fact)
+            total += _term_share(num, gains, eps)
+    assert total.denominator == 1, "specialization must produce an integer"
+    return int(total)
 
 
 def count_polytope(P: HPolytope, max_index: int = DEFAULT_MAX_INDEX,

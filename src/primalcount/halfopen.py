@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd
 from operator import add, neg, sub
 
-from .linalg import _apex_rows, _int_row, _rows_hold, dot, lll_reduce
+from .linalg import _apex_rows, _int_row, _rows_hold, _scaled_point, dot, lll_reduce
 from .polytope import ClosedCone, SimplicialCone, triangulate
 
 
@@ -53,9 +53,10 @@ class HalfOpenCone:
         normals[j] . (x - apex) is -index * lam_j.  With apex = a / q and
         x = y / p for integer vectors a and y, its sign is that of
         q (normals[j] . y) - p (normals[j] . a): linalg._rows_hold on
-        int_rows decides it in integers, strict where flagged.
+        int_rows decides it in integers, strict where flagged.  A point of
+        another dimension raises ValueError.
         """
-        return _rows_hold(self.int_rows, *_int_row(x))
+        return _rows_hold(self.int_rows, *_scaled_point(self.int_rows, x))
 
 
 def integral_row(normal, rhs):
@@ -93,14 +94,8 @@ class HalfOpenPolyhedron:
         return tuple((tuple(h.denominator * x for x in g), h.numerator, strict)
                      for g, h, strict in self.rows)
 
-    def _scaled(self, x):
-        """_int_row(x), for a point x of the rows' dimension."""
-        if self.rows and len(x) != len(self.rows[0][0]):
-            raise ValueError("dimension mismatch")
-        return _int_row(x)
-
     def contains(self, x) -> bool:
-        return _rows_hold(self.int_rows, *self._scaled(x))
+        return _rows_hold(self.int_rows, *_scaled_point(self.int_rows, x))
 
     def contains_nearby(self, x, direction) -> bool:
         """Membership of x + t * direction for all small t > 0, exactly.
@@ -108,12 +103,12 @@ class HalfOpenPolyhedron:
         Decides by first-order comparison, no epsilon arithmetic: x lies
         in the closure, and each row tight at x holds for direction at 0.
         """
-        p, y = self._scaled(x)
+        p, y = _scaled_point(self.int_rows, x)
         if not _rows_hold([(g, h, False) for g, h, _ in self.int_rows], p, y):
             return False
         tight = [(g, 0, strict) for g, h, strict in self.int_rows
                  if not _rows_hold([(g, h, True)], p, y)]
-        return _rows_hold(tight, *self._scaled(direction))
+        return _rows_hold(tight, *_scaled_point(self.int_rows, direction))
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,19 @@ def vec_primitive(v):
     """Scale a nonzero rational vector to a primitive integer vector.
 
     The direction is preserved: the result is the unique integer vector
-    with coprime entries that is a positive multiple of v.
+    with coprime entries that is a positive multiple of v.  An int
+    vector takes one gcd and no scaling; gcd refuses anything else, and
+    a rational vector is scaled to integers by _int_row first.
     """
-    if is_zero_vec(v):
+    try:
+        g = gcd(*v)
+        ints = v
+    except TypeError:
+        ints = _int_row(v)[1]
+        g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = _int_row(v)[1]
-    g = gcd(*ints)
-    return tuple(a // g for a in ints)
+    return tuple(ints) if g == 1 else tuple([a // g for a in ints])
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +117,15 @@ def _rows_hold(rows, p, y):
         if v > rhs or (strict and v == rhs):
             return False
     return True
+
+
+def _scaled_point(rows, x):
+    """_int_row(x) for a point x, checked against the dimension of the
+    _rows_hold rows; ValueError when they differ.  The one dimension check
+    of every contains, kept out of _rows_hold, which runs in hot loops."""
+    if rows and len(x) != len(rows[0][0]):
+        raise ValueError("dimension mismatch")
+    return _int_row(x)
 
 
 def _apex_rows(apex, normals, strict):

@@ -416,8 +416,8 @@ class ParametricAnalysis:
     int_rows of Q and the half-open chambers, and a chamber's active
     vertex maps and leaves become a _CompiledChamber on the first
     evaluation that lands in it.  Evaluation through the activity regions
-    counts with Fractions, count_leaves and the generating-function
-    terms, as an independent check of the compiled route.
+    sums count_leaves over the active vertices, uncompiled, as an
+    independent check of the compiled route.
     """
 
     def __init__(self, pp: ParametricPolytope,

@@ -17,6 +17,7 @@ from .linalg import (
     _apex_rows,
     _int_row,
     _rows_hold,
+    _scaled_point,
     adjugate_int,
     dot,
     is_zero_vec,
@@ -101,7 +102,8 @@ class ClosedCone:
         return _apex_rows(self.apex, self.normals, [False] * len(self.normals))
 
     def contains(self, x) -> bool:
-        return _rows_hold(self.int_rows, *_int_row(x))
+        """Whether x lies in the cone; ValueError for another dimension."""
+        return _rows_hold(self.int_rows, *_scaled_point(self.int_rows, x))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -349,6 +349,120 @@ def test_specialize_matches_fraction_reference():
             negative += sum(dot(mu, b) < 0 for t in terms for b in t.denominator_rays)
             assert specialize_at_one(g, mu) == specialize_reference(g, mu), (P, mu)
     assert negative > 100
+
+
+def halfopen_simplex_count(apex, rays, strict):
+    """Lattice points of the half-open simplex apex + conv(0, rays), by scan.
+
+    With x = apex + sum lam_j rays[j], strict[j] (j < d) makes the facet
+    lam_j = 0 strict and strict[d] the facet sum lam_j = 1.  Integer
+    arithmetic: apex = a / q and the Fraction inverse of the ray matrix
+    scaled by m give lam_j * q * m as integers.
+    """
+    d = len(rays)
+    inverse_rows = transpose([solve(transpose(rays), e) for e in identity(d)])
+    q = lcm(*(Fraction(x).denominator for x in apex))
+    m = lcm(*(x.denominator for row in inverse_rows for x in row))
+    rows = [[int(x * m) for x in row] for row in inverse_rows]
+    a = [int(x * q) for x in apex]
+    corners = [apex] + [tuple(x + r for x, r in zip(apex, ray)) for ray in rays]
+    box = [range(floor(min(c[t] for c in corners)), ceil(max(c[t] for c in corners)) + 1)
+           for t in range(d)]
+    one = q * m
+    total = 0
+    for x in product(*box):
+        y = [q * xt - at for xt, at in zip(x, a)]
+        lam = [dot(row, y) for row in rows]
+        if all(v > 0 if f else v >= 0 for v, f in zip(lam, strict)):
+            s = sum(lam)
+            total += s < one if strict[d] else s <= one
+    return total
+
+
+def test_count_leaves_matches_specialized_terms():
+    # count_leaves sums each leaf's share while walking its Hermite box;
+    # it must equal specialize_at_one of the leaves' gf_terms and the
+    # scanned count.  Each case is a signed sum of half-open simplices
+    # with a common rational vertex; by Brion's theorem a simplex is the
+    # sum of its half-open tangent cones, the cone at a vertex keeping
+    # the flags of the facets through it.  Cones at one vertex share an
+    # apex group.  Indices reach 300, above the default max_index, and
+    # unimodular cones, scaled ones (Hermite diagonal c, ..., c) and
+    # random ones with several Hermite entries above 1 all occur; the
+    # multi-axis boxes are where a wrong walk would show.
+    rng = random.Random(71)
+    spans = {2: 15, 3: 6, 4: 3}
+    seen = {"unimodular": 0, "above_default": 0, "multi_axis": 0, "mixed": 0,
+            "twin_index": 0, "den": set(), "eps": set()}
+    for case in range(90):
+        d = 2 + case % 3
+        den = 1 + case % 7
+        apex = tuple(Fraction(rng.randint(-4 * den, 4 * den), den) for _ in range(d))
+        groups = {}
+        expected = 0
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("random", "large", "unimodular", "scaled"))
+            while True:
+                if kind in ("random", "large"):
+                    span = spans[d]
+                    rays = [tuple(rng.randint(-span, span) for _ in range(d))
+                            for _ in range(d)]
+                else:
+                    rays = [list(row) for row in identity(d)]
+                    for _ in range(6):  # row additions keep |det| = 1
+                        i, j = rng.sample(range(d), 2)
+                        c = rng.choice((-1, 1))
+                        rays[i] = [x + c * y for x, y in zip(rays[i], rays[j])]
+                    c = rng.choice((2, 3)) if kind == "scaled" else 1
+                    rays = [tuple(c * x for x in row) for row in rays]
+                if (200 if kind == "large" else 0) < abs(det(rays)) <= 300:
+                    break
+            strict = [rng.random() < 0.5 for _ in range(d + 1)]
+            eps = rng.choice((1, -1))
+            expected += eps * halfopen_simplex_count(apex, rays, strict)
+            seen["eps"].add(eps)
+            corners = [(0,) * d] + rays
+            for i, ci in enumerate(corners):
+                vertex = tuple(x + c for x, c in zip(apex, ci))
+                others = [j for j in range(d + 1) if j != i]
+                cone_rays = [tuple(x - y for x, y in zip(corners[j], ci)) for j in others]
+                # the cone's facet opposite the ray to corner j is the
+                # simplex's facet opposite corner j
+                sigma = [-1 if strict[j - 1 if j else d] else 1 for j in others]
+                leaf = hoc(cone_rays, sigma, vertex)
+                groups.setdefault(vertex, []).append((eps, leaf))
+                seen["unimodular"] += leaf.index == 1
+                seen["above_default"] += leaf.index > genfun.DEFAULT_MAX_INDEX
+                if leaf.index > 1:
+                    seen["multi_axis"] += sum(
+                        h > 1 for h in linalg.hermite_diagonal(leaf.base.rays)) > 1
+                seen["mixed"] += len(set(sigma)) == 2
+        seen["den"].add(den)
+        # Brion sums hide some errors that every cone makes alike (a walk
+        # whose <mu, k> ignores all but the fastest axis still sums to the
+        # count), so
+        # one leaf is also swapped for its twin: the same half-open cone
+        # on rescaled, reordered rays, which has another Hermite box.
+        vertex = rng.choice(sorted(groups))
+        eps, leaf = rng.choice(groups[vertex])
+        order = rng.sample(range(d), d)
+        twin_rays = []
+        for j in order:
+            ray = leaf.base.rays[j]
+            c, g = rng.randint(1, 3), gcd(*ray)
+            twin_rays.append(tuple(c * x // g for x in ray))
+        twin = hoc(twin_rays, [leaf.sigma[j] for j in order], vertex)
+        groups[vertex] += [(-eps, leaf), (eps, twin)]
+        seen["twin_index"] += twin.index != leaf.index
+        pairs = list(groups.items())
+        terms = tuple(gf_term(leaf, vertex, sign=eps)
+                      for vertex, leaves in pairs for eps, leaf in leaves)
+        assert count_leaves(pairs) == specialize_at_one(GenFun(terms=terms)) == expected, \
+            (apex, pairs)
+    assert seen["unimodular"] >= 100 and seen["above_default"] >= 100
+    assert seen["multi_axis"] >= 200 and seen["mixed"] >= 300
+    assert seen["twin_index"] >= 50
+    assert seen["den"] == set(range(1, 8)) and seen["eps"] == {1, -1}
 
 
 @pytest.mark.parametrize("max_index", [1, 20])

@@ -162,6 +162,21 @@ def test_halfopen_cone_fractional_apex():
     assert not cone.contains((0, 1))
 
 
+def test_cone_membership_rejects_other_dimensions():
+    # Both cone classes refuse a point of another dimension, as
+    # HalfOpenPolyhedron does; zipping rows and point would make the
+    # quadrant contain (5,) and (1, 1, -9).
+    rays = ((1, 0), (0, 1))
+    closed = ClosedCone(apex=(0, 0), rays=rays, normals=((-1, 0), (0, -1)))
+    halfopen_cone = HalfOpenCone(base=SimplicialCone(apex=(0, 0), rays=rays),
+                                 sigma=(1, -1))
+    for cone in (closed, halfopen_cone):
+        assert cone.contains((5, 1))
+        for x in ((5,), (1, 1, -9), (Fraction(1, 2),), ()):
+            with pytest.raises(ValueError, match="dimension"):
+                cone.contains(x)
+
+
 def test_halfopen_polyhedron_membership():
     # square [0,2]^2 with the x <= 2 side strict
     P = HalfOpenPolyhedron.from_inequalities(

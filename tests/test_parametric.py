@@ -610,6 +610,7 @@ class TestCompiledChambers:
                                 counted("smith", module.smith_normal_form))
         monkeypatch.setattr(genfun, "parallelepiped_points",
                             counted("pp", genfun.parallelepiped_points))
+        monkeypatch.setattr(genfun, "_box_columns", counted("walk", genfun._box_columns))
         monkeypatch.setattr(parametric, "CompiledLeaves",
                             counted("compile", parametric.CompiledLeaves))
         counts = [evaluate_count(pp, q, max_index=max_index)
@@ -617,9 +618,10 @@ class TestCompiledChambers:
         assert calls == []
         assert sum(counts) > 0
         evaluate_count(pp, (7, 9), max_index=max_index, via="activities")
-        # the walk counter does count; residue classes come from the
-        # Hermite box, so even the activities route takes no Smith form
-        assert "pp" in calls
+        # the walk counter does count (count_leaves walks each leaf's
+        # Hermite box without building its points); residue classes come
+        # from that box, so even the activities route takes no Smith form
+        assert "walk" in calls
         assert "smith" not in calls
 
 
