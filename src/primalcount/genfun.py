@@ -7,23 +7,24 @@ lattice, and the box spanned by the diagonal of the rays' Hermite form
 holds one of each; _box_columns is the one walk of that box.  Lattice
 point counts come out by specializing the sum of all terms at z = 1,
 which every single term has as a pole: substituting z = t^mu for a
-direction mu that kills no denominator, then t = 1 + u, turns the
-specialization into reading one coefficient of an exact truncated power
-series.  specialize_at_one does this for built terms (gf_term, GenFun).
+direction mu that kills no denominator, then t = 1 + u, turns a term's
+share into one coefficient of an exact truncated power series, a fixed
+integer combination of its numerator's binomial sums (_leaf_weights).
+specialize_at_one reads it for built terms (gf_term, GenFun).
 Counting decomposes cones only down to index DEFAULT_MAX_INDEX, as
-LattE does, and count_leaves sums each leaf's share of the same
-specialization while it walks the leaf's box, in integers, with no
-point or term built.  leaf_program and CompiledLeaves fix the direction
-and the series for leaves that are counted at many apexes, which leaves
-only integer rounding and one polynomial per parallelepiped point.
+LattE does, and CompiledLeaves is the one leaf counter: it walks each
+leaf's box once, without its apex, and then counts the signed leaves at
+any apexes with floor divisions and integer sums, building no point or
+term.  count_leaves counts at one set of apexes, and each compiled
+chamber of the parametric module at every parameter point it holds.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
-from .halfopen import HalfOpenCone, signed_decompose
+from .halfopen import HalfOpenCone, _check_max_index, signed_decompose
 from .linalg import _int_row, dot, hermite_diagonal, identity
 # Not called here: the walk uses hermite_diagonal.  The name stays bound
 # because perfbench's tracer test looks for it in this module.
@@ -32,10 +33,10 @@ from .polytope import HPolytope, enumerate_vertices, vertex_cone
 
 # The index at which counting stops decomposing a cone and walks its
 # Hermite box instead.  Measured on random boxes, skew simplices and a
-# parametric sweep (README, "--max-index"): with count_leaves summing a
-# leaf's share during the walk, a box point costs far less than a split,
-# and 200 was the fastest of L = 1, 20, 50, 100, 200 on fixed counts; the
-# sweep does not tell 20 to 200 apart.
+# parametric sweep (README, "--max-index"): with a leaf's share summed
+# over its box, a box point costs far less than a split, and 200 was the
+# fastest of L = 1, 20, 50, 100, 200 on fixed counts; the sweep does not
+# tell 20 to 200 apart.
 DEFAULT_MAX_INDEX = 200
 
 
@@ -55,27 +56,22 @@ class GenFun:
     terms: tuple
 
 
-def _box_columns(cone: HalfOpenCone, q, a, rows):
-    """The Hermite box of a leaf at apex a / q, walked as integer columns.
+def _box_columns(cone: HalfOpenCone, rows):
+    """The Hermite box of a leaf, walked as integer columns.
 
     The box 0 <= k_i < h_i, with h the diagonal of the Hermite form of
     the ray rows (linalg.hermite_diagonal), holds one lattice point k per
     residue class of the rays' lattice; an index-1 cone has only k = 0
-    and needs no Hermite form.  Returns one list per facet j, holding
-    normals[j] . (a - q k) - strict[j], then one list per (e, c) in rows,
-    holding e . k + c; every list runs over the whole box in the same
-    order, the last axis fastest.  All of them are affine in k, so each
-    list is its value at k = 0 spread over the box one axis at a time.
+    and needs no Hermite form.  Returns one list per affine row (e, c) of
+    rows, holding e . k + c over the whole box; every list runs in the
+    same order, the last axis fastest, and is its value at k = 0 spread
+    over the box one axis at a time.
     """
-    base = cone.base
-    normals = base.normals
-    columns = [[sum(map(mul, n, a)) - (s < 0)] for n, s in zip(normals, cone.sigma)]
-    columns += [[c] for _, c in rows]
-    if base.index > 1:
-        coeffs = [[-q * x for x in n] for n in normals] + [e for e, _ in rows]
-        for i, size in enumerate(hermite_diagonal(base.rays)):
+    columns = [[c] for _, c in rows]
+    if cone.base.index > 1:
+        for i, size in enumerate(hermite_diagonal(cone.base.rays)):
             if size > 1:
-                for j, e in enumerate(coeffs):
+                for j, (e, _) in enumerate(rows):
                     steps = [t * e[i] for t in range(size)]
                     columns[j] = [v + s for v in columns[j] for s in steps]
     return columns
@@ -84,28 +80,28 @@ def _box_columns(cone: HalfOpenCone, q, a, rows):
 def parallelepiped_points(cone: HalfOpenCone, apex):
     """Lattice points of the half-open fundamental parallelepiped at apex.
 
-    The parallelepiped consists of apex + sum mu_j rays[j] with mu_j in
+    The parallelepiped consists of apex + sum lam_j rays[j] with lam_j in
     [0,1) on closed facets and (0,1] on strict ones.  Each point k of the
     Hermite box (_box_columns) is one residue class of the rays' lattice,
     translated into the parallelepiped by whole rays.  With apex = a / q
     for an integer vector a, the base cone's integer normals give
-    q * index * mu_j(k) = normals[j] . (a - q k), and with the strict
-    flag subtracted from that numerator, -floor(mu_j) on closed facets
-    and 1 - ceil(mu_j) on strict ones are both -(numerator // (q index)).
-    Returns exactly index many points, sorted.
+    q * index * lam_j(k) = normals[j] . (a - q k).  With the strict flag
+    subtracted from normals[j] . a, -floor(lam_j) on closed facets and
+    1 - ceil(lam_j) on strict ones are both -((f_j - normals[j] . k) //
+    index) for f_j = (normals[j] . a - strict_j) // q, the rounding that
+    CompiledLeaves uses.  Returns exactly index many points, sorted.
     """
-    rays = cone.base.rays
-    d = len(rays)
+    base = cone.base
+    d = len(base.rays)
     q, a = _int_row(apex)
-    den = q * cone.base.index
-    columns = _box_columns(cone, q, a, [(e, 0) for e in identity(d)])
-    floors = [[v // den for v in column] for column in columns[:d]]
-    coords = []
-    for t, x in enumerate(columns[d:]):
-        for f, ray in zip(floors, rays):
-            if ray[t]:
-                x = [v - ray[t] * n for v, n in zip(x, f)]
-        coords.append(x)
+    columns = _box_columns(cone, [(n, 0) for n in base.normals]
+                           + [(e, 0) for e in identity(d)])
+    coords = columns[d:]
+    for n, s, ray, column in zip(base.normals, cone.sigma, base.rays, columns):
+        f = (sum(map(mul, n, a)) - (s < 0)) // q
+        floors = [(f - v) // base.index for v in column]
+        coords = [[x - r * m for x, m in zip(xs, floors)] if r else xs
+                  for r, xs in zip(ray, coords)]
     return sorted(zip(*coords))
 
 
@@ -148,18 +144,49 @@ def _binomials(N, order):
     return out
 
 
+def _leaf_weights(exps, sign):
+    """(u, den) with a term's share of the count sum_t u[t] num_t / den.
+
+    exps are the <mu, ray> of the term's d rays, and num_t sums C(N, t)
+    over its numerator points, N = <mu, point> + shift with shift the sum
+    of -e over the negative e in exps.  After z = (1+u)^mu and
+    1/(1 - t^(-e)) = -t^e / (1 - t^e) for each negative e, the term is
+    sign s num(u) / (u^d H(u)) with num(u) = sum_t num_t u^t,
+    s = (-1)^(d + #negative) and H the product of C(|e|,1) + C(|e|,2) u
+    + ... over exps, truncated at u^d.  The share is its constant term,
+    sign s [u^d] num / H.  With h0 = H[0], the integers
+    P_k = h0^(k+1) [u^k] 1/H obey P_0 = 1 and
+    P_k = -sum_{i>=1} H_i h0^(i-1) P_(k-i), so u[t] = sign s P_(d-t) h0^t
+    over den = h0^(d+1), reduced by their common divisor.
+    """
+    d = len(exps)
+    H = [1]
+    for e in exps:
+        # 1 - (1+u)^e = -u * (C(e,1) + C(e,2) u + ...)
+        b = _binomials(abs(e), d + 1)[1:]
+        H = [sum(map(mul, H[:k + 1], b[k::-1])) for k in range(d + 1)]
+    h0 = H[0]
+    G = [H[i] * h0 ** (i - 1) for i in range(1, d + 1)]  # G[i-1] = H_i h0^(i-1)
+    P = [1]
+    for _ in range(d):
+        P.append(-sum(map(mul, G, P[::-1])))
+    nneg = sum(1 for e in exps if e < 0)
+    sgn = -sign if (nneg + d) % 2 else sign
+    u = [sgn * P[d - t] * h0 ** t for t in range(d + 1)]
+    den = h0 ** (d + 1)
+    common = gcd(den, *u)
+    return [x // common for x in u], den // common
+
+
 def specialize_at_one(g: GenFun, direction=None) -> int:
     """Exact number of lattice points of the set generating g.
 
     Substitutes z = t^mu for a direction mu not orthogonal to any
     denominator ray, flips factors with negative exponent via
     1/(1 - t^(-a)) = -t^a / (1 - t^a), sets t = 1 + u, and extracts the
-    constant term of each Laurent expansion: the coefficient q_d of
-    num / H, with num and H integer power series truncated at order d.
-    With h0 = H[0], the integers Q_k = h0^(k+1) q_k obey
-    Q_k = h0^k num_k - sum_{i>=1} H_i h0^(i-1) Q_{k-i}, so the series
-    division stays in integers and each term adds the one rational
-    Q_d / h0^(d+1).  The per-term rationals always sum to an integer.
+    constant term of each Laurent expansion.  Each term adds the one
+    rational of _leaf_weights, from the sums num_t of C(N, t) over its
+    numerator points; the per-term rationals always sum to an integer.
     """
     if not g.terms:
         return 0
@@ -180,152 +207,89 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
         for p in term.numerator_exponents:
             for k, c in enumerate(_binomials(dot(direction, p) + shift, d)):
                 num[k] += c
-        total += _term_share(num, exps, term.sign)
+        u, den = _leaf_weights(exps, term.sign)
+        total += Fraction(sum(map(mul, u, num)), den)
     assert total.denominator == 1, "specialization must produce an integer"
     return int(total)
 
 
-def _denominator_series(exps):
-    """(s, H): the sign and integer series of a term's denominator.
-
-    exps are the <mu, ray> of the term's rays.  After z = (1+u)^mu and
-    1/(1 - t^(-a)) = -t^a / (1 - t^a) for each negative exponent, the
-    denominator is s u^d H(u) with s = (-1)^(d + #negative) and H the
-    product of C(|e|,1) + C(|e|,2) u + ... over exps, truncated at u^d.
-    """
-    d = len(exps)
-    H = [1]
-    for e in exps:
-        # 1 - (1+u)^a = -u * (C(a,1) + C(a,2) u + ...)
-        b = _binomials(abs(e), d + 1)[1:]
-        H = [sum(map(mul, H[:k + 1], b[k::-1])) for k in range(d + 1)]
-    nneg = sum(1 for e in exps if e < 0)
-    return (-1 if (nneg + d) % 2 else 1), H
-
-
-def _term_share(num, exps, sign):
-    """sgn * Q_d / h0^(d+1), one term's share of specialize_at_one.
-
-    num[k] sums C(N, k) over the term's numerator points and exps are
-    the <mu, ray> of its denominator rays.
-    """
-    d = len(exps)
-    s, H = _denominator_series(exps)
-    h0 = H[0]
-    G = [H[i] * h0 ** (i - 1) for i in range(1, d + 1)]  # G[i-1] = H_i h0^(i-1)
-    Q = []
-    for k in range(d + 1):
-        Q.append(h0 ** k * num[k] - sum(map(mul, G, Q[::-1])))
-    return Fraction(s * sign * Q[d], h0 ** (d + 1))
-
-
-def leaf_residues(cone: HalfOpenCone):
-    """One lattice point per residue class of the cone's ray lattice.
-
-    These are the cone's parallelepiped points at apex 0.  They do not
-    depend on any direction, so a leaf computes them once.
-    """
-    return parallelepiped_points(cone, (0,) * len(cone.base.rays))
-
-
-def _falling_weights(exps, sign):
-    """f with a term's share of specialize_at_one = sum_k f[k] * S_k.
-
-    S_k sums the falling factorial N (N-1) ... (N-k+1) over the term's
-    numerator points, where N = <mu, point> + shift.  Q_d of
-    specialize_at_one is linear in num, and num_k sums C(N, k) =
-    (falling factorial) / k!, so the share is sgn * Q_d / h0^(d+1) with
-    Q_d expanded in the num_k.  exps are the <mu, ray> of the term.
-    """
-    d = len(exps)
-    s, H = _denominator_series(exps)
-    pw = [H[0] ** k for k in range(d + 2)]
-    Q = []  # Q[k][i]: the coefficient of num_i in Q_k
-    for k in range(d + 1):
-        row = [0] * (d + 1)
-        row[k] = pw[k]
-        for i in range(1, k + 1):
-            c = H[i] * pw[i - 1]
-            for t, v in enumerate(Q[k - i]):
-                row[t] -= c * v
-        Q.append(row)
-    sgn = s * sign
-    fact = 1
-    out = []
-    for k, w in enumerate(Q[d]):
-        fact *= max(k, 1)
-        out.append(Fraction(sgn * w, fact * pw[d + 1]))
-    return out
-
-
-def leaf_program(leaves, residues, direction):
-    """The apex-free part of count_leaves for one group of leaves.
-
-    leaves is a sequence of (sign, HalfOpenCone), residues the matching
-    leaf_residues lists.  With mu = direction, each leaf's share of
-    specialize_at_one is a fixed polynomial in N = <mu, x> + shift summed
-    over its parallelepiped points x (_falling_weights), kept as integer
-    weights u over a denominator.  At apex a / den (a integer, den > 0)
-    the point of residue r is x_r + sum_j n_j rays[j] with
-    n_j = 1 + (t_jr - f_j) // index, where t_jr = normals[j] . x_r - 1
-    and f_j = (normals[j] . a - strict_j) // den: the rounding of
-    parallelepiped_points, split into a fixed part and one floor division
-    by den per facet.  Returns (records, denominators), one record
-    (normals, strict, index, <mu, rays>, rows, u) and one denominator per
-    leaf; each row is (<mu, x_r> + shift + sum_j <mu, ray_j>, t_r).
-    """
-    records, dens = [], []
-    for (eps, leaf), xs in zip(leaves, residues):
-        base = leaf.base
-        gains = tuple(dot(direction, ray) for ray in base.rays)
-        shift = sum(-e for e in gains if e < 0) + sum(gains)
-        rows = tuple((dot(direction, x) + shift,
-                      tuple(dot(n, x) - 1 for n in base.normals))
-                     for x in xs)
-        den, u = _int_row(_falling_weights(gains, eps))
-        records.append((base.normals, tuple(int(s < 0) for s in leaf.sigma),
-                        base.index, gains, rows, tuple(u)))
-        dens.append(den)
-    return tuple(records), tuple(dens)
-
-
 class CompiledLeaves:
-    """count_leaves for fixed signed leaves whose apexes move, in integers.
+    """Signed leaf cones counted at any apexes, in integers.
 
-    programs holds one leaf_program per apex group, all made with one
-    direction generic for every leaf ray, so that the leaves' shares sum
-    to the count.  Every share is scaled to one common denominator L.
-    count() then takes d floor divisions per leaf, d more per residue,
-    one falling-factorial Horner sum per residue and one exact division
-    by L.
+    groups holds one sequence of (sign, HalfOpenCone) per apex, as
+    signed_decompose returns them.  One direction mu, generic for every
+    leaf ray, makes the leaves' shares of specialize_at_one sum to the
+    count.  Each leaf is walked once (_box_columns), with no apex, into
+    integer columns over its Hermite box: normals[j] . k for each facet j
+    and c(k) = <mu, k> + shift.  Its share's weights (_leaf_weights) are
+    scaled to one common denominator, self.denominator.
+
+    At apex a / q the parallelepiped point of residue k is k - sum_j
+    ((f_j - normals[j] . k) // index) rays[j], with one floor division
+    f_j = (normals[j] . a - strict_j) // q per facet (as in
+    parallelepiped_points).  So N = <mu, point> + shift is c(k) -
+    sum_j g_j ((f_j - normals[j] . k) // index) with g_j = <mu, rays[j]>,
+    and the sums over the box of the falling factorials N (N-1) ...
+    (N-t+1), divided by t!, are the num_t the weights multiply.
     """
 
-    def __init__(self, programs):
-        self.denominator = L = lcm(*(den for _, dens in programs for den in dens))
-        self.groups = tuple((records, tuple(L // den for den in dens))
-                            for records, dens in programs)
+    def __init__(self, groups):
+        mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
+                                      for ray in leaf.base.rays}))
+        self.groups = []
+        weights = []
+        for leaves in groups:
+            records = []
+            for eps, leaf in leaves:
+                base = leaf.base
+                gains = [sum(map(mul, mu, ray)) for ray in base.rays]
+                rows = [(n, 0) for n in base.normals]
+                rows.append((mu, sum(-g for g in gains if g < 0)))
+                columns = _box_columns(leaf, rows)
+                c = columns.pop()
+                u, den = _leaf_weights(gains, eps)
+                weights.append((u, den))
+                records.append((base.normals, [s < 0 for s in leaf.sigma], base.index,
+                                gains, columns, c, u))
+            self.groups.append(records)
+        # each leaf's weights over the common denominator L, in place
+        self.denominator = L = lcm(*[den for _, den in weights])
+        for u, den in weights:
+            scale = L // den
+            u[:] = [scale * x for x in u]
 
     def count(self, apexes) -> int:
         """Lattice points of the signed leaf sum with group i at apexes[i].
 
-        apexes[i] is (a, den): an integer numerator vector and a positive
+        apexes[i] is (a, q): an integer numerator vector and a positive
         common denominator.
         """
         total = 0
-        for (a, den), (records, scales) in zip(apexes, self.groups):
-            for (normals, strict, index, gains, rows, u), scale in zip(records, scales):
-                f = [(sum(map(mul, n, a)) - s) // den for n, s in zip(normals, strict)]
-                d = len(u) - 1
-                share = 0
-                for c, ts in rows:
-                    N = c
-                    for t, fj, g in zip(ts, f, gains):
-                        N += (t - fj) // index * g
-                    v = u[d]
-                    for k in range(d - 1, -1, -1):
-                        v = u[k] + (N - k) * v
-                    share += v
-                total += scale * share
+        for (a, q), records in zip(apexes, self.groups):
+            for normals, strict, index, gains, columns, Ns, u in records:
+                if index == 1:
+                    # the box is the one point k = 0: the same sums in
+                    # scalars, as building 2d - 1 one-item lists per leaf
+                    # made repeated parametric evaluations measurably slower
+                    N = Ns[0]
+                    for n, s, g in zip(normals, strict, gains):
+                        N -= g * ((sum(map(mul, n, a)) - s) // q)
+                    total += u[0] + u[1] * N
+                    binomial = N
+                    for t in range(2, len(u)):
+                        binomial = binomial * (N - t + 1) // t
+                        total += u[t] * binomial
+                    continue
+                for n, s, g, column in zip(normals, strict, gains, columns):
+                    f = (sum(map(mul, n, a)) - s) // q
+                    Ns = [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
+                # num_0 counts the box's index many points, num_1 sums N
+                total += u[0] * index + u[1] * sum(Ns)
+                falling, fact = Ns, 1
+                for t in range(2, len(u)):
+                    fact *= t
+                    falling = [x * (N - t + 1) for x, N in zip(falling, Ns)]
+                    total += u[t] * (sum(falling) // fact)
         count, rem = divmod(total, self.denominator)
         assert rem == 0, "specialization must produce an integer"
         return count
@@ -336,42 +300,15 @@ def count_leaves(pairs) -> int:
 
     pairs holds (apex, leaves) with leaves a sequence of (sign,
     HalfOpenCone) as signed_decompose returns them; each leaf is moved
-    to apex.  The result is specialize_at_one of the leaves' gf_terms,
-    but each leaf's share is summed while its Hermite box is walked
-    (_box_columns).  With apex = a / q, taken once per apex, den = q *
-    index and num_j the walk's numerators normals[j] . (a - q k) -
-    strict[j], the parallelepiped point of residue k is
-    k - sum_j (num_j // den) rays[j] (parallelepiped_points).  So
-    N = <mu, point> + shift is <mu, k> + shift - sum_j g_j (num_j // den)
-    with g_j = <mu, rays[j]>, all integers from the walk.  The falling
-    factorials N (N-1) ... (N-t+1), summed over the box, are t! times
-    the sums of C(N, t) that the series recurrence reads, so no point,
-    term or binomial of a point is built.
+    to apex.  The leaves are compiled once (CompiledLeaves) and counted
+    at the apexes, each split into a / q by linalg._int_row.  The result
+    is specialize_at_one of the leaves' gf_terms.
     """
-    mu = next(generic_directions({ray for _, leaves in pairs
-                                  for _, leaf in leaves for ray in leaf.base.rays}))
-    total = Fraction(0)
-    for apex, leaves in pairs:
+    apexes = []
+    for apex, _ in pairs:
         q, a = _int_row(apex)
-        for eps, leaf in leaves:
-            base = leaf.base
-            d = len(base.rays)
-            den = q * base.index
-            gains = [sum(map(mul, mu, ray)) for ray in base.rays]
-            shift = sum(-g for g in gains if g < 0)
-            columns = _box_columns(leaf, q, a, [(mu, shift)])
-            Ns = columns[d]
-            for g, column in zip(gains, columns):
-                Ns = [N - g * (v // den) for N, v in zip(Ns, column)]
-            # the falling factorials N (N-1) ... (N-t+1), summed over Ns
-            num, fact, f = [base.index, sum(Ns)], 1, Ns
-            for t in range(1, d):
-                fact *= t + 1
-                f = [x * (N - t) for x, N in zip(f, Ns)]
-                num.append(sum(f) // fact)
-            total += _term_share(num, gains, eps)
-    assert total.denominator == 1, "specialization must produce an integer"
-    return int(total)
+        apexes.append((a, q))
+    return CompiledLeaves([leaves for _, leaves in pairs]).count(apexes)
 
 
 def count_polytope(P: HPolytope, max_index: int = DEFAULT_MAX_INDEX,
@@ -380,8 +317,10 @@ def count_polytope(P: HPolytope, max_index: int = DEFAULT_MAX_INDEX,
 
     Signed-decomposes every vertex cone down to index at most max_index
     and counts the leaves at their vertex with count_leaves.  The count
-    is the same for every max_index >= 1.
+    is the same for every max_index >= 1; a smaller max_index raises
+    ValueError before any work is done.
     """
+    _check_max_index(max_index)
     vertices = enumerate_vertices(P)
     if not vertices:
         return 0

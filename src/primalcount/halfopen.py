@@ -369,6 +369,13 @@ def decompose_step(cone: HalfOpenCone, w, num):
     return children
 
 
+def _check_max_index(max_index):
+    """Raise ValueError unless max_index, the index at which decomposing
+    stops, is at least 1; counting calls it before any other work."""
+    if max_index < 1:
+        raise ValueError("max_index must be at least 1")
+
+
 def signed_decompose(cone, max_index: int = 1, stats=None):
     """Decompose a cone into low-index half-open cones, signed.
 
@@ -381,8 +388,7 @@ def signed_decompose(cone, max_index: int = 1, stats=None):
     it receives max_depth, num_cones and the (parent, child) index pairs
     of every split.
     """
-    if max_index < 1:
-        raise ValueError("max_index must be at least 1")
+    _check_max_index(max_index)
     pieces = halfopen_triangulate(cone) if isinstance(cone, ClosedCone) else [cone]
     terms = []
     max_depth = 0

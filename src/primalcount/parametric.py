@@ -23,16 +23,10 @@ from .errors import (
     SingularMatrixError,
     UnboundedError,
 )
-from .genfun import (
-    DEFAULT_MAX_INDEX,
-    CompiledLeaves,
-    count_leaves,
-    generic_directions,
-    leaf_program,
-    leaf_residues,
-)
+from .genfun import DEFAULT_MAX_INDEX, CompiledLeaves, count_leaves
 from .halfopen import (
     HalfOpenPolyhedron,
+    _check_max_index,
     exactify,
     integral_row,
     perturbed_direction,
@@ -416,12 +410,17 @@ class ParametricAnalysis:
     int_rows of Q and the half-open chambers, and a chamber's active
     vertex maps and leaves become a _CompiledChamber on the first
     evaluation that lands in it.  Evaluation through the activity regions
-    sums count_leaves over the active vertices, uncompiled, as an
-    independent check of the compiled route.
+    finds the active vertices by their half-open activity regions, takes
+    their values at q as Fractions, and counts their leaves there with
+    count_leaves.  Both routes count with one CompiledLeaves, so they
+    differ only in how they find the region and the vertex values, and
+    the second checks the first on those.  A max_index below 1 raises
+    ValueError before anything is computed.
     """
 
     def __init__(self, pp: ParametricPolytope,
                  max_index: int = DEFAULT_MAX_INDEX):
+        _check_max_index(max_index)
         # qset and qdim, not pp: pp caches this analysis, and a reference
         # back would make a cycle that outlives pp until a full collection
         self.qset, self.qdim = pp.qset, pp.qdim
@@ -440,8 +439,6 @@ class ParametricAnalysis:
         self.open_activities = halfopen_activity_regions(self.vertices,
                                                          self.chambers, self.y_q)
         self._decomps = {}
-        self._residues = {}
-        self._programs = {}
         self._qset_rows = pp.qset.int_rows
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
         self._compiled = {}
@@ -456,26 +453,11 @@ class ParametricAnalysis:
             self._decomps[vertex] = (result.terms, stats["max_depth"])
         return self._decomps[vertex]
 
-    def _program(self, vertex, direction):
-        """leaf_program of the vertex's leaves, once per direction; the
-        leaves' residue points are computed once per vertex."""
-        key = (vertex, direction)
-        if key not in self._programs:
-            leaves, _ = self._decomposition(vertex)
-            if vertex not in self._residues:
-                self._residues[vertex] = [leaf_residues(leaf) for _, leaf in leaves]
-            self._programs[key] = leaf_program(leaves, self._residues[vertex],
-                                               direction)
-        return self._programs[key]
-
     def _compile(self, k):
         if k not in self._compiled:
             active = self.open_chambers[k].active
             decomps = [self._decomposition(v) for v in active]
-            direction = next(generic_directions(
-                {ray for leaves, _ in decomps for _, leaf in leaves
-                 for ray in leaf.base.rays}))
-            leaves = CompiledLeaves([self._program(v, direction) for v in active])
+            leaves = CompiledLeaves([group for group, _ in decomps])
             stats = (len(active), sum(len(leaves) for leaves, _ in decomps),
                      max(depth for _, depth in decomps))
             self._compiled[k] = _CompiledChamber(

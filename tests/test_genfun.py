@@ -19,14 +19,13 @@ from primalcount.genfun import (
     count_polytope,
     generic_directions,
     gf_term,
-    leaf_program,
-    leaf_residues,
     parallelepiped_points,
     specialize_at_one,
 )
 from primalcount.errors import NotFullDimensionalError
 from primalcount.halfopen import HalfOpenCone, signed_decompose
 from primalcount.linalg import det, dot, identity, smith_normal_form, solve, transpose
+from primalcount.oracle import brute_count
 from primalcount.polytope import HPolytope, SimplicialCone, enumerate_vertices, vertex_cone
 
 DATA = Path(__file__).parent / "data"
@@ -380,7 +379,7 @@ def halfopen_simplex_count(apex, rays, strict):
 
 
 def test_count_leaves_matches_specialized_terms():
-    # count_leaves sums each leaf's share while walking its Hermite box;
+    # count_leaves sums each leaf's share over its Hermite box;
     # it must equal specialize_at_one of the leaves' gf_terms and the
     # scanned count.  Each case is a signed sum of half-open simplices
     # with a common rational vertex; by Brion's theorem a simplex is the
@@ -468,24 +467,24 @@ def test_count_leaves_matches_specialized_terms():
 @pytest.mark.parametrize("max_index", [1, 20])
 def test_compiled_leaves_match_count_leaves(max_index):
     # Leaves of random polytopes' vertex cones, counted at their vertices
-    # and at vertices moved by a random rational translation.
+    # and at vertices moved by a random rational translation t: the moved
+    # leaves count the translated polytope {A x <= b + A t}, which the
+    # oracle scans.
     rng = random.Random(61 + max_index)
     for case in range(24):
         P = random_box_with_cuts(rng, 2 + case % 2)
         vertices = enumerate_vertices(P)
         groups = [signed_decompose(vertex_cone(P, v), max_index=max_index).terms
                   for v in vertices]
-        mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
-                                      for ray in leaf.base.rays}))
-        compiled = CompiledLeaves([
-            leaf_program(leaves, [leaf_residues(leaf) for _, leaf in leaves], mu)
-            for leaves in groups])
+        compiled = CompiledLeaves(groups)
         for shift in [(0,) * P.dim] + [tuple(Fraction(rng.randint(-9, 9),
                                                       rng.choice((1, 2, 3, 7)))
                                              for _ in range(P.dim))
                                        for _ in range(3)]:
+            moved = HPolytope(A=P.A, b=tuple(bi + dot(row, shift)
+                                             for row, bi in zip(P.A, P.b)))
+            want = brute_count(moved)
             apexes = [tuple(x + t for x, t in zip(v.point, shift)) for v in vertices]
-            want = count_leaves(list(zip(apexes, groups)))
             scaled = []
             for apex in apexes:
                 den = lcm(*(Fraction(x).denominator for x in apex))
@@ -565,6 +564,12 @@ def test_repeated_counts_keep_no_memory():
     # holding 2000 tuples of that size empties its free list, whatever
     # earlier tests left there
     held = [tuple([k] * n) for k in range(2000)]
+    # Building held also drains other free lists and pools, which the
+    # next few hundred counts refill (about 260 blocks when this test
+    # runs alone); one window of 500 counts settles them.  A tuple per
+    # count refills the emptied tuple free list through both windows.
+    for _ in range(500):
+        count_polytope(pyramid)
     before = sys.getallocatedblocks()
     for _ in range(500):
         count_polytope(pyramid)

@@ -587,6 +587,23 @@ class TestCompiledChambers:
         with pytest.raises(ValueError, match="unknown evaluation mode"):
             evaluate_count(interval_family(), [1], via="vertices")
 
+    def test_max_index_below_one_rejected_before_any_work(self):
+        # An empty polytope and a point outside Q count 0 without
+        # decomposing any cone; max_index is checked first all the same,
+        # and no analysis that cannot count is cached.
+        empty = HPolytope(A=((1,), (-1,)), b=(-1, 0))
+        pp = interval_family()
+        for max_index in (0, -3):
+            with pytest.raises(ValueError, match="max_index must be at least 1"):
+                count_polytope(empty, max_index=max_index)
+            with pytest.raises(ValueError, match="max_index must be at least 1"):
+                evaluate_count(pp, (-5,), max_index=max_index)
+            with pytest.raises(ValueError, match="max_index must be at least 1"):
+                pp.analysis(max_index)
+        assert pp._analyses == {}
+        assert count_polytope(empty, max_index=1) == 0
+        assert evaluate_count(pp, (-5,), max_index=1) == 0
+
     @pytest.mark.parametrize("max_index", [1, 5])
     def test_no_smith_form_after_each_chamber_is_compiled(self, max_index,
                                                            monkeypatch):
