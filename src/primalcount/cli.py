@@ -152,6 +152,8 @@ def parse_parametric(text) -> ParametricPolytope:
                              tokens[0][0])
         for line_no, tokens in tail[1:]:
             values = _int_row(line_no, tokens, p + 1, "parameter row")
+            if all(v == 0 for v in values[:p]):
+                raise ParseError("zero parameter row", line_no, tokens[0][0])
             qrows.append((tuple(values[:p]), values[p]))
     qset = HalfOpenPolyhedron.from_inequalities(
         [g for g, _ in qrows], [h for _, h in qrows])
@@ -467,6 +469,10 @@ def _attach_negative_at(argv):
 
 
 def main(argv=None) -> int:
+    # exact counts and input integers may have any number of digits;
+    # Pythons before 3.10.7 have no such limit and no setter for it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     argv = _attach_negative_at(sys.argv[1:] if argv is None else argv)
     try:

@@ -162,12 +162,14 @@ def perturbed_direction(seed, basis, normals):
     Tries seed, then seed + sum_i gamma^(i+1) basis[i] for gamma = 1,
     1/2, 1/4, ... and returns the first generic one.  Deterministic, and
     terminates when basis spans, because each product is then a nonzero
-    polynomial in gamma.
+    polynomial in gamma.  Each candidate is tested as the integer vector
+    _int_row makes of it, a positive multiple with the same signs.
     """
     y = tuple(seed)
     gamma = Fraction(1)
     for _ in range(400):
-        if all(dot(n, y) != 0 for n in normals):
+        z = _int_row(y)[1]
+        if all(dot(n, z) != 0 for n in normals):
             return y
         y = tuple(s + sum(gamma ** (i + 1) * b[k] for i, b in enumerate(basis))
                   for k, s in enumerate(seed))
@@ -180,14 +182,15 @@ def halfopen_triangulate(C: ClosedCone):
 
     Triangulates, then opens facets with exactify against one interior
     direction y, the sum of C's rays moved off every facet hyperplane:
-    every point of C lies in exactly one output cone.
+    every point of C lies in exactly one output cone.  y is scaled to
+    integers once (_int_row); a positive scale keeps every flag.
     """
     pieces = triangulate(C)
     if len(pieces) == 1:
         return [HalfOpenCone(base=pieces[0], sigma=(1,) * len(pieces[0].rays))]
     normals = [n for p in pieces for n in p.normals]
     seed = [sum(coords) for coords in zip(*C.rays)]
-    y = perturbed_direction(seed, C.rays, normals)
+    y = _int_row(perturbed_direction(seed, C.rays, normals))[1]
     out = []
     for p in pieces:
         sigma = tuple(-1 if strict else 1 for strict in exactify(p.normals, y))

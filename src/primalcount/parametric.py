@@ -13,16 +13,10 @@ compiled once per chamber into integer arithmetic.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from operator import mul
 
-from .errors import (
-    DegenerateConeError,
-    NotFullDimensionalError,
-    SingularMatrixError,
-    UnboundedError,
-)
+from .errors import DegenerateConeError, NotFullDimensionalError, UnboundedError
 from .genfun import DEFAULT_MAX_INDEX, CompiledLeaves, count_leaves
 from .halfopen import (
     HalfOpenPolyhedron,
@@ -32,19 +26,22 @@ from .halfopen import (
     perturbed_direction,
     signed_decompose,
 )
-from .linalg import _int_row, _rows_hold, adjugate_int, dot, identity
-from .lp import (
-    OPTIMAL,
-    interior_point,
-    lp_feasible,
-    lp_maximize,
-    remove_redundant,
+from .linalg import _int_row, _rows_hold, adjugate_int, dot, identity, is_zero_vec
+from .lp import OPTIMAL, interior_point, lp_maximize, remove_redundant
+from .polytope import (
+    ClosedCone,
+    _double_description,
+    _first_basis,
+    _homogenized_rays,
+    extreme_rays,
 )
-from .polytope import ClosedCone, _homogenized_rays, extreme_rays
 
 
 class ParametricPolytope:
-    """The family {x : A x <= E q + f} with q restricted to a closed set Q."""
+    """The family {x : A x <= E q + f} with q restricted to a closed set Q.
+
+    Q's rows must have nonzero normals, as HPolytope's rows must.
+    """
 
     def __init__(self, A, E, f, qset=None):
         if not A:
@@ -70,6 +67,8 @@ class ParametricPolytope:
             raise ValueError("parameter set must be closed")
         if qset.rows and len(qset.rows[0][0]) != self.qdim:
             raise ValueError("parameter set dimension mismatch")
+        if any(is_zero_vec(g) for g, _, _ in qset.rows):
+            raise ValueError("zero row in parameter set")
         self.qset = qset
         self._analyses = {}
 
@@ -87,7 +86,7 @@ class ParametricVertex:
     map_M: tuple  # d x p Fractions
     map_c: tuple  # d Fractions
     activity: HalfOpenPolyhedron  # closed region in q-space
-    cone: ClosedCone  # recession structure at the vertex; None when degenerate
+    cone: ClosedCone  # the cone of the rows tight at the vertex, at apex 0
 
     def value(self, q):
         return tuple(dot(row, q) + c for row, c in zip(self.map_M, self.map_c))
@@ -115,19 +114,28 @@ def _integer_row(g, h):
 
 
 def enumerate_parametric_vertices(pp: ParametricPolytope):
-    """All distinct vertex maps of the family, with activity regions.
+    """The vertex maps of the family whose activity regions are
+    full-dimensional, in sorted (M, c) order.
 
-    Walks every full-rank d-subset B of rows and solves for the basic
-    solution as an affine map of q.  A is integral, so with
-    (adj, det) = adjugate_int(A_B) the map is M = adj E_B / det and
-    c = adj f_B / det, Fractions in lowest terms, with no rational
-    elimination.  Deduplicates identical maps, keeping the first basis,
-    keeps the maps feasible somewhere in Q in sorted (M, c) order, and
-    attaches the q-independent cone spanned by the rows that are tight
-    identically in q.  Raises UnboundedError when the family has a
-    recession direction, read off the homogenized cone of {x : A x <= 1}
-    without an LP, and NotFullDimensionalError when some vertex map
-    forces the polytope into a hyperplane on a full-dimensional part of Q.
+    One double description of the homogenized combined cone
+    K = {(x, q, t) : A x - E q - f t <= 0, Q's rows, t >= 0} gives them
+    (Loechner & Wilde 1997).  A vertex map v(q) = M q + c with a
+    full-dimensional activity region is the face of K on which its
+    tight rows hold with equality.  On such a face x = M q + c t, so the
+    face is as large as its projection to (q, t), the homogenized
+    activity region: it has dimension p + 1, and the rows tight on it
+    are those tight identically in q.  Conversely a face of dimension
+    p + 1 whose tight rows of A have rank d is such a map.  Its basis is
+    the first basis of those rows (polytope._first_basis), the first
+    basis in combinations order that gives the map.  A is integral, so
+    with (adj, det) = adjugate_int(A_B) the map is
+    M = adj E_B / det and c = adj f_B / det, Fractions in lowest terms.
+    Each map gets its activity region, the rows of A not tight on it
+    with Q's, redundant rows removed, and the q-independent cone of its
+    tight rows.  Raises UnboundedError when the family has a recession
+    direction, read off the homogenized cone of {x : A x <= 1} without
+    an LP, and NotFullDimensionalError when some vertex map forces the
+    polytope into a hyperplane on a full-dimensional part of Q.
     """
     d, p = pp.dim, pp.qdim
     # Every nonempty P_q has the recession cone {A x <= 0} of {A x <= 1},
@@ -136,69 +144,82 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
     rays = _homogenized_rays(pp.A, [1] * len(pp.A))
     if rays is None or any(ray[-1] == 0 for ray in rays):
         raise UnboundedError("polyhedron unbounded")
-    seen = {}
-    order = []
-    for basis in combinations(range(len(pp.A)), d):
-        try:
-            adj, det_b = adjugate_int([pp.A[i] for i in basis])
-        except SingularMatrixError:
+    maps = []
+    for tight in _faces_of_dimension_p1(pp):
+        basis = tuple(tight[k] for k in _first_basis([pp.A[i] for i in tight]))
+        if len(basis) < d:
             continue
+        adj, det_b = adjugate_int([pp.A[i] for i in basis])
         ecols = list(zip(*(pp.E[i] for i in basis)))
         fsub = [pp.f[i] for i in basis]
         M = tuple(tuple(Fraction(dot(row, col), det_b) for col in ecols)
                   for row in adj)
         c = tuple(dot(row, fsub) / det_b for row in adj)
-        key = (M, c)
-        if key in seen:
-            continue
-        seen[key] = basis
-        order.append(key)
+        maps.append((M, c, basis, tight))
 
     vertices = []
-    for key in sorted(order):
-        M, c = key
-        basis = seen[key]
+    for M, c, basis, tight in sorted(maps):
         rows = []
-        tight = []
-        feasible = True
         for i, (arow, erow, fi) in enumerate(zip(pp.A, pp.E, pp.f)):
             # A_i (M q + c) <= E_i q + f_i as a row in q
             gq = tuple(dot(arow, [M[r][j] for r in range(d)]) - erow[j]
                        for j in range(p))
-            rhs = fi - dot(arow, c)
-            if all(x == 0 for x in gq):
-                if rhs == 0:
-                    tight.append(i)
-                elif rhs < 0:
-                    feasible = False
-                    break
-                continue
-            rows.append(_integer_row(gq, rhs))
-        if not feasible:
-            continue
+            if any(gq):
+                rows.append(_integer_row(gq, fi - dot(arow, c)))
         all_rows = [(g, h, False) for g, h in rows] + list(pp.qset.rows)
-        A_act = [g for g, h, _ in all_rows]
-        b_act = [h for _, h, _ in all_rows]
-        if all_rows and not lp_feasible(A_act, b_act):
-            continue
         if all_rows:
-            A_red, b_red = remove_redundant(A_act, b_act)
-            activity = HalfOpenPolyhedron.from_inequalities(A_red, b_red)
+            activity = HalfOpenPolyhedron.from_inequalities(*remove_redundant(
+                [g for g, _, _ in all_rows], [h for _, h, _ in all_rows]))
         else:
             activity = HalfOpenPolyhedron(rows=())
-        normals = [pp.A[i] for i in tight]
+        normals = tuple(pp.A[i] for i in tight)
         try:
-            rays = extreme_rays(normals)
-            cone = ClosedCone(apex=(Fraction(0),) * d, rays=tuple(rays),
-                              normals=tuple(normals))
+            cone = ClosedCone(apex=(Fraction(0),) * d,
+                              rays=tuple(extreme_rays(normals)), normals=normals)
         except DegenerateConeError:
-            if not all_rows or interior_point(A_act, b_act) is not None:
-                raise NotFullDimensionalError(
-                    "polyhedron not full-dimensional over a parameter region")
-            cone = None
-        vertices.append(ParametricVertex(basis=tuple(basis), map_M=M, map_c=c,
+            raise NotFullDimensionalError(
+                "polyhedron not full-dimensional over a parameter region") from None
+        vertices.append(ParametricVertex(basis=basis, map_M=M, map_c=c,
                                          activity=activity, cone=cone))
     return vertices
+
+
+def _faces_of_dimension_p1(pp: ParametricPolytope):
+    """The rows of A tight on each face of dimension p + 1 of the
+    combined cone K of enumerate_parametric_vertices, as sorted tuples.
+
+    When K's normals have rank below n = d + p + 1, K contains the
+    linear space L they vanish on, of dimension at most p for a bounded
+    family.  The unit vectors e_j that complete the normals to a basis,
+    by the first-basis rule, add the equations e_j . z = 0, which cut L
+    off and keep K's faces, each dim L smaller.  The double description
+    of that pointed cone gives its extreme rays with their incidence
+    masks: the faces of dimension 1.  A face is its mask, and the faces
+    one dimension up from a face F are the largest masks among
+    F & mask(r) over the rays r outside F.
+    """
+    m = len(pp.A)
+    normals = [tuple(_int_row((*a, *(-x for x in e), -fi))[1])
+               for a, e, fi in zip(pp.A, pp.E, pp.f)]
+    normals += [(0,) * pp.dim + tuple(_int_row((*g, -h))[1])
+                for g, h, _ in pp.qset.rows]
+    n = pp.dim + pp.qdim + 1
+    normals.append((0,) * (n - 1) + (-1,))
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    extra = [units[k - len(normals)] for k in _first_basis(normals + units)
+             if k >= len(normals)]
+    for e in extra:
+        normals += [e, tuple(-x for x in e)]
+    _, masks = _double_description(normals)
+    faces = set(masks)
+    for _ in range(pp.qdim - len(extra)):
+        up = set()
+        for face in faces:
+            joins = {face & z for z in masks if z & face != face}
+            up.update(j for j in joins
+                      if not any(k != j and k & j == j for k in joins))
+        faces = up
+    return [tuple(i for i in range(m) if face >> i & 1) for face in faces]
 
 
 def chambers_max_dim(vertices, qset=None, qdim=None):

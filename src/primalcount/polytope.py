@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from math import gcd
 from operator import mul
 
 from . import lp
@@ -216,9 +216,10 @@ def _homogenized_cone(A, b):
     normals = [tuple(row) + (-bi,) for row, bi in zip(A, b)]
     normals.append((0,) * len(A[0]) + (-1,))
     try:
-        return _double_description(normals)
+        rays, masks = _double_description(normals)
     except DegenerateConeError:
         return None
+    return (rays, masks) if rank(rays) == len(normals[0]) else None
 
 
 def _homogenized_rays(A, b):
@@ -248,34 +249,66 @@ def extreme_rays(normals):
     incidence masks.  Raises DegenerateConeError if the cone is not
     pointed or not full-dimensional.
     """
-    return _double_description(normals)[0]
+    rays = _double_description(normals)[0]
+    if rank(rays) != len(normals[0]):
+        raise DegenerateConeError("cone is not full-dimensional")
+    return rays
+
+
+def _first_basis(vectors):
+    """Indices of the first basis of the span of vectors: each vector kept
+    raises the rank of those kept before it.
+
+    A matroid's greedy basis is its lexicographically first basis, so
+    this is the first independent subset of size rank(vectors) in
+    combinations order, found by one incremental fraction-free
+    elimination: each vector is reduced against the rows kept so far,
+    each with its own pivot column, and kept when something is left.
+    Stops at full rank.  Integer entries.
+    """
+    kept, pivots = [], []
+    n = len(vectors[0]) if vectors else 0
+    for i, v in enumerate(vectors):
+        row = v
+        for c, top in pivots:
+            f = row[c]
+            if f:
+                p = top[c]
+                row = [p * x - f * y for x, y in zip(row, top)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        g = gcd(*row)
+        pivots.append((c, [x // g for x in row] if g > 1 else row))
+        kept.append(i)
+        if len(kept) == n:
+            break
+    return tuple(kept)
 
 
 def _double_description(normals):
     """Extreme rays of {x : n . x <= 0} and their incidence bitmasks.
 
-    Incremental double description: start from a simplicial subcone
-    given by the first d independent normals, then cut with the
+    Incremental double description: start from the simplicial cone of
+    the first basis of the normals (_first_basis), then cut with the
     remaining ones in order (Motzkin et al. 1953; Fukuda & Prodon 1996).
     Bit i of a ray's mask is set when normals[i] . ray == 0 among the
     normals cut so far.  A cut keeps the rays it does not separate and
     joins each adjacent pair it separates (_adjacent, read off the
     masks); the joined ray's mask is the pair's common mask plus the new
-    normal.  No rank is taken until the final full-dimensionality test.
-    Returns (rays, masks), rays primitive and sorted, masks aligned.
-    Raises DegenerateConeError if the cone is not pointed or not
-    full-dimensional.
+    normal.  The combinatorial adjacency test holds in any pointed cone,
+    so a lower-dimensional cone comes out right too, and the {0} cone
+    with no rays; no rank is taken, and callers that need a
+    full-dimensional cone test the rays' rank themselves.  Returns
+    (rays, masks), rays primitive and sorted, masks aligned.  Raises
+    DegenerateConeError if the cone is not pointed.
     """
     normals = [tuple(n) for n in normals]
     d = len(normals[0])
-    for base in combinations(range(len(normals)), d):
-        try:
-            adj, det_m = adjugate_int([normals[i] for i in base])
-        except SingularMatrixError:
-            continue
-        break
-    else:
+    base = _first_basis(normals)
+    if len(base) < d:
         raise DegenerateConeError("cone is not pointed")
+    adj, det_m = adjugate_int([normals[i] for i in base])
     # the columns of -M^-1 = -adj / det, scaled by det^2 > 0; ray j lies
     # on every base hyperplane but its own
     rays = [vec_primitive(tuple(-det_m * row[j] for row in adj)) for j in range(d)]
@@ -304,8 +337,6 @@ def _double_description(normals):
         rays = [r for r, _ in keep]
         masks = [z for _, z in keep]
 
-    if rank(rays) != d:
-        raise DegenerateConeError("cone is not full-dimensional")
     order = sorted(range(len(rays)), key=rays.__getitem__)
     return [rays[k] for k in order], [masks[k] for k in order]
 
@@ -341,9 +372,10 @@ def _boundary_facets(pieces):
 def triangulate(C: ClosedCone):
     """Split a pointed full-dimensional cone into simplicial cones.
 
-    Placing order: rays are inserted as given (ClosedCone keeps them
-    sorted), each new ray joined to the boundary faces it sees.  Pieces
-    share facets exactly, cover C, and use only C's own rays.
+    Placing order: the start simplex is the first basis of the rays
+    (_first_basis), and the other rays are inserted as given (ClosedCone
+    keeps them sorted), each joined to the boundary faces it sees.  Pieces share facets
+    exactly, cover C, and use only C's own rays.
     """
     rays = list(C.rays)
     d = len(rays[0])
@@ -351,14 +383,11 @@ def triangulate(C: ClosedCone):
     def piece(simplex):
         return SimplicialCone(apex=C.apex, rays=tuple(rays[i] for i in simplex))
 
-    for start in combinations(range(len(rays)), d):
-        try:
-            pieces = {start: piece(start)}
-            break
-        except DegenerateConeError:
-            continue
-    else:
+    # d rays admit no other start, and the piece checks their independence
+    start = tuple(range(d)) if len(rays) == d else _first_basis(rays)
+    if len(start) < d:
         raise DegenerateConeError("cone is not full-dimensional")
+    pieces = {start: piece(start)}
     for t in range(len(rays)):
         if t in start:
             continue

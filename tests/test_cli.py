@@ -101,6 +101,15 @@ class TestParseParametric:
         with pytest.raises(ParseError, match="expected 3 integers"):
             parse_parametric("1 3\n")
 
+    def test_zero_parameter_row_rejected(self):
+        # 0 <= 0 used to empty every chamber, so pcount printed 0 for 4
+        with pytest.raises(ParseError, match="zero parameter row") as info:
+            parse_parametric(INTERVAL_FAMILY + "  0 | 0\n")
+        assert (info.value.line, info.value.column) == (7, 3)
+        with pytest.raises(ParseError, match="zero parameter row") as info:
+            parse_parametric(MIN_FAMILY.replace("0 -1 | 0", "0 0 | 5"))
+        assert (info.value.line, info.value.column) == (7, 1)
+
 
 class TestExitCodes:
     def test_count_success(self, square_file, capsys):
@@ -136,6 +145,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: polyhedron not full-dimensional\n"
+
+    @pytest.mark.parametrize("command", [["chambers"], ["pcount", "--at", "3"]])
+    def test_zero_parameter_row_is_a_parse_error(self, command, tmp_path, capsys):
+        path = tmp_path / "family.txt"
+        path.write_text(INTERVAL_FAMILY + "0 | 0\n")
+        assert main([command[0], str(path)] + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 7, col 1: zero parameter row\n"
 
     def test_max_index_validation(self, square_file):
         assert main(["count", square_file, "--max-index", "0"]) == 1
@@ -233,6 +251,25 @@ class TestPcount:
         path.write_text(MIN_FAMILY)
         assert main(["pcount", str(path), "--at", "3,5"]) == 0
         assert capsys.readouterr().out == "4\n"
+
+
+    def test_count_past_the_int_string_limit(self, tmp_path, capsys):
+        # x1 <= q, x1 >= 0 and 0 <= x2 <= 3: 4 (q + 1) points, printed in
+        # full however many digits it has
+        path = tmp_path / "box.txt"
+        path.write_text("2 4 1\n1 0 | 1 | 0\n-1 0 | 0 | 0\n0 1 | 0 | 3\n"
+                        "0 -1 | 0 | 0\nQ:\n-1 | 0\n")
+        assert main(["pcount", str(path), "--at", "1e5000"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (f"{4 * (10 ** 5000 + 1)}\n", "")
+
+    def test_bound_past_the_int_string_limit_parses(self, tmp_path, capsys):
+        bound = 10 ** 4999 + 7
+        path = tmp_path / "segment.txt"
+        path.write_text(f"1 2\n-1 0\n1 {bound}\n")
+        assert main(["count", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (f"{bound + 1}\n", "")
 
 
 class TestPcountSweepFamily:

@@ -272,7 +272,7 @@ def assert_maps_match_inverse_route(pp):
 
 def test_sweep_family_maps_match_inverse_route():
     pp = parse_parametric((Path(__file__).parent / "data" / "sweep_family.txt").read_text())
-    assert assert_maps_match_inverse_route(pp)[0] == 29
+    assert assert_maps_match_inverse_route(pp)[0] == 20
 
 
 def test_random_family_maps_match_inverse_route():

@@ -2,26 +2,39 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from primalcount import genfun, linalg, parametric
 from primalcount.cli import parse_parametric
-from primalcount.errors import NotFullDimensionalError, UnboundedError
+from primalcount.errors import (
+    DegenerateConeError,
+    NotFullDimensionalError,
+    SingularMatrixError,
+    UnboundedError,
+)
 from primalcount.genfun import count_leaves, count_polytope
 from primalcount.halfopen import HalfOpenPolyhedron, signed_decompose
-from primalcount.lp import interior_point
+from primalcount.lp import interior_point, remove_redundant
 from primalcount.oracle import brute_count
 from primalcount.parametric import (
     ParametricPolytope,
+    ParametricVertex,
+    _integer_row,
     chambers_max_dim,
     enumerate_parametric_vertices,
     evaluate_count,
     halfopen_activity_regions,
     halfopen_chambers,
 )
-from primalcount.polytope import HPolytope
+from primalcount.polytope import (
+    ClosedCone,
+    HPolytope,
+    _homogenized_rays,
+    extreme_rays,
+)
 
 
 def interval_family():
@@ -98,20 +111,27 @@ class TestEnumerateParametricVertices:
                 E=[[1], [-1], [0], [0]],
                 f=[0, 0, 5, 0]))
 
-    def test_degenerate_vertex_on_thin_activity_is_kept(self):
+    def test_thin_activity_degenerate_vertex_dropped(self):
         # x = q is forced, and x = 0 as well, so every vertex map is
-        # feasible only at q = 0; no full-dimensional chamber exists.
+        # feasible only at q = 0: no map has a full-dimensional activity
+        # region, so none is kept and no chamber exists.
         pp = ParametricPolytope(
             A=[[1], [-1], [1], [-1]],
             E=[[1], [-1], [0], [0]],
             f=[0, 0, 0, 0])
         verts = enumerate_parametric_vertices(pp)
-        assert verts
-        assert all(v.cone is None for v in verts)
+        assert verts == []
         assert chambers_max_dim(verts, pp.qset, qdim=1) == []
         stats = {}
         assert evaluate_count(pp, [0], stats=stats) == 0
         assert stats.get("outside") is True
+
+    def test_zero_parameter_row_rejected(self):
+        for g, h in (((0,), 0), ((0,), 5), ((0,), -1)):
+            with pytest.raises(ValueError, match="zero row in parameter set"):
+                ParametricPolytope(
+                    A=[[-1], [1]], E=[[0], [1]], f=[0, 0],
+                    qset=HalfOpenPolyhedron.from_inequalities([[-1], g], [0, h]))
 
     def test_deduplicates_bases_with_equal_maps(self):
         # Rows 1 and 2 define the same vertex map x = q.
@@ -461,7 +481,7 @@ class TestRationalRows:
 
 
 # The benchmark's pcount-sweep family (tests/data/sweep_family.txt): x >= 0
-# and five rows a.x <= e.q + f over q >= 0, 29 vertex maps, 21 chambers.
+# and five rows a.x <= e.q + f over q >= 0, 20 vertex maps, 21 chambers.
 SWEEP_A = ((-1, 0, 0), (0, -1, 0), (0, 0, -1),
            (1, 2, 3), (3, 2, 1), (1, 1, 1), (2, 1, 0), (0, 1, 2))
 SWEEP_E = ((0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (1, 1), (1, 0), (0, 1))
@@ -739,3 +759,152 @@ class TestChamberSplit:
         slow = chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
         assert fast == slow and len(fast) == 21
         assert fast_calls < len(calls)
+
+
+# ---------------------------------------------------------------------------
+# vertex maps against the subset walk
+
+
+def subset_walk_vertices(pp):
+    """The vertex maps by the former walk over every d-subset of rows,
+    kept when their activity region has an interior point.
+
+    Each full-rank basis gives a map; equal maps keep their first basis
+    in combinations order.  A map identically violated by some row, or
+    whose activity rows with Q's have no interior point, is dropped.
+    The others get the activity and cone that enumerate_parametric_vertices
+    gives, in sorted (M, c) order, and a degenerate cone raises
+    NotFullDimensionalError."""
+    d, p = pp.dim, pp.qdim
+    rays = _homogenized_rays(pp.A, [1] * len(pp.A))
+    if rays is None or any(ray[-1] == 0 for ray in rays):
+        raise UnboundedError("polyhedron unbounded")
+    seen = {}
+    for basis in combinations(range(len(pp.A)), d):
+        try:
+            adj, det_b = linalg.adjugate_int([pp.A[i] for i in basis])
+        except SingularMatrixError:
+            continue
+        ecols = list(zip(*(pp.E[i] for i in basis)))
+        fsub = [pp.f[i] for i in basis]
+        M = tuple(tuple(Fraction(linalg.dot(row, col), det_b) for col in ecols)
+                  for row in adj)
+        c = tuple(linalg.dot(row, fsub) / det_b for row in adj)
+        seen.setdefault((M, c), basis)
+    vertices = []
+    for (M, c), basis in sorted(seen.items()):
+        rows, tight, feasible = [], [], True
+        for i, (arow, erow, fi) in enumerate(zip(pp.A, pp.E, pp.f)):
+            gq = tuple(linalg.dot(arow, [M[r][j] for r in range(d)]) - erow[j]
+                       for j in range(p))
+            rhs = fi - linalg.dot(arow, c)
+            if all(x == 0 for x in gq):
+                if rhs == 0:
+                    tight.append(i)
+                feasible = feasible and rhs >= 0
+                continue
+            rows.append(_integer_row(gq, rhs))
+        all_rows = [(g, h) for g, h in rows] + [(g, h) for g, h, _ in pp.qset.rows]
+        A_act = [g for g, _ in all_rows]
+        b_act = [h for _, h in all_rows]
+        if not feasible or (all_rows and interior_point(A_act, b_act) is None):
+            continue
+        if all_rows:
+            activity = HalfOpenPolyhedron.from_inequalities(
+                *remove_redundant(A_act, b_act))
+        else:
+            activity = HalfOpenPolyhedron(rows=())
+        normals = tuple(pp.A[i] for i in tight)
+        try:
+            cone = ClosedCone(apex=(Fraction(0),) * d,
+                              rays=tuple(extreme_rays(normals)), normals=normals)
+        except DegenerateConeError:
+            raise NotFullDimensionalError("degenerate vertex cone") from None
+        vertices.append(ParametricVertex(basis=basis, map_M=M, map_c=c,
+                                         activity=activity, cone=cone))
+    return vertices
+
+
+def vertices_outcome(find, pp):
+    """The vertex list, or the type of the exception raised."""
+    try:
+        return find(pp)
+    except (UnboundedError, NotFullDimensionalError) as exc:
+        return type(exc)
+
+
+def random_walk_family(rng, case):
+    """A small random family: boxes, cuts and translations in d = 1..3
+    with p = 1 or 2, and planted equalities and duplicate rows.
+
+    Q cycles through none (translation families then have a lineality
+    space), q >= 0, a box, a thin box with q_1 = 1 and an empty set; a
+    family without its box rows may be unbounded."""
+    d, p = 1 + case % 3, 1 + case // 3 % 2
+    A, E, f = [], [], []
+    if rng.random() < 0.9:
+        for j in range(d):
+            for s in (1, -1):
+                A.append(tuple(s * int(i == j) for i in range(d)))
+                E.append(tuple(rng.randint(-1, 2) for _ in range(p)))
+                f.append(rng.randint(0, 4))
+    for _ in range(rng.randint(1, 3)):
+        row = tuple(rng.randint(-2, 2) for _ in range(d))
+        A.append(row if any(row) else (1,) * d)
+        E.append(tuple(rng.randint(-2, 2) for _ in range(p)))
+        f.append(rng.randint(-3, 6))
+    if rng.random() < 0.5:  # a translation: P_q = P_0 + T q
+        T = [[rng.randint(-1, 1) for _ in range(p)] for _ in range(d)]
+        E = [tuple(linalg.dot(a, col) for col in zip(*T)) for a in A]
+    if rng.random() < 0.25:  # a planted equality
+        i = rng.randrange(len(A))
+        A.append(tuple(-x for x in A[i]))
+        E.append(tuple(-x for x in E[i]))
+        f.append(-f[i])
+    if rng.random() < 0.3:  # a duplicate row, scaled
+        i = rng.randrange(len(A))
+        A.append(tuple(2 * x for x in A[i]))
+        E.append(tuple(2 * x for x in E[i]))
+        f.append(2 * f[i])
+    unit = [tuple(int(i == j) for j in range(p)) for i in range(p)]
+    neg = [tuple(-x for x in u) for u in unit]
+    kind = case // 6 % 5
+    if kind == 0:
+        qrows, qrhs = [], []
+    elif kind == 1:
+        qrows, qrhs = neg, [0] * p
+    elif kind == 2:
+        qrows, qrhs = neg + unit, [0] * p + [4] * p
+    elif kind == 3:
+        qrows, qrhs = neg + unit, [-1] + [0] * (p - 1) + [1] + [4] * (p - 1)
+    else:
+        qrows, qrhs = neg[:1] + unit[:1], [-2, 1]
+    return ParametricPolytope(A, E, f, qset=HalfOpenPolyhedron.from_inequalities(
+        qrows, qrhs))
+
+
+class TestVertexMapsAgainstSubsetWalk:
+    def test_sweep_family(self):
+        pp = sweep_family()
+        got = enumerate_parametric_vertices(pp)
+        assert got == subset_walk_vertices(pp)
+        assert len(got) == 20
+
+    def test_acceptance_families(self):
+        for pp, _ in acceptance_families():
+            got = enumerate_parametric_vertices(pp)
+            assert got and got == subset_walk_vertices(pp)
+
+    def test_random_families(self):
+        rng = random.Random(20261019)
+        kinds = []
+        for case in range(540):
+            pp = random_walk_family(rng, case)
+            got = vertices_outcome(enumerate_parametric_vertices, pp)
+            assert got == vertices_outcome(subset_walk_vertices, pp), \
+                (pp.A, pp.E, pp.f, pp.qset)
+            kinds.append(got if isinstance(got, type) else bool(got))
+        assert all(kinds.count(kind) >= 25 for kind in
+                   (True, False, NotFullDimensionalError, UnboundedError)), \
+            [kinds.count(k) for k in (True, False, NotFullDimensionalError,
+                                      UnboundedError)]

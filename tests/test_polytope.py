@@ -24,6 +24,7 @@ from primalcount.polytope import (
     HPolytope,
     SimplicialCone,
     Vertex,
+    _first_basis,
     enumerate_vertices,
     extreme_rays,
     triangulate,
@@ -427,6 +428,36 @@ def test_extreme_rays_match_reference_on_random_cones():
         kinds.append(got if isinstance(got, str) else len(got) > d)
     assert all(kinds.count(kind) >= 40 for kind in
                ("cone is not pointed", "cone is not full-dimensional", False, True))
+
+
+def first_basis_reference(vectors):
+    """The first subset of size rank(vectors), in combinations order, of
+    independent vectors."""
+    r = rank(vectors)
+    return next(s for s in combinations(range(len(vectors)), r)
+                if rank([vectors[i] for i in s]) == r)
+
+
+def test_first_basis_is_the_first_in_combinations_order():
+    # vectors drawn from a random subspace of dimension k <= n, so rows
+    # depend on each other, with zero rows and repeats planted
+    rng = random.Random(1019)
+    ranks = []
+    for case in range(400):
+        n = 1 + case % 5
+        k = rng.randint(0, n)
+        span = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        vectors = []
+        for _ in range(rng.randint(1, n + 4)):
+            c = [rng.randint(-2, 2) for _ in span]
+            vectors.append(tuple(sum(a * v[j] for a, v in zip(c, span))
+                                 for j in range(n)))
+        vectors.insert(rng.randint(0, len(vectors)), rng.choice(vectors))
+        got = _first_basis(vectors)
+        assert got == first_basis_reference(vectors), vectors
+        ranks.append((len(got), n))
+    assert sum(r < n for r, n in ranks) >= 60
+    assert sum(r == n for r, n in ranks) >= 60
 
 
 # ---------------------------------------------------------------------------
