@@ -61,11 +61,32 @@ def _scan(line):
     return tokens
 
 
+# a decimal integer as int() reads one: a sign, then digits with single
+# underscores between them
+_DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+# the least limit sys.set_int_max_str_digits accepts, so int() reads a
+# chunk this long under any limit
+_DIGIT_CHUNK = 640
+
+
 def _int_token(token, line_no, col):
+    """The token as a decimal integer of any length.
+
+    int() refuses more digits than sys.get_int_max_str_digits() where
+    Python has that limit; a longer token is read in chunks of
+    _DIGIT_CHUNK digits, and the process-wide limit is left as it is.
+    """
     try:
         return int(token, 10)
     except ValueError:
-        raise ParseError(f"not an integer: {token!r}", line_no, col)
+        if not _DECIMAL.fullmatch(token):
+            raise ParseError(f"not an integer: {token!r}", line_no, col) from None
+    digits = token.lstrip("+-").replace("_", "")
+    value = 0
+    for i in range(0, len(digits), _DIGIT_CHUNK):
+        chunk = digits[i:i + _DIGIT_CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk, 10)
+    return -value if token.startswith("-") else value
 
 
 def _content_lines(text):
@@ -468,12 +489,22 @@ def _attach_negative_at(argv):
     return out
 
 
+# The parser main builds on its first call and reuses.  Parsing leaves
+# it unchanged, prog is fixed, and _Parser.error and argparse's printers
+# look up sys.stderr and sys.stdout when they print, so each call gives
+# the bytes a fresh parser would.
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
     # exact counts and input integers may have any number of digits;
     # Pythons before 3.10.7 have no such limit and no setter for it
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     argv = _attach_negative_at(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)

@@ -12,11 +12,14 @@ share into one coefficient of an exact truncated power series, a fixed
 integer combination of its numerator's binomial sums (_leaf_weights).
 specialize_at_one reads it for built terms (gf_term, GenFun).
 Counting decomposes cones only down to index DEFAULT_MAX_INDEX, as
-LattE does, and CompiledLeaves is the one leaf counter: it walks each
-leaf's box once, without its apex, and then counts the signed leaves at
-any apexes with floor divisions and integer sums, building no point or
-term.  count_leaves counts at one set of apexes, and each compiled
-chamber of the parametric module at every parameter point it holds.
+LattE does, and CompiledLeaves is the one leaf counter.  It walks each
+leaf's box once, without its apex, and keeps each facet's rounding as
+one integer row, affine in the parameters of its group's apex map
+v(q) = M q + c; a count at a parameter point is then one dot product
+and one floor division per facet and integer sums, building no point,
+apex or term.  count_leaves counts fixed apexes as maps with no
+parameters, and each compiled chamber of the parametric module counts
+at every parameter point it holds.
 """
 
 from dataclasses import dataclass
@@ -214,31 +217,41 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
 
 
 class CompiledLeaves:
-    """Signed leaf cones counted at any apexes, in integers.
+    """Signed leaf cones with affine apexes, counted in integers.
 
     groups holds one sequence of (sign, HalfOpenCone) per apex, as
-    signed_decompose returns them.  One direction mu, generic for every
-    leaf ray, makes the leaves' shares of specialize_at_one sum to the
-    count.  Each leaf is walked once (_box_columns), with no apex, into
-    integer columns over its Hermite box: normals[j] . k for each facet j
-    and c(k) = <mu, k> + shift.  Its share's weights (_leaf_weights) are
-    scaled to one common denominator, self.denominator.
+    signed_decompose returns them, and maps one integer affine apex map
+    (M, c, m) per group: M holds d integer rows of p entries (or none
+    when p = 0), c is an integer vector of length d and m a positive
+    integer.  At the parameter point z / D (integer z, D > 0) group i
+    sits at apex (M z + D c) / (m D); a fixed apex a / q is the map
+    ((), a, q), counted at z = () and D = 1.  One direction mu, generic
+    for every leaf ray, makes the leaves' shares of specialize_at_one
+    sum to the count.  Each leaf is walked once (_box_columns), with no
+    apex, into integer columns over its Hermite box: normals[j] . k for
+    each facet j and c(k) = <mu, k> + shift.  Its share's weights
+    (_leaf_weights) are scaled to one common denominator,
+    self.denominator.
 
-    At apex a / q the parallelepiped point of residue k is k - sum_j
-    ((f_j - normals[j] . k) // index) rays[j], with one floor division
-    f_j = (normals[j] . a - strict_j) // q per facet (as in
-    parallelepiped_points).  So N = <mu, point> + shift is c(k) -
+    Each facet j keeps the integer row (normals[j] . M columns...,
+    normals[j] . c) and its strict flag, so the rounding of
+    parallelepiped_points at the apex is the step-polynomial
+    f_j = (row_j . (z, D) - strict_j) // (m D), and the parallelepiped
+    point of residue k is k - sum_j ((f_j - normals[j] . k) // index)
+    rays[j].  So N = <mu, point> + shift is c(k) -
     sum_j g_j ((f_j - normals[j] . k) // index) with g_j = <mu, rays[j]>,
     and the sums over the box of the falling factorials N (N-1) ...
     (N-t+1), divided by t!, are the num_t the weights multiply.
     """
 
-    def __init__(self, groups):
+    def __init__(self, groups, maps):
         mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
                                       for ray in leaf.base.rays}))
         self.groups = []
         weights = []
-        for leaves in groups:
+        for leaves, (M, c, m) in zip(groups, maps):
+            # the columns of M, then c: a row's entries are normals[j] . col
+            cols = (*zip(*M), c)
             records = []
             for eps, leaf in leaves:
                 base = leaf.base
@@ -246,42 +259,43 @@ class CompiledLeaves:
                 rows = [(n, 0) for n in base.normals]
                 rows.append((mu, sum(-g for g in gains if g < 0)))
                 columns = _box_columns(leaf, rows)
-                c = columns.pop()
+                Ns = columns.pop()
                 u, den = _leaf_weights(gains, eps)
                 weights.append((u, den))
-                records.append((base.normals, [s < 0 for s in leaf.sigma], base.index,
-                                gains, columns, c, u))
-            self.groups.append(records)
+                facets = list(zip(*[[sum(map(mul, n, col)) for n in base.normals]
+                                    for col in cols]))
+                records.append((facets, [s < 0 for s in leaf.sigma], base.index,
+                                gains, columns, Ns, u))
+            self.groups.append((m, records))
         # each leaf's weights over the common denominator L, in place
         self.denominator = L = lcm(*[den for _, den in weights])
         for u, den in weights:
             scale = L // den
             u[:] = [scale * x for x in u]
 
-    def count(self, apexes) -> int:
-        """Lattice points of the signed leaf sum with group i at apexes[i].
-
-        apexes[i] is (a, q): an integer numerator vector and a positive
-        common denominator.
-        """
+    def count(self, z, D) -> int:
+        """Lattice points of the signed leaf sum at the parameter point
+        z / D: z an integer vector of length p, D a positive integer."""
+        zD = (*z, D)
         total = 0
-        for (a, q), records in zip(apexes, self.groups):
-            for normals, strict, index, gains, columns, Ns, u in records:
+        for m, records in self.groups:
+            mD = m * D
+            for facets, strict, index, gains, columns, Ns, u in records:
                 if index == 1:
                     # the box is the one point k = 0: the same sums in
                     # scalars, as building 2d - 1 one-item lists per leaf
                     # made repeated parametric evaluations measurably slower
                     N = Ns[0]
-                    for n, s, g in zip(normals, strict, gains):
-                        N -= g * ((sum(map(mul, n, a)) - s) // q)
+                    for row, s, g in zip(facets, strict, gains):
+                        N -= g * ((sum(map(mul, row, zD)) - s) // mD)
                     total += u[0] + u[1] * N
                     binomial = N
                     for t in range(2, len(u)):
                         binomial = binomial * (N - t + 1) // t
                         total += u[t] * binomial
                     continue
-                for n, s, g, column in zip(normals, strict, gains, columns):
-                    f = (sum(map(mul, n, a)) - s) // q
+                for row, s, g, column in zip(facets, strict, gains, columns):
+                    f = (sum(map(mul, row, zD)) - s) // mD
                     Ns = [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
                 # num_0 counts the box's index many points, num_1 sums N
                 total += u[0] * index + u[1] * sum(Ns)
@@ -300,15 +314,16 @@ def count_leaves(pairs) -> int:
 
     pairs holds (apex, leaves) with leaves a sequence of (sign,
     HalfOpenCone) as signed_decompose returns them; each leaf is moved
-    to apex.  The leaves are compiled once (CompiledLeaves) and counted
-    at the apexes, each split into a / q by linalg._int_row.  The result
-    is specialize_at_one of the leaves' gf_terms.
+    to apex.  Each apex, split into a / q by linalg._int_row, is the
+    constant map ((), a, q), and the leaves are compiled once
+    (CompiledLeaves) and counted at the empty parameter point.  The
+    result is specialize_at_one of the leaves' gf_terms.
     """
-    apexes = []
+    maps = []
     for apex, _ in pairs:
         q, a = _int_row(apex)
-        apexes.append((a, q))
-    return CompiledLeaves([leaves for _, leaves in pairs]).count(apexes)
+        maps.append(((), a, q))
+    return CompiledLeaves([leaves for _, leaves in pairs], maps).count((), 1)
 
 
 def count_polytope(P: HPolytope, max_index: int = DEFAULT_MAX_INDEX,

@@ -14,7 +14,6 @@ compiled once per chamber into integer arithmetic.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .errors import DegenerateConeError, NotFullDimensionalError, UnboundedError
 from .genfun import DEFAULT_MAX_INDEX, CompiledLeaves, count_leaves
@@ -419,8 +418,7 @@ def _integer_map(vertex):
 
 @dataclass(frozen=True)
 class _CompiledChamber:
-    maps: tuple  # per active vertex, _integer_map
-    leaves: CompiledLeaves  # one group of leaves per active vertex
+    leaves: CompiledLeaves  # one group per active vertex, at its _integer_map
     stats: tuple  # (num_vertices, num_cones, max_depth)
 
 
@@ -428,15 +426,18 @@ class ParametricAnalysis:
     """Precomputed chambers, half-open regions, and cone decompositions.
 
     Evaluation through the chambers is compiled: q is tested against the
-    int_rows of Q and the half-open chambers, and a chamber's active
-    vertex maps and leaves become a _CompiledChamber on the first
-    evaluation that lands in it.  Evaluation through the activity regions
-    finds the active vertices by their half-open activity regions, takes
-    their values at q as Fractions, and counts their leaves there with
-    count_leaves.  Both routes count with one CompiledLeaves, so they
-    differ only in how they find the region and the vertex values, and
-    the second checks the first on those.  A max_index below 1 raises
-    ValueError before anything is computed.
+    int_rows of the half-open chambers, and a chamber's leaves, each
+    group at its active vertex's integer map, become a _CompiledChamber
+    on the first evaluation that lands in it.  No Q test runs: every
+    chamber region is a cell cut from Q's rows, with only redundant
+    rows removed and walls opened, so it lies inside Q.  Evaluation
+    through the activity regions tests Q, finds the active vertices by
+    their half-open activity regions, takes their values at q as
+    Fractions, and counts their leaves there with count_leaves.  Both
+    routes count with one CompiledLeaves, so they differ only in how
+    they find the region and the vertex values, and the second checks
+    the first on those.  A max_index below 1 raises ValueError before
+    anything is computed.
     """
 
     def __init__(self, pp: ParametricPolytope,
@@ -460,7 +461,6 @@ class ParametricAnalysis:
         self.open_activities = halfopen_activity_regions(self.vertices,
                                                          self.chambers, self.y_q)
         self._decomps = {}
-        self._qset_rows = pp.qset.int_rows
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
         self._compiled = {}
 
@@ -478,29 +478,24 @@ class ParametricAnalysis:
         if k not in self._compiled:
             active = self.open_chambers[k].active
             decomps = [self._decomposition(v) for v in active]
-            leaves = CompiledLeaves([group for group, _ in decomps])
+            leaves = CompiledLeaves([group for group, _ in decomps],
+                                    [_integer_map(v) for v in active])
             stats = (len(active), sum(len(leaves) for leaves, _ in decomps),
                      max(depth for _, depth in decomps))
-            self._compiled[k] = _CompiledChamber(
-                maps=tuple(_integer_map(v) for v in active), leaves=leaves,
-                stats=stats)
+            self._compiled[k] = _CompiledChamber(leaves=leaves, stats=stats)
         return self._compiled[k]
 
     def _count_compiled(self, q0, stats):
         D, z = _int_row(q0)
-        if not _rows_hold(self._qset_rows, D, z):
-            return None
         k = next((k for k, rows in enumerate(self._chamber_rows)
                   if _rows_hold(rows, D, z)), None)
         if k is None:
             return None
         chamber = self._compile(k)
-        apexes = [(tuple(sum(map(mul, row, z)) + D * ci for row, ci in zip(M, c)),
-                   m * D) for M, c, m in chamber.maps]
         if stats is not None:
             (stats["num_vertices"], stats["num_cones"],
              stats["max_depth"]) = chamber.stats
-        return chamber.leaves.count(apexes)
+        return chamber.leaves.count(z, D)
 
     def _count_activities(self, q0, stats):
         if not self.qset.contains(q0):

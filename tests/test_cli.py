@@ -1,10 +1,12 @@
 """Command-line interface: parsing, subcommands, exit codes, output."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from primalcount import cli
 from primalcount.cli import main, parse_parametric, parse_polytope
 from primalcount.errors import ParseError
 
@@ -111,6 +113,32 @@ class TestParseParametric:
         assert (info.value.line, info.value.column) == (7, 1)
 
 
+class TestDigitLimit:
+    def test_long_integers_parse_under_the_default_limit(self):
+        # cli.main lifts the process-wide limit, so set the default one
+        # here: called as library functions, the parsers must read
+        # integers of any length without changing it
+        digits = "1" + "0" * 4998 + "7"
+        bound = 10 ** 4999 + 7
+        limited = hasattr(sys, "set_int_max_str_digits")
+        old = sys.get_int_max_str_digits() if limited else None
+        try:
+            if limited:
+                sys.set_int_max_str_digits(4300)
+            P = parse_polytope(f"1 2\n-1 0\n1 +{digits}\n")
+            pp = parse_parametric(f"1 2 1\n-1 | 0 | -{digits}\n1 | 1 | 0\n")
+            with pytest.raises(ParseError, match="not an integer") as info:
+                parse_polytope(f"1 1\n1 {digits}x\n")
+            limit = sys.get_int_max_str_digits() if limited else None
+        finally:
+            if limited:
+                sys.set_int_max_str_digits(old)
+        assert limit in (None, 4300)
+        assert P.b == (0, bound)
+        assert pp.f == (-bound, 0)
+        assert (info.value.line, info.value.column) == (2, 3)
+
+
 class TestExitCodes:
     def test_count_success(self, square_file, capsys):
         assert main(["count", square_file]) == 0
@@ -154,6 +182,30 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "parse error: line 7, col 1: zero parameter row\n"
+
+    def test_one_parser_gives_the_same_bytes(self, square_file, capsys,
+                                             monkeypatch):
+        # the parser is built once per process; a parse that succeeded
+        # or failed before must not change what the next call prints
+        built = []
+        fresh = cli.build_parser
+
+        def build_parser():
+            built.append(1)
+            return fresh()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        runs = []
+        for argv in (["count", square_file, "--bogus"],
+                     ["count", square_file, "--json"]) * 2:
+            code = main(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[2:] == runs[:2]
+        assert runs[0][0] == 1 and runs[0][1] == "" and "--bogus" in runs[0][2]
+        assert runs[1][0] == 0 and json.loads(runs[1][1])["count"] == "4"
+        assert len(built) == 1
 
     def test_max_index_validation(self, square_file):
         assert main(["count", square_file, "--max-index", "0"]) == 1

@@ -466,17 +466,23 @@ def test_count_leaves_matches_specialized_terms():
 
 @pytest.mark.parametrize("max_index", [1, 20])
 def test_compiled_leaves_match_count_leaves(max_index):
-    # Leaves of random polytopes' vertex cones, counted at their vertices
-    # and at vertices moved by a random rational translation t: the moved
-    # leaves count the translated polytope {A x <= b + A t}, which the
-    # oracle scans.
+    # Leaves of random polytopes' vertex cones, compiled at the maps
+    # t -> vertex + t of a translation t = z / D in d parameters, so each
+    # vertex a / q has M = q I, c = a and m = q.  The moved leaves count
+    # the translated polytope {A x <= b + A t}, which the oracle scans.
     rng = random.Random(61 + max_index)
     for case in range(24):
         P = random_box_with_cuts(rng, 2 + case % 2)
         vertices = enumerate_vertices(P)
         groups = [signed_decompose(vertex_cone(P, v), max_index=max_index).terms
                   for v in vertices]
-        compiled = CompiledLeaves(groups)
+        maps = []
+        for v in vertices:
+            q = lcm(*(Fraction(x).denominator for x in v.point))
+            a = [int(x * q) for x in v.point]
+            maps.append(([[q * (i == j) for j in range(P.dim)] for i in range(P.dim)],
+                         a, q))
+        compiled = CompiledLeaves(groups, maps)
         for shift in [(0,) * P.dim] + [tuple(Fraction(rng.randint(-9, 9),
                                                       rng.choice((1, 2, 3, 7)))
                                              for _ in range(P.dim))
@@ -484,15 +490,11 @@ def test_compiled_leaves_match_count_leaves(max_index):
             moved = HPolytope(A=P.A, b=tuple(bi + dot(row, shift)
                                              for row, bi in zip(P.A, P.b)))
             want = brute_count(moved)
-            apexes = [tuple(x + t for x, t in zip(v.point, shift)) for v in vertices]
-            scaled = []
-            for apex in apexes:
-                den = lcm(*(Fraction(x).denominator for x in apex))
-                scaled.append((tuple(int(x * den) for x in apex), den))
-            assert compiled.count(scaled) == want, (P, shift)
-            # any common denominator of an apex works, not only the least
-            assert compiled.count([(tuple(3 * x for x in a), 3 * den)
-                                   for a, den in scaled]) == want
+            D = lcm(*(Fraction(t).denominator for t in shift))
+            z = [int(t * D) for t in shift]
+            assert compiled.count(z, D) == want, (P, shift)
+            # any common denominator of t works, not only the least
+            assert compiled.count([3 * x for x in z], 3 * D) == want
 
 
 def test_generic_directions():

@@ -578,6 +578,21 @@ class TestCompiledChambers:
                 assert got == reference_count(analysis, q, cache), q
                 assert got == analysis.count_at(q, via="activities"), q
 
+    def test_chambers_lie_inside_q(self):
+        # The compiled route runs no Q test, so no half-open chamber may
+        # hold a point outside Q.
+        rng = random.Random(17)
+        outside = 0
+        for pp in [sweep_family()] + [pp for pp, _ in acceptance_families()]:
+            chambers = pp.analysis().open_chambers
+            for _ in range(500):
+                q = tuple(Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3)))
+                          for _ in range(pp.qdim))
+                if not pp.qset.contains(q):
+                    outside += 1
+                    assert not any(ch.region.contains(q) for ch in chambers), q
+        assert outside >= 1000
+
     def test_outside_points_report_outside(self):
         pp = sweep_family()
         for q in [(-1, 2), (Fraction(-1, 2), 3), (5, Fraction(-1, 3))]:
