@@ -97,19 +97,6 @@ class HalfOpenPolyhedron:
     def contains(self, x) -> bool:
         return _rows_hold(self.int_rows, *_scaled_point(self.int_rows, x))
 
-    def contains_nearby(self, x, direction) -> bool:
-        """Membership of x + t * direction for all small t > 0, exactly.
-
-        Decides by first-order comparison, no epsilon arithmetic: x lies
-        in the closure, and each row tight at x holds for direction at 0.
-        """
-        p, y = _scaled_point(self.int_rows, x)
-        if not _rows_hold([(g, h, False) for g, h, _ in self.int_rows], p, y):
-            return False
-        tight = [(g, 0, strict) for g, h, strict in self.int_rows
-                 if not _rows_hold([(g, h, True)], p, y)]
-        return _rows_hold(tight, *_scaled_point(self.int_rows, direction))
-
 
 @dataclass(frozen=True)
 class SignedConeSum:

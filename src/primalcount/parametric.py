@@ -6,9 +6,11 @@ activity region in q-space.  The regions overlap only in walls; cutting
 the parameter space along all activity boundaries yields chambers on
 which the vertex set is constant.  Making chambers and activity regions
 half-open with one shared generic direction gives every parameter point
-exactly one evaluation formula, including points on the walls.  On a
-chamber only the apexes of the fixed leaf cones move, so that formula is
-compiled once per chamber into integer arithmetic.
+exactly one evaluation formula, including points on the walls.  A wall
+is read off the chambers' own rows, without an LP: a facet whose
+hyperplane bounds some chamber from the other side.  On a chamber only
+the apexes of the fixed leaf cones move, so that formula is compiled
+once per chamber into integer arithmetic.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from .halfopen import (
     signed_decompose,
 )
 from .linalg import _int_row, _rows_hold, adjugate_int, dot, identity, is_zero_vec
-from .lp import OPTIMAL, interior_point, lp_maximize, remove_redundant
+from .lp import interior_point, remove_redundant
 from .polytope import (
     ClosedCone,
     _double_description,
@@ -95,8 +97,8 @@ class ParametricVertex:
 class Chamber:
     """A chamber: its region in q-space, the vertices active on it and a
     point of its interior.  chambers_max_dim gives closed regions;
-    halfopen_chambers gives the same chambers with their walls opened,
-    so some region rows may be strict."""
+    halfopen_chambers gives the same chambers with the walls that
+    exactify opens, rows read off the other chambers (_walls), strict."""
 
     region: HalfOpenPolyhedron
     active: tuple  # of ParametricVertex
@@ -313,56 +315,31 @@ def _interior(rows):
     return interior_point([g for g, _ in rows], [h for _, h in rows])
 
 
-def _facet_relint_point(rows, idx):
-    """A point in the relative interior of facet idx of a full-dim region."""
-    g, h, _ = rows[idx]
-    p = len(g)
-    # variables (q, t): maximize t with g.q = h, other rows slack >= t, t <= 1
-    A, b, c = [], [], [Fraction(0)] * p + [Fraction(1)]
-    A.append(tuple(list(g) + [0]))
-    b.append(h)
-    A.append(tuple([-x for x in g] + [0]))
-    b.append(-h)
-    for j, (g2, h2, _) in enumerate(rows):
-        if j == idx:
-            continue
-        A.append(tuple(list(g2) + [1]))
-        b.append(h2)
-    A.append(tuple([0] * p + [1]))
-    b.append(Fraction(1))
-    status, value, point = lp_maximize(c, A, b)
-    if status != OPTIMAL or value <= 0:
-        return None
-    return tuple(point[:p])
+def _walls(chambers):
+    """The _integer_row keys of the closed chambers' rows.
+
+    An opened row (g, h) is a wall when _integer_row(-g, -h) is a key.
+    The chambers are the full-dimensional cells of one hyperplane
+    arrangement inside Q, and their closures cover a convex set, the
+    closure of {q in Q : P_q full-dimensional}, which is a projection.
+    So if any chamber lies beyond a hyperplane, chambers lie directly
+    beyond every relative-interior point of every facet on it.  Keys
+    are compared because Q's rows are not made primitive.
+    """
+    return {_integer_row(g, h) for ch in chambers for g, h, _ in ch.region.rows}
 
 
-def _is_wall(row, q_f, chambers):
-    """Whether crossing this facet from q_f leads into some chamber."""
-    g = row[0]
-    return any(ch.region.contains_nearby(q_f, g) for ch in chambers)
-
-
-def _halfopen_region(region, y_q, chambers):
+def _halfopen_region(region, y_q, walls):
     """Open the region's wall facets against y_q; keep outer facets closed.
 
-    A facet is a wall when a chamber lies directly beyond it; walls that
-    exactify opens against y_q become strict, so each wall point stays
-    in exactly one of the adjacent regions.  A region without full
-    dimension has every row opened by exactify, which empties it.
+    A facet is a wall when a chamber lies directly beyond it (_walls);
+    walls that exactify opens against y_q become strict, so each wall
+    point stays in exactly one of the adjacent regions.
     """
-    rows = region.rows
-    if not rows:
-        return region
-    full_dim = interior_point([g for g, h, _ in rows],
-                              [h for _, h, _ in rows]) is not None
-    opened = exactify([g for g, _, _ in rows], y_q)
-    out = []
-    for idx, ((g, h, _), strict) in enumerate(zip(rows, opened)):
-        if strict and full_dim:
-            q_f = _facet_relint_point(rows, idx)
-            strict = q_f is not None and _is_wall((g, h), q_f, chambers)
-        out.append((g, h, strict))
-    return HalfOpenPolyhedron(rows=tuple(out))
+    opened = exactify([g for g, _, _ in region.rows], y_q)
+    return HalfOpenPolyhedron(rows=tuple(
+        (g, h, strict and _integer_row(tuple(-x for x in g), -h) in walls)
+        for (g, h, _), strict in zip(region.rows, opened)))
 
 
 def halfopen_chambers(chambers, y_q=None):
@@ -379,11 +356,9 @@ def halfopen_chambers(chambers, y_q=None):
     normals = [g for ch in chambers for g, h, _ in ch.region.rows]
     seed = y_q if y_q is not None else chambers[0].sample
     y_q = perturbed_direction(seed, identity(len(seed)), normals)
-    out = []
-    for ch in chambers:
-        region = _halfopen_region(ch.region, y_q, chambers)
-        out.append(Chamber(region=region, active=ch.active, sample=ch.sample))
-    return out
+    walls = _walls(chambers)
+    return [Chamber(region=_halfopen_region(ch.region, y_q, walls),
+                    active=ch.active, sample=ch.sample) for ch in chambers]
 
 
 def halfopen_activity_regions(vertices, chambers, y_q=None):
@@ -392,19 +367,16 @@ def halfopen_activity_regions(vertices, chambers, y_q=None):
     Under the same direction y_q, a parameter point q lies in the
     half-open activity region of exactly the vertices active on the
     half-open chamber containing q.  Returns (vertex, region) pairs.
+    Each vertex is active in some chamber, so chambers is not empty.
     """
     if not vertices:
         return []
-    if not chambers:
-        # No full-dimensional chamber: nothing may be kept anywhere.
-        p = len(vertices[0].map_M[0])
-        never = HalfOpenPolyhedron(rows=(((0,) * p, Fraction(-1), False),))
-        return [(v, never) for v in vertices]
     normals = [g for ch in chambers for g, h, _ in ch.region.rows]
     normals += [g for v in vertices for g, h, _ in v.activity.rows]
     seed = y_q if y_q is not None else chambers[0].sample
     y_q = perturbed_direction(seed, identity(len(seed)), normals)
-    return [(v, _halfopen_region(v.activity, y_q, chambers)) for v in vertices]
+    walls = _walls(chambers)
+    return [(v, _halfopen_region(v.activity, y_q, walls)) for v in vertices]
 
 
 def _integer_map(vertex):

@@ -21,6 +21,7 @@ PYRAMID = "3 5\n0 0 -1 0\n1 0 1 1\n-1 0 1 1\n0 1 1 1\n0 -1 1 1\n"
 SKEW = "3 4\n-1 0 0 0\n0 -1 0 0\n0 0 -1 0\n7 11 13 1001\n"
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_FAMILY = Path(__file__).parent / "data" / "sweep_family.txt"
+CROSS_FAMILY5 = Path(__file__).parent / "data" / "cross_family5.txt"
 
 
 @pytest.fixture
@@ -446,6 +447,9 @@ class TestGolden:
         ("skew_decompose_vertex1_L1",
          ["decompose", "skew.txt", "--vertex", "1", "--max-index", "1"]),
         ("skew_count_json", ["count", "skew.txt", "--json"]),
+        ("sweep_family_chambers", ["chambers", "sweep_family.txt"]),
+        ("sweep_family_chambers_json", ["chambers", "sweep_family.txt", "--json"]),
+        ("cross_family5_chambers", ["chambers", "cross_family5.txt"]),
     ]
 
     @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
@@ -453,7 +457,9 @@ class TestGolden:
         for file_name, text in (("square.txt", SQUARE),
                                 ("family.txt", INTERVAL_FAMILY),
                                 ("pyramid.txt", PYRAMID),
-                                ("skew.txt", SKEW)):
+                                ("skew.txt", SKEW),
+                                ("sweep_family.txt", SWEEP_FAMILY.read_text()),
+                                ("cross_family5.txt", CROSS_FAMILY5.read_text())):
             (tmp_path / file_name).write_text(text)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0

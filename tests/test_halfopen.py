@@ -54,20 +54,6 @@ def polyhedron_reference(poly, x):
                for g, h, strict in poly.rows)
 
 
-def nearby_reference(poly, x, direction):
-    """HalfOpenPolyhedron.contains_nearby in Fractions: a tight row must
-    strictly improve along direction, or stay level when it is weak."""
-    for g, h, strict in poly.rows:
-        v = dot(g, x)
-        if v > h:
-            return False
-        if v == h:
-            slope = dot(g, direction)
-            if slope > 0 or (slope == 0 and strict):
-                return False
-    return True
-
-
 def hoc(rays, sigma, apex=None):
     d = len(rays[0])
     if apex is None:
@@ -96,14 +82,14 @@ def test_halfopen_cone_contains_quadrant():
 
 def test_halfopen_cone_contains_matches_coefficients():
     # The integer row tests of HalfOpenCone, ClosedCone and
-    # HalfOpenPolyhedron (contains and contains_nearby) against Fraction
-    # references, in d = 2..4 with rational apexes, at integer points,
-    # rational points and points on the facets.  The closed cone adds a
-    # redundant normal; the polyhedron takes the cone's facets as rational
-    # rows, strict where the cone's flags are, plus one random rational row.
+    # HalfOpenPolyhedron against Fraction references, in d = 2..4 with
+    # rational apexes, at integer points, rational points and points on
+    # the facets.  The closed cone adds a redundant normal; the polyhedron
+    # takes the cone's facets as rational rows, strict where the cone's
+    # flags are, plus one random rational row.
     rng = random.Random(29)
     seen = {"in": 0, "out": 0, "facet": 0, "closed in": 0, "closed out": 0,
-            "poly in": 0, "poly out": 0, "nearby in": 0, "nearby out": 0}
+            "poly in": 0, "poly out": 0}
     cones = 0
     while cones < 120:
         d = 2 + cones % 3
@@ -147,11 +133,6 @@ def test_halfopen_cone_contains_matches_coefficients():
             want = polyhedron_reference(poly, x)
             assert poly.contains(x) == want, (poly, x)
             seen["poly in" if want else "poly out"] += 1
-            direction = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-                              for _ in range(d))
-            want = nearby_reference(poly, x, direction)
-            assert poly.contains_nearby(x, direction) == want, (poly, x, direction)
-            seen["nearby in" if want else "nearby out"] += 1
     assert min(seen.values()) >= 300
 
 
@@ -190,23 +171,7 @@ def test_halfopen_polyhedron_membership():
     assert not P.contains((3, 1))
     with pytest.raises(ValueError, match="dimension"):
         P.contains((1, 1, 1))
-    with pytest.raises(ValueError, match="dimension"):
-        P.contains_nearby((1, 1), (1,))
     assert not P.is_closed()
-
-
-def test_contains_nearby_directional():
-    P = HalfOpenPolyhedron.from_inequalities(
-        [(1, 0), (0, 1), (-1, 0), (0, -1)], [1, 1, 0, 0])
-    corner = (Fraction(1), Fraction(1))
-    assert P.contains_nearby(corner, (-1, -1))
-    assert not P.contains_nearby(corner, (1, 0))
-    assert P.contains_nearby(corner, (0, -1))  # slides along the tight row x = 1
-    strict = HalfOpenPolyhedron.from_inequalities(
-        [(1, 0), (0, 1), (-1, 0), (0, -1)], [1, 1, 0, 0],
-        strict=[True, False, False, False])
-    assert not strict.contains_nearby(corner, (0, -1))
-    assert strict.contains_nearby(corner, (-1, -1))
 
 
 # ---------------------------------------------------------------------------

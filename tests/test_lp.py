@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from primalcount import lp, parametric
+from primalcount import lp
 from primalcount.cli import parse_parametric
 from primalcount.lp import (
     INFEASIBLE,
@@ -337,7 +337,6 @@ def test_sweep_family_setup_lps_match_reference(monkeypatch):
         return lp_maximize(c, A, b)
 
     monkeypatch.setattr(lp, "lp_maximize", recorder)
-    monkeypatch.setattr(parametric, "lp_maximize", recorder)
     sweep_family_setup()
     assert len(captured) > 100
     for c, A, b in captured:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from primalcount import genfun, linalg, parametric
+from primalcount import genfun, linalg, lp, parametric
 from primalcount.cli import parse_parametric
 from primalcount.errors import (
     DegenerateConeError,
@@ -16,8 +16,8 @@ from primalcount.errors import (
     UnboundedError,
 )
 from primalcount.genfun import count_leaves, count_polytope
-from primalcount.halfopen import HalfOpenPolyhedron, signed_decompose
-from primalcount.lp import interior_point, remove_redundant
+from primalcount.halfopen import HalfOpenPolyhedron, exactify, signed_decompose
+from primalcount.lp import OPTIMAL, interior_point, lp_maximize, remove_redundant
 from primalcount.oracle import brute_count
 from primalcount.parametric import (
     ParametricPolytope,
@@ -700,7 +700,16 @@ def cells_reference(base, hyperplanes, interior_point=interior_point):
     return cells
 
 
-def random_families(seed, count):
+def box_q(rng, p):
+    """Q = [0, 5]^p."""
+    qrows = [[-1 if i == j else 0 for j in range(p)] for i in range(p)]
+    qrows += [[1 if i == j else 0 for j in range(p)] for i in range(p)]
+    return HalfOpenPolyhedron.from_inequalities(qrows, [0] * p + [5] * p)
+
+
+def random_families(seed, count, make_q=box_q):
+    """Random boxes with two cuts in d = 2, p = 1 and 2 in turn, over
+    make_q(rng, p), with their vertex maps."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -714,10 +723,7 @@ def random_families(seed, count):
             A.append(row if row != (0, 0) else (1, 1))
             E.append([rng.randint(-2, 2) for _ in range(p)])
             f.append(rng.randint(-4, 8))
-        qrows = [[-1 if i == j else 0 for j in range(p)] for i in range(p)]
-        qrows += [[1 if i == j else 0 for j in range(p)] for i in range(p)]
-        qset = HalfOpenPolyhedron.from_inequalities(qrows, [0] * p + [5] * p)
-        pp = ParametricPolytope(A=A, E=E, f=f, qset=qset)
+        pp = ParametricPolytope(A=A, E=E, f=f, qset=make_q(rng, p))
         try:
             vertices = enumerate_parametric_vertices(pp)
         except NotFullDimensionalError:
@@ -774,6 +780,123 @@ class TestChamberSplit:
         slow = chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
         assert fast == slow and len(fast) == 21
         assert fast_calls < len(calls)
+
+
+# ---------------------------------------------------------------------------
+# walls against the facet-point rule
+
+
+def facet_point_reference(rows, idx):
+    """A point in the relative interior of facet idx of a full-dimensional
+    region, by one LP: maximize t with g . q = h and every other row
+    slack by at least t, t <= 1; None when t cannot be positive."""
+    g, h, _ = rows[idx]
+    p = len(g)
+    A = [(*g, 0), (*(-x for x in g), 0)]
+    b = [h, -h]
+    for j, (g2, h2, _) in enumerate(rows):
+        if j != idx:
+            A.append((*g2, 1))
+            b.append(h2)
+    A.append((0,) * p + (1,))
+    b.append(Fraction(1))
+    status, value, point = lp_maximize((0,) * p + (1,), A, b)
+    if status != OPTIMAL or value <= 0:
+        return None
+    return tuple(point[:p])
+
+
+def nearby_reference(region, x, direction):
+    """Whether x + t * direction lies in the region for every small t > 0,
+    in Fractions: a tight row must strictly improve along direction, or
+    stay level when it is weak."""
+    for g, h, strict in region.rows:
+        v = linalg.dot(g, x)
+        if v > h:
+            return False
+        if v == h:
+            slope = linalg.dot(g, direction)
+            if slope > 0 or (slope == 0 and strict):
+                return False
+    return True
+
+
+def facet_point_halfopen(region, y_q, chambers):
+    """The former wall rule: a row exactify opens stays strict only when
+    the region is full-dimensional and some closed chamber lies directly
+    beyond a relative-interior point of its facet."""
+    rows = region.rows
+    if not rows:
+        return region
+    full_dim = interior_point([g for g, _, _ in rows],
+                              [h for _, h, _ in rows]) is not None
+    out = []
+    for idx, ((g, h, _), strict) in enumerate(
+            zip(rows, exactify([g for g, _, _ in rows], y_q))):
+        if strict and full_dim:
+            q_f = facet_point_reference(rows, idx)
+            strict = q_f is not None and any(
+                nearby_reference(ch.region, q_f, g) for ch in chambers)
+        out.append((g, h, strict))
+    return HalfOpenPolyhedron(rows=tuple(out))
+
+
+def scaled_q(rng, p):
+    """Q = {k_i q_i >= 0, k_i q_i <= r_i} with k_i in 2..3: rows that are
+    not primitive, such as 2 q1 <= 7."""
+    qrows, rhs = [], []
+    for i in range(p):
+        k = rng.randint(2, 3)
+        qrows += [[-k * (i == j) for j in range(p)],
+                  [k * (i == j) for j in range(p)]]
+        rhs += [0, rng.randint(7, 16)]
+    return HalfOpenPolyhedron.from_inequalities(qrows, rhs)
+
+
+def wall_families():
+    """The sweep and 5-d cross-polytope families, the acceptance families,
+    random families over a box, over a Q with rows that are not
+    primitive and over no Q, and the interval and min families without Q."""
+    cross5 = Path(__file__).parent / "data" / "cross_family5.txt"
+    free = [ParametricPolytope(pp.A, pp.E, pp.f) for pp in
+            (interval_family(), min_family())]
+    return ([sweep_family(), parse_parametric(cross5.read_text())]
+            + [pp for pp, _ in acceptance_families()]
+            + [pp for pp, _ in random_families(6, 20)]
+            + [pp for pp, _ in random_families(8, 6, scaled_q)]
+            + [pp for pp, _ in random_families(9, 6, lambda rng, p: None)]
+            + free)
+
+
+class TestWallRule:
+    def test_open_regions_match_the_facet_point_rule(self):
+        strict_rows = 0
+        for pp in wall_families():
+            analysis = pp.analysis()
+            chambers = analysis.chambers
+            assert [ho.region for ho in analysis.open_chambers] == [
+                facet_point_halfopen(ch.region, analysis.y_q, chambers)
+                for ch in chambers]
+            assert [region for _, region in analysis.open_activities] == [
+                facet_point_halfopen(v.activity, analysis.y_q, chambers)
+                for v in analysis.vertices]
+            strict_rows += sum(strict for ho in analysis.open_chambers
+                               for _, _, strict in ho.region.rows)
+        assert strict_rows >= 100
+
+    def test_no_lp_opens_a_wall(self, monkeypatch):
+        analysis = sweep_family().analysis()
+        calls = []
+
+        def counted(c, A, b):
+            calls.append(1)
+            return lp_maximize(c, A, b)
+
+        monkeypatch.setattr(lp, "lp_maximize", counted)
+        halfopen_chambers(analysis.chambers, analysis.y_q)
+        halfopen_activity_regions(analysis.vertices, analysis.chambers,
+                                  analysis.y_q)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -918,6 +1041,10 @@ class TestVertexMapsAgainstSubsetWalk:
             got = vertices_outcome(enumerate_parametric_vertices, pp)
             assert got == vertices_outcome(subset_walk_vertices, pp), \
                 (pp.A, pp.E, pp.f, pp.qset)
+            if not isinstance(got, type):
+                # every listed map is active in some chamber
+                chambers = chambers_max_dim(got, pp.qset, qdim=pp.qdim)
+                assert {v for ch in chambers for v in ch.active} == set(got)
             kinds.append(got if isinstance(got, type) else bool(got))
         assert all(kinds.count(kind) >= 25 for kind in
                    (True, False, NotFullDimensionalError, UnboundedError)), \
