@@ -188,31 +188,3 @@ def coordinate_range(A, b, j):
     lo = -lo if status == OPTIMAL else None
     return lo, hi
 
-
-def remove_redundant(A, b):
-    """Prune rows implied by the rest; exact, order-deterministic.
-
-    Assumes the system is feasible.  Duplicate rows collapse first, then
-    each remaining row is kept only if its hyperplane can be pushed past
-    the others.
-    """
-    seen = set()
-    rows = []
-    for row, rhs in zip(A, b):
-        key = (tuple(row), Fraction(rhs))
-        if key not in seen:
-            seen.add(key)
-            rows.append((tuple(row), Fraction(rhs)))
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        g, h = kept[i]
-        test_A = [list(r) for r, _ in others] + [list(g)]
-        test_b = [rh for _, rh in others] + [h + 1]
-        status, value, _ = lp_maximize(list(g), test_A, test_b)
-        if status == OPTIMAL and value <= h:
-            kept.pop(i)
-        else:
-            i += 1
-    return [list(g) for g, _ in kept], [h for _, h in kept]

@@ -4,18 +4,24 @@ A family P_q = {x : A x <= E q + f} over parameters q has finitely many
 parametric vertices, each an affine map v(q) = M q + c valid on its
 activity region in q-space.  The regions overlap only in walls; cutting
 the parameter space along all activity boundaries yields chambers on
-which the vertex set is constant.  Making chambers and activity regions
-half-open with one shared generic direction gives every parameter point
-exactly one evaluation formula, including points on the walls.  A wall
-is read off the chambers' own rows, without an LP: a facet whose
-hyperplane bounds some chamber from the other side.  On a chamber only
-the apexes of the fixed leaf cones move, so that formula is compiled
-once per chamber into integer arithmetic.
+which the vertex set is constant.  Cells and regions are read off the
+generators of their homogenized cones, extreme rays with incidence
+masks and lines, without an LP: a hyperplane splits a cell when it
+takes both signs on them, and a row is a facet when the generators
+tight on it have rank p.  The one LP per chamber picks its sample
+point.  Making chambers and activity regions half-open with one shared
+generic direction gives every parameter point exactly one evaluation
+formula, including points on the walls.  A wall is read off the
+chambers' own rows, without an LP: a facet whose hyperplane bounds
+some chamber from the other side.  On a chamber only the apexes of the
+fixed leaf cones move, so that formula is compiled once per chamber
+into integer arithmetic.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DegenerateConeError, NotFullDimensionalError, UnboundedError
 from .genfun import DEFAULT_MAX_INDEX, CompiledLeaves, count_leaves
@@ -27,10 +33,19 @@ from .halfopen import (
     perturbed_direction,
     signed_decompose,
 )
-from .linalg import _int_row, _rows_hold, adjugate_int, dot, identity, is_zero_vec
-from .lp import interior_point, remove_redundant
+from .linalg import (
+    _int_row,
+    _rows_hold,
+    adjugate_int,
+    dot,
+    identity,
+    is_zero_vec,
+    vec_primitive,
+)
+from .lp import interior_point
 from .polytope import (
     ClosedCone,
+    _cut,
     _double_description,
     _first_basis,
     _homogenized_rays,
@@ -132,11 +147,14 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
     with (adj, det) = adjugate_int(A_B) the map is
     M = adj E_B / det and c = adj f_B / det, Fractions in lowest terms.
     Each map gets its activity region, the rows of A not tight on it
-    with Q's, redundant rows removed, and the q-independent cone of its
-    tight rows.  Raises UnboundedError when the family has a recession
-    direction, read off the homogenized cone of {x : A x <= 1} without
-    an LP, and NotFullDimensionalError when some vertex map forces the
-    polytope into a hyperplane on a full-dimensional part of Q.
+    with Q's and only their facets kept (_region), and the q-independent
+    cone of its tight rows.  The activity rows A_i M - E_i <= f_i - A_i c
+    are formed times |det| from adj E_B and adj f_B, in integers once f
+    is scaled to integers, and then made primitive (_integer_row).
+    Raises UnboundedError when the family has a recession direction,
+    read off the homogenized cone of {x : A x <= 1} without an LP, and
+    NotFullDimensionalError when some vertex map forces the polytope
+    into a hyperplane on a full-dimensional part of Q.
     """
     d, p = pp.dim, pp.qdim
     # Every nonempty P_q has the recession cone {A x <= 0} of {A x <= 1},
@@ -145,6 +163,7 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
     rays = _homogenized_rays(pp.A, [1] * len(pp.A))
     if rays is None or any(ray[-1] == 0 for ray in rays):
         raise UnboundedError("polyhedron unbounded")
+    fden, fint = _int_row(pp.f)  # f = fint / fden
     maps = []
     for tight in _faces_of_dimension_p1(pp):
         basis = tuple(tight[k] for k in _first_basis([pp.A[i] for i in tight]))
@@ -152,27 +171,26 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
             continue
         adj, det_b = adjugate_int([pp.A[i] for i in basis])
         ecols = list(zip(*(pp.E[i] for i in basis)))
-        fsub = [pp.f[i] for i in basis]
-        M = tuple(tuple(Fraction(dot(row, col), det_b) for col in ecols)
-                  for row in adj)
-        c = tuple(dot(row, fsub) / det_b for row in adj)
-        maps.append((M, c, basis, tight))
+        fsub = [fint[i] for i in basis]
+        adj_e = [[dot(row, col) for col in ecols] for row in adj]
+        adj_f = [dot(row, fsub) for row in adj]
+        M = tuple(tuple(Fraction(x, det_b) for x in row) for row in adj_e)
+        c = tuple(Fraction(x, det_b * fden) for x in adj_f)
+        maps.append((M, c, basis, tight, list(zip(*adj_e)), adj_f, det_b))
 
+    qrows = [(g, h) for g, h, _ in pp.qset.rows]
     vertices = []
-    for M, c, basis, tight in sorted(maps):
+    for M, c, basis, tight, adj_e_cols, adj_f, det_b in sorted(maps):
+        sign, scale = (1, det_b) if det_b > 0 else (-1, -det_b)
         rows = []
-        for i, (arow, erow, fi) in enumerate(zip(pp.A, pp.E, pp.f)):
-            # A_i (M q + c) <= E_i q + f_i as a row in q
-            gq = tuple(dot(arow, [M[r][j] for r in range(d)]) - erow[j]
-                       for j in range(p))
+        for arow, erow, fi in zip(pp.A, pp.E, fint):
+            # A_i (M q + c) <= E_i q + f_i as a row in q, times |det|
+            gq = tuple(sign * dot(arow, col) - scale * e
+                       for col, e in zip(adj_e_cols, erow))
             if any(gq):
-                rows.append(_integer_row(gq, fi - dot(arow, c)))
-        all_rows = [(g, h, False) for g, h in rows] + list(pp.qset.rows)
-        if all_rows:
-            activity = HalfOpenPolyhedron.from_inequalities(*remove_redundant(
-                [g for g, _, _ in all_rows], [h for _, h, _ in all_rows]))
-        else:
-            activity = HalfOpenPolyhedron(rows=())
+                rhs = scale * fi - sign * dot(arow, adj_f)
+                rows.append(_integer_row(gq, Fraction(rhs, fden)))
+        activity = _region(rows + qrows, p)
         normals = tuple(pp.A[i] for i in tight)
         try:
             cone = ClosedCone(apex=(Fraction(0),) * d,
@@ -231,10 +249,10 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
     cell interior, and drops cells where no vertex is active (the
     polytope is empty there).  Chambers meet only in their boundaries.
 
-    The cells come from _arrangement_cells, which needs one LP per split
-    side that the cell's carried interior point does not settle.  Each
-    chamber's sample is a fresh interior_point of its cell's rows, so it
-    does not depend on the points carried.
+    The cells come from _arrangement_cells and their regions from
+    _region, both read off the generators of homogenized cones without
+    an LP.  Each chamber's sample is the interior_point of its cell's
+    rows, the one LP per chamber.
     """
     if qset is None:
         qset = HalfOpenPolyhedron(rows=())
@@ -259,16 +277,10 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
     for cell in _arrangement_cells([(g, h) for g, h, _ in qset.rows], qdim,
                                    hyperplanes):
         if cell:
-            A = [g for g, _ in cell]
-            b = [h for _, h in cell]
-            sample = interior_point(A, b)
-            if sample is None:
-                continue
-            A, b = remove_redundant(A, b)
-            region = HalfOpenPolyhedron.from_inequalities(A, b)
+            sample = interior_point([g for g, _ in cell], [h for _, h in cell])
         else:
             sample = (Fraction(0),) * qdim
-            region = HalfOpenPolyhedron(rows=())
+        region = _region(cell, qdim)
         active = tuple(v for v in vertices if v.activity.contains(sample))
         if not active:
             continue
@@ -281,38 +293,113 @@ def _arrangement_cells(base, qdim, hyperplanes):
     """The full-dimensional cells of Q = base cut by the hyperplanes.
 
     Cells are lists of (g, h) rows g . q <= h, in the order the splits
-    made them.  Each cell carries an interior point: Q's interior_point,
-    or 0 when Q has no rows, and then the point an LP found or the
-    parent's.  A split by g . q = h runs the interior_point LP only on
-    the sides that point does not already show to have an interior (both
-    sides when g . point == h).
+    made them, or [] when Q is not full-dimensional.  Each cell carries
+    the generators of its homogenized cone (_cone), kept only until the
+    cell is split.  A full-dimensional cell meets the open side
+    g . q < h exactly when some generator z has (g, -h) . z < 0, a line
+    counting with both signs, so the hyperplane splits the cell when
+    its values have both signs.  Each side's generators then come from
+    one _cut_cone.
     """
-    point = (Fraction(0),) * qdim
-    if base:
-        point = _interior(base)
-        if point is None:
-            return []
-    cells = [(base, point)]
+    cone = _cone(base, qdim)
+    if len(_first_basis(cone[0] + cone[1])) <= qdim:
+        return []
+    cells = [(base, cone)]
     for g, h in hyperplanes:
+        n = _homogenized(g, h)
+        flip = tuple(-x for x in n)
         next_cells = []
-        for cell, point in cells:
-            low = cell + [(g, h)]
-            high = cell + [(tuple(-x for x in g), -h)]
-            side = dot(g, point) - h
-            low_point = point if side < 0 else _interior(low)
-            high_point = point if side > 0 else _interior(high)
-            if low_point is not None and high_point is not None:
-                next_cells.append((low, low_point))
-                next_cells.append((high, high_point))
+        for cell, cone in cells:
+            lines, rays, _ = cone
+            vals = [sum(map(mul, n, r)) for r in rays]
+            if (any(sum(map(mul, n, line)) for line in lines)
+                    or min(vals) < 0 < max(vals)):
+                bit = 2 << len(cell)
+                next_cells.append((cell + [(g, h)], _cut_cone(cone, n, bit)))
+                next_cells.append((cell + [(tuple(-x for x in g), -h)],
+                                   _cut_cone(cone, flip, bit)))
             else:
-                next_cells.append((cell, point))
+                next_cells.append((cell, cone))
         cells = next_cells
     return [cell for cell, _ in cells]
 
 
-def _interior(rows):
-    """interior_point of the (normal, rhs) rows."""
-    return interior_point([g for g, _ in rows], [h for _, h in rows])
+def _homogenized(g, h):
+    """The row g . q <= h, g integral, as the integer normal of
+    (g, -h) . (q, t) <= 0."""
+    den = h.denominator
+    return (*(den * x for x in g), -h.numerator)
+
+
+def _cone(rows, p):
+    """Generators of the homogenized cone of the rows (g, h), g . q <= h:
+    {(q, t) : g . q - h t <= 0 for each row, t >= 0} in R^(p + 1).
+
+    Returns (lines, rays, masks): a basis of the lineality space, one
+    representative of each extreme ray modulo the lines, and the rays'
+    incidence masks, bit 0 for t >= 0 and bit i + 1 for rows[i].  It
+    starts from R^p x {t >= 0}, lines e_1..e_p and the ray e_(p+1), and
+    cuts each row in turn (_cut_cone).
+    """
+    units = [tuple(int(i == j) for i in range(p + 1)) for j in range(p + 1)]
+    cone = (units[:p], units[p:], [0])
+    for i, (g, h) in enumerate(rows):
+        cone = _cut_cone(cone, _homogenized(g, h), 2 << i)
+    return cone
+
+
+def _cut_cone(cone, n, bit):
+    """The generators (lines, rays, masks) of a cone cut by n . z <= 0.
+
+    bit is the new normal's mask bit, and the normals cut before it hold
+    every lower bit, so a line is tight on all of them.  When n vanishes
+    on every line this is one double-description _cut of the rays, its
+    adjacency count lowered by the number of lines.  Otherwise a line l,
+    oriented so that n . l < 0, becomes a ray tight on every earlier
+    normal, and each other generator moves along l onto n . z = 0,
+    which keeps its incidences.
+    """
+    lines, rays, masks = cone
+    k = next((k for k, line in enumerate(lines) if sum(map(mul, n, line))),
+             None)
+    if k is None:
+        vals = [sum(map(mul, n, r)) for r in rays]
+        return (lines, *_cut(rays, masks, vals, bit, len(n) - 2 - len(lines)))
+    line = lines[k]
+    s = sum(map(mul, n, line))
+    if s > 0:
+        line, s = tuple(-x for x in line), -s
+
+    def onto(z):
+        v = sum(map(mul, n, z))
+        return vec_primitive(tuple(v * b - s * a for a, b in zip(z, line)))
+
+    return ([onto(m) for j, m in enumerate(lines) if j != k],
+            [onto(r) for r in rays] + [line],
+            [z | bit for z in masks] + [bit - 1])
+
+
+def _region(rows, p):
+    """The closed region of the rows (g, h), g . q <= h, with only its
+    facet rows, for a full-dimensional region in R^p.
+
+    A row is a facet exactly when the generators of the region's
+    homogenized cone (_cone) tight on it, the lines and the rays whose
+    mask holds the row, have rank p.  Rows on one facet resolve the way
+    an LP redundancy pass in row order does: exact duplicates keep the
+    first, rescaled copies (equal _integer_row keys) keep the last.
+    """
+    lines, rays, masks = _cone(rows, p)
+    facets = {}  # each facet row, first occurrence, to its _integer_row key
+    for i, row in enumerate(rows):
+        if row not in facets:
+            tight = lines + [r for r, z in zip(rays, masks) if z >> (i + 1) & 1]
+            if len(tight) >= p and len(_first_basis(tight)) == p:
+                facets[row] = _integer_row(*row)
+    last = {key: row for row, key in facets.items()}
+    kept = [row for row, key in facets.items() if last[key] == row]
+    return HalfOpenPolyhedron.from_inequalities([g for g, _ in kept],
+                                                [h for _, h in kept])
 
 
 def _walls(chambers):

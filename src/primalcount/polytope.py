@@ -291,17 +291,14 @@ def _double_description(normals):
 
     Incremental double description: start from the simplicial cone of
     the first basis of the normals (_first_basis), then cut with the
-    remaining ones in order (Motzkin et al. 1953; Fukuda & Prodon 1996).
-    Bit i of a ray's mask is set when normals[i] . ray == 0 among the
-    normals cut so far.  A cut keeps the rays it does not separate and
-    joins each adjacent pair it separates (_adjacent, read off the
-    masks); the joined ray's mask is the pair's common mask plus the new
-    normal.  The combinatorial adjacency test holds in any pointed cone,
-    so a lower-dimensional cone comes out right too, and the {0} cone
-    with no rays; no rank is taken, and callers that need a
-    full-dimensional cone test the rays' rank themselves.  Returns
-    (rays, masks), rays primitive and sorted, masks aligned.  Raises
-    DegenerateConeError if the cone is not pointed.
+    remaining ones in order (Motzkin et al. 1953; Fukuda & Prodon 1996),
+    one _cut each.  Bit i of a ray's mask is set when normals[i] . ray
+    == 0 among the normals cut so far.  The combinatorial adjacency test
+    holds in any pointed cone, so a lower-dimensional cone comes out
+    right too, and the {0} cone with no rays; no rank is taken, and
+    callers that need a full-dimensional cone test the rays' rank
+    themselves.  Returns (rays, masks), rays primitive and sorted, masks
+    aligned.  Raises DegenerateConeError if the cone is not pointed.
     """
     normals = [tuple(n) for n in normals]
     d = len(normals[0])
@@ -316,29 +313,39 @@ def _double_description(normals):
     masks = [full ^ (1 << i) for i in base]
 
     for i, n in enumerate(normals):
-        if i in base:
-            continue
-        bit = 1 << i
-        vals = [sum(map(mul, n, r)) for r in rays]
-        keep = [(r, z | bit if v == 0 else z)
-                for r, z, v in zip(rays, masks, vals) if v <= 0]
-        for a, va in enumerate(vals):
-            if va <= 0:
-                continue
-            for b, vb in enumerate(vals):
-                if vb >= 0:
-                    continue
-                common = masks[a] & masks[b]
-                if not _adjacent(masks, common, d - 2):
-                    continue
-                keep.append((vec_primitive(tuple(va * y - vb * x for x, y
-                                                 in zip(rays[a], rays[b]))),
-                             common | bit))
-        rays = [r for r, _ in keep]
-        masks = [z for _, z in keep]
+        if i not in base:
+            rays, masks = _cut(rays, masks, [sum(map(mul, n, r)) for r in rays],
+                               1 << i, d - 2)
 
     order = sorted(range(len(rays)), key=rays.__getitem__)
     return [rays[k] for k in order], [masks[k] for k in order]
+
+
+def _cut(rays, masks, vals, bit, need):
+    """One double-description step: the extreme rays and incidence masks
+    of a cone cut by one more normal, whose values on the rays are vals.
+
+    Keeps the rays with value <= 0, setting bit in the masks of those
+    on the new hyperplane, and joins each adjacent pair the normal
+    separates (_adjacent with need, read off the masks); the joined ray
+    lies on the hyperplane and its mask is the pair's common mask plus
+    bit.  Returns (rays, masks), the kept rays first, in order.
+    """
+    keep = [(r, z | bit if v == 0 else z)
+            for r, z, v in zip(rays, masks, vals) if v <= 0]
+    for a, va in enumerate(vals):
+        if va <= 0:
+            continue
+        for b, vb in enumerate(vals):
+            if vb >= 0:
+                continue
+            common = masks[a] & masks[b]
+            if not _adjacent(masks, common, need):
+                continue
+            keep.append((vec_primitive(tuple(va * y - vb * x for x, y
+                                             in zip(rays[a], rays[b]))),
+                         common | bit))
+    return [r for r, _ in keep], [z for _, z in keep]
 
 
 def vertex_cone(P: HPolytope, v: Vertex) -> ClosedCone:

@@ -1,0 +1,79 @@
+"""The LP routes of the chamber setup, kept as the tests' reference.
+
+parametric reads cell splits and facet rows off the generators of
+homogenized cones; these routines answer the same questions with the
+exact simplex.  They call lp.lp_maximize through the module, so a test
+that patches it sees every LP they run.
+"""
+
+from fractions import Fraction
+
+from primalcount import lp, parametric
+from primalcount.halfopen import HalfOpenPolyhedron
+
+
+def remove_redundant(A, b):
+    """Prune rows implied by the rest; exact, order-deterministic.
+
+    Assumes the system is feasible.  Duplicate rows collapse first, then
+    each remaining row is kept only if its hyperplane can be pushed past
+    the others.
+    """
+    seen = set()
+    rows = []
+    for row, rhs in zip(A, b):
+        key = (tuple(row), Fraction(rhs))
+        if key not in seen:
+            seen.add(key)
+            rows.append((tuple(row), Fraction(rhs)))
+    kept = list(rows)
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        g, h = kept[i]
+        test_A = [list(r) for r, _ in others] + [list(g)]
+        test_b = [rh for _, rh in others] + [h + 1]
+        status, value, _ = lp.lp_maximize(list(g), test_A, test_b)
+        if status == lp.OPTIMAL and value <= h:
+            kept.pop(i)
+        else:
+            i += 1
+    return [list(g) for g, _ in kept], [h for _, h in kept]
+
+
+def region_reference(rows, p):
+    """parametric._region by remove_redundant."""
+    return HalfOpenPolyhedron.from_inequalities(
+        *remove_redundant([g for g, _ in rows], [h for _, h in rows]))
+
+
+def cells_reference(base, hyperplanes, interior_point=None):
+    """The split loop with both interior_point LPs at every split."""
+    interior_point = interior_point or lp.interior_point
+
+    def full(rows):
+        return interior_point([g for g, _ in rows], [h for _, h in rows]) is not None
+
+    if base and not full(base):
+        return []
+    cells = [base]
+    for g, h in hyperplanes:
+        next_cells = []
+        for cell in cells:
+            low = cell + [(g, h)]
+            high = cell + [(tuple(-x for x in g), -h)]
+            if full(low) and full(high):
+                next_cells.append(low)
+                next_cells.append(high)
+            else:
+                next_cells.append(cell)
+        cells = next_cells
+    return cells
+
+
+def lp_route(monkeypatch):
+    """Make parametric split cells and prune rows by these LPs."""
+    monkeypatch.setattr(parametric, "_arrangement_cells",
+                        lambda base, qdim, hyperplanes:
+                        cells_reference(base, hyperplanes))
+    monkeypatch.setattr(parametric, "_region", region_reference)

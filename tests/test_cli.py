@@ -22,6 +22,7 @@ SKEW = "3 4\n-1 0 0 0\n0 -1 0 0\n0 0 -1 0\n7 11 13 1001\n"
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_FAMILY = Path(__file__).parent / "data" / "sweep_family.txt"
 CROSS_FAMILY5 = Path(__file__).parent / "data" / "cross_family5.txt"
+SWEEP_FAMILY_NOQ = Path(__file__).parent / "data" / "sweep_family_noq.txt"
 
 
 @pytest.fixture
@@ -450,6 +451,7 @@ class TestGolden:
         ("sweep_family_chambers", ["chambers", "sweep_family.txt"]),
         ("sweep_family_chambers_json", ["chambers", "sweep_family.txt", "--json"]),
         ("cross_family5_chambers", ["chambers", "cross_family5.txt"]),
+        ("sweep_family_noq_chambers", ["chambers", "sweep_family_noq.txt"]),
     ]
 
     @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
@@ -459,7 +461,8 @@ class TestGolden:
                                 ("pyramid.txt", PYRAMID),
                                 ("skew.txt", SKEW),
                                 ("sweep_family.txt", SWEEP_FAMILY.read_text()),
-                                ("cross_family5.txt", CROSS_FAMILY5.read_text())):
+                                ("cross_family5.txt", CROSS_FAMILY5.read_text()),
+                                ("sweep_family_noq.txt", SWEEP_FAMILY_NOQ.read_text())):
             (tmp_path / file_name).write_text(text)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0

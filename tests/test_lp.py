@@ -15,9 +15,10 @@ from primalcount.lp import (
     interior_point,
     lp_feasible,
     lp_maximize,
-    remove_redundant,
 )
 from primalcount.linalg import det, dot, solve
+
+from lp_reference import lp_route, remove_redundant
 
 
 def test_simple_box_max():
@@ -322,7 +323,7 @@ def test_random_lps_match_reference():
 
 def sweep_family_setup():
     """Analyse the pcount-sweep family and compile each chamber, as the
-    benchmark's setup does."""
+    benchmark's setup does: 21 LPs, one sample per chamber."""
     path = Path(__file__).parent / "data" / "sweep_family.txt"
     analysis = parse_parametric(path.read_text()).analysis()
     for chamber in analysis.chambers:
@@ -330,6 +331,9 @@ def sweep_family_setup():
 
 
 def test_sweep_family_setup_lps_match_reference(monkeypatch):
+    # The setup itself runs only the chamber samples' LPs, so the LP
+    # routes it replaced (tests/lp_reference.py) give the corpus of real
+    # LPs: redundancy pruning and both interior points at every split.
     captured = []
 
     def recorder(c, A, b):
@@ -337,6 +341,7 @@ def test_sweep_family_setup_lps_match_reference(monkeypatch):
         return lp_maximize(c, A, b)
 
     monkeypatch.setattr(lp, "lp_maximize", recorder)
+    lp_route(monkeypatch)
     sweep_family_setup()
     assert len(captured) > 100
     for c, A, b in captured:

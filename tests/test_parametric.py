@@ -17,7 +17,7 @@ from primalcount.errors import (
 )
 from primalcount.genfun import count_leaves, count_polytope
 from primalcount.halfopen import HalfOpenPolyhedron, exactify, signed_decompose
-from primalcount.lp import OPTIMAL, interior_point, lp_maximize, remove_redundant
+from primalcount.lp import OPTIMAL, interior_point, lp_maximize
 from primalcount.oracle import brute_count
 from primalcount.parametric import (
     ParametricPolytope,
@@ -35,6 +35,8 @@ from primalcount.polytope import (
     _homogenized_rays,
     extreme_rays,
 )
+
+from lp_reference import cells_reference, lp_route, region_reference, remove_redundant
 
 
 def interval_family():
@@ -677,29 +679,6 @@ class TestCompiledChambers:
         assert "smith" not in calls
 
 
-def cells_reference(base, hyperplanes, interior_point=interior_point):
-    """The split loop with both interior_point LPs at every split."""
-    if base and interior_point([g for g, _ in base], [h for _, h in base]) is None:
-        return []
-    cells = [base]
-    for g, h in hyperplanes:
-        next_cells = []
-        for cell in cells:
-            low = cell + [(g, h)]
-            high = cell + [(tuple(-x for x in g), -h)]
-            low_ok = interior_point([r[0] for r in low],
-                                    [r[1] for r in low]) is not None
-            high_ok = interior_point([r[0] for r in high],
-                                     [r[1] for r in high]) is not None
-            if low_ok and high_ok:
-                next_cells.append(low)
-                next_cells.append(high)
-            else:
-                next_cells.append(cell)
-        cells = next_cells
-    return cells
-
-
 def box_q(rng, p):
     """Q = [0, 5]^p."""
     qrows = [[-1 if i == j else 0 for j in range(p)] for i in range(p)]
@@ -707,13 +686,13 @@ def box_q(rng, p):
     return HalfOpenPolyhedron.from_inequalities(qrows, [0] * p + [5] * p)
 
 
-def random_families(seed, count, make_q=box_q):
-    """Random boxes with two cuts in d = 2, p = 1 and 2 in turn, over
-    make_q(rng, p), with their vertex maps."""
+def random_families(seed, count, make_q=box_q, ps=(1, 2)):
+    """Random boxes with two cuts in d = 2, p taking the values ps in
+    turn, over make_q(rng, p), with their vertex maps."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        p = 1 + len(out) % 2
+        p = ps[len(out) % len(ps)]
         box = [(1, 0), (-1, 0), (0, 1), (0, -1)]
         A = list(box)
         E = [[rng.randint(0, 2) for _ in range(p)] for _ in box]
@@ -780,6 +759,144 @@ class TestChamberSplit:
         slow = chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
         assert fast == slow and len(fast) == 21
         assert fast_calls < len(calls)
+
+
+CROSS_FAMILY5 = Path(__file__).parent / "data" / "cross_family5.txt"
+
+
+def without_q(pp):
+    return ParametricPolytope(pp.A, pp.E, pp.f)
+
+
+def sweep_over(qrows, qrhs):
+    return ParametricPolytope(SWEEP_A, SWEEP_E, SWEEP_F,
+                              qset=HalfOpenPolyhedron.from_inequalities(qrows, qrhs))
+
+
+def repeated_q_family():
+    """The sweep family over q >= 0, q1 + q2 <= 30 and q1 <= 20, written
+    with rows that are not primitive, exact duplicates and rescaled
+    copies; the activity rows -q1 <= 0 and -q2 <= 0 repeat Q's rows."""
+    return sweep_over([[-2, 0], [0, -1], [-1, 0], [0, -1], [3, 3], [0, -3],
+                       [1, 1], [2, 0], [1, 0], [2, 0]],
+                      [0, 0, 0, 0, 90, 0, 30, 40, 20, 40])
+
+
+def thin_q_family():
+    """The sweep family over the ray q1 = q2 >= 0: no chambers."""
+    return sweep_over([[1, -1], [-1, 1], [-1, 0]], [0, 0, 0])
+
+
+def three_parameter_family():
+    """A 3-d box under x1 + x2 + x3 <= q1 + q2 + q3 - 2, with x_i <= q_i."""
+    A = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+         (1, 1, 1)]
+    E = [(0, 0, 0)] * 3 + [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    qset = HalfOpenPolyhedron.from_inequalities(
+        [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], [0, 0, 0])
+    return ParametricPolytope(A, E, [0] * 6 + [-2], qset=qset)
+
+
+def generator_rule_families():
+    """The sweep, 5-d cross-polytope and acceptance families and
+    random_families(6, 20), each also without Q; Q rows that repeat, a
+    lower-dimensional Q, and p = 3 families with and without Q."""
+    base = ([sweep_family(), parse_parametric(CROSS_FAMILY5.read_text())]
+            + [pp for pp, _ in acceptance_families()]
+            + [pp for pp, _ in random_families(6, 20)])
+    three = [three_parameter_family()] + [
+        pp for pp, _ in random_families(12, 2, ps=(3,))]
+    return (base + [without_q(pp) for pp in base] + [repeated_q_family(),
+            thin_q_family()] + three + [without_q(pp) for pp in three])
+
+
+def setup_outcome(pp):
+    """The vertex maps and closed chambers, or the type of the exception."""
+    try:
+        vertices = enumerate_parametric_vertices(pp)
+    except NotFullDimensionalError as exc:
+        return type(exc)
+    return vertices, chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
+
+
+def recorded_setups(monkeypatch, families):
+    """setup_outcome of each family, and every list _arrangement_cells gave."""
+    cells = []
+    split = parametric._arrangement_cells
+
+    def recording(base, qdim, hyperplanes):
+        cells.append(split(base, qdim, hyperplanes))
+        return cells[-1]
+
+    monkeypatch.setattr(parametric, "_arrangement_cells", recording)
+    return [setup_outcome(pp) for pp in families], cells
+
+
+def sweep_setup_lps(name, monkeypatch):
+    """lp_maximize calls while a data family is analysed and each of its
+    chambers compiled, and its number of chambers."""
+    calls = []
+
+    def counted(c, A, b):
+        calls.append(1)
+        return lp_maximize(c, A, b)
+
+    monkeypatch.setattr(lp, "lp_maximize", counted)
+    path = Path(__file__).parent / "data" / f"{name}.txt"
+    analysis = parse_parametric(path.read_text()).analysis()
+    for chamber in analysis.chambers:
+        analysis.count_at(chamber.sample)
+    return len(calls), len(analysis.chambers)
+
+
+class TestGeneratorRule:
+    def test_regions_and_cells_match_the_lp_route(self, monkeypatch):
+        families = generator_rule_families()
+        fast, fast_cells = recorded_setups(monkeypatch, families)
+        lp_route(monkeypatch)
+        slow, slow_cells = recorded_setups(monkeypatch, families)
+        assert fast_cells == slow_cells
+        for pp, got, want in zip(families, fast, slow):
+            assert got == want, (pp.A, pp.E, pp.f, pp.qset)
+        chambers = [len(out[1]) for out in fast if not isinstance(out, type)]
+        assert sum(n > 1 for n in chambers) >= 30
+        assert setup_outcome(thin_q_family()) == ([], [])
+
+    def test_rows_on_one_facet_resolve_as_the_lp_pass(self):
+        # q1 >= 0 three times (one exact duplicate, one rescaled copy),
+        # q2 >= 0, q1 + q2 <= 5 twice, and two redundant rows: q1 <= 7
+        # misses the triangle and q1 + 2 q2 >= 0 touches it at 0 only
+        rows = [((-1, 0), Fraction(0)), ((-2, 0), Fraction(0)),
+                ((-1, 0), Fraction(0)), ((0, -1), Fraction(0)),
+                ((1, 1), Fraction(5)), ((2, 2), Fraction(10)),
+                ((1, 0), Fraction(7)), ((-1, -2), Fraction(0))]
+        region = parametric._region(rows, 2)
+        assert region.rows == (((-2, 0), 0, False), ((0, -1), 0, False),
+                               ((2, 2), 10, False))
+        assert region == region_reference(rows, 2)
+
+    def test_cells_with_lines(self):
+        # Without Q the first cells are half-planes and a strip; the
+        # arrangement of q1 = 0, q1 = 1 and q2 = 0 has six cells
+        hyperplanes = [((1, 0), Fraction(0)), ((1, 0), Fraction(1)),
+                       ((0, 1), Fraction(0))]
+        cells = parametric._arrangement_cells([], 2, hyperplanes)
+        assert cells == cells_reference([], hyperplanes)
+        assert len(cells) == 6
+
+    def test_no_cells_in_a_lower_dimensional_or_empty_q(self):
+        hyperplanes = [((1, 0), Fraction(1)), ((0, 1), Fraction(1))]
+        segment = [((1, -1), Fraction(0)), ((-1, 1), Fraction(0)),
+                   ((-1, 0), Fraction(0)), ((1, 0), Fraction(3))]
+        empty = [((1, 0), Fraction(-1)), ((-1, 0), Fraction(0))]
+        for base in (segment, empty):
+            assert parametric._arrangement_cells(base, 2, hyperplanes) == []
+            assert cells_reference(base, hyperplanes) == []
+
+    @pytest.mark.parametrize("name", ["sweep_family", "cross_family5"])
+    def test_setup_runs_one_lp_per_chamber(self, name, monkeypatch):
+        calls, chambers = sweep_setup_lps(name, monkeypatch)
+        assert calls == chambers == {"sweep_family": 21, "cross_family5": 1}[name]
 
 
 # ---------------------------------------------------------------------------
@@ -857,10 +974,8 @@ def wall_families():
     """The sweep and 5-d cross-polytope families, the acceptance families,
     random families over a box, over a Q with rows that are not
     primitive and over no Q, and the interval and min families without Q."""
-    cross5 = Path(__file__).parent / "data" / "cross_family5.txt"
-    free = [ParametricPolytope(pp.A, pp.E, pp.f) for pp in
-            (interval_family(), min_family())]
-    return ([sweep_family(), parse_parametric(cross5.read_text())]
+    free = [without_q(pp) for pp in (interval_family(), min_family())]
+    return ([sweep_family(), parse_parametric(CROSS_FAMILY5.read_text())]
             + [pp for pp, _ in acceptance_families()]
             + [pp for pp, _ in random_families(6, 20)]
             + [pp for pp, _ in random_families(8, 6, scaled_q)]
