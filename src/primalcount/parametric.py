@@ -4,14 +4,16 @@ A family P_q = {x : A x <= E q + f} over parameters q has finitely many
 parametric vertices, each an affine map v(q) = M q + c valid on its
 activity region in q-space.  The regions overlap only in walls; cutting
 the parameter space along all activity boundaries yields chambers on
-which the vertex set is constant.  Cells and regions are read off the
-generators of their homogenized cones, extreme rays with incidence
-masks and lines, without an LP: a hyperplane splits a cell when it
-takes both signs on them, and a row is a facet when the generators
-tight on it have rank p.  The one LP per chamber picks its sample
-point.  Making chambers and activity regions half-open with one shared
-generic direction gives every parameter point exactly one evaluation
-formula, including points on the walls.  A wall is read off the
+which the vertex set is constant.  Vertex maps, cells and regions are
+all read off the generators of homogenized cones, a basis of their
+lines and their extreme rays with incidence masks, from the one double
+description polytope._generators and its cut step, without an LP: the
+maps are faces of one combined cone, a hyperplane splits a cell when
+it takes both signs on its generators, and a row is a facet when the
+generators tight on it have rank p.  The one LP per chamber picks its
+sample point.  Making chambers and activity regions half-open with one
+shared generic direction gives every parameter point exactly one
+evaluation formula, including points on the walls.  A wall is read off the
 chambers' own rows, without an LP: a facet whose hyperplane bounds
 some chamber from the other side.  On a chamber only the apexes of the
 fixed leaf cones move, so that formula is compiled once per chamber
@@ -40,17 +42,9 @@ from .linalg import (
     dot,
     identity,
     is_zero_vec,
-    vec_primitive,
 )
 from .lp import interior_point
-from .polytope import (
-    ClosedCone,
-    _cut,
-    _double_description,
-    _first_basis,
-    _homogenized_rays,
-    extreme_rays,
-)
+from .polytope import ClosedCone, _cut, _first_basis, _generators, extreme_rays
 
 
 class ParametricPolytope:
@@ -152,16 +146,15 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
     are formed times |det| from adj E_B and adj f_B, in integers once f
     is scaled to integers, and then made primitive (_integer_row).
     Raises UnboundedError when the family has a recession direction,
-    read off the homogenized cone of {x : A x <= 1} without an LP, and
+    read off the generators of {x : A x <= 0} without an LP, and
     NotFullDimensionalError when some vertex map forces the polytope
     into a hyperplane on a full-dimensional part of Q.
     """
     d, p = pp.dim, pp.qdim
-    # Every nonempty P_q has the recession cone {A x <= 0} of {A x <= 1},
-    # a set with 0 in its interior: bounded exactly when its homogenized
-    # cone is pointed and no ray has t = 0.
-    rays = _homogenized_rays(pp.A, [1] * len(pp.A))
-    if rays is None or any(ray[-1] == 0 for ray in rays):
+    # every nonempty P_q has the recession cone {A x <= 0}, so the family
+    # is bounded exactly when that cone is {0}: no lines and no rays
+    lines, rays, _ = _generators(pp.A)
+    if lines or rays:
         raise UnboundedError("polyhedron unbounded")
     fden, fint = _int_row(pp.f)  # f = fint / fden
     maps = []
@@ -190,7 +183,8 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
             if any(gq):
                 rhs = scale * fi - sign * dot(arow, adj_f)
                 rows.append(_integer_row(gq, Fraction(rhs, fden)))
-        activity = _region(rows + qrows, p)
+        rows += qrows
+        activity = _region(rows, _generators(_homogenized_rows(rows, p)), p)
         normals = tuple(pp.A[i] for i in tight)
         try:
             cone = ClosedCone(apex=(Fraction(0),) * d,
@@ -207,31 +201,24 @@ def _faces_of_dimension_p1(pp: ParametricPolytope):
     """The rows of A tight on each face of dimension p + 1 of the
     combined cone K of enumerate_parametric_vertices, as sorted tuples.
 
-    When K's normals have rank below n = d + p + 1, K contains the
-    linear space L they vanish on, of dimension at most p for a bounded
-    family.  The unit vectors e_j that complete the normals to a basis,
-    by the first-basis rule, add the equations e_j . z = 0, which cut L
-    off and keep K's faces, each dim L smaller.  The double description
-    of that pointed cone gives its extreme rays with their incidence
-    masks: the faces of dimension 1.  A face is its mask, and the faces
-    one dimension up from a face F are the largest masks among
-    F & mask(r) over the rays r outside F.
+    Every face of K contains K's lineality space L, the linear space
+    K's normals vanish on, of dimension at most p for a bounded family:
+    a line of K has t = 0 and x fixed by q.  The double description
+    (polytope._generators) gives a basis of L and K's extreme rays
+    modulo L with their incidence masks: the faces of dimension
+    dim L + 1.  A face is its mask, and the faces one dimension up from
+    a face F are the largest masks among F & mask(r) over the rays r
+    outside F, so p - dim L steps up reach dimension p + 1.
     """
     m = len(pp.A)
     normals = [tuple(_int_row((*a, *(-x for x in e), -fi))[1])
                for a, e, fi in zip(pp.A, pp.E, pp.f)]
     normals += [(0,) * pp.dim + tuple(_int_row((*g, -h))[1])
                 for g, h, _ in pp.qset.rows]
-    n = pp.dim + pp.qdim + 1
-    normals.append((0,) * (n - 1) + (-1,))
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    extra = [units[k - len(normals)] for k in _first_basis(normals + units)
-             if k >= len(normals)]
-    for e in extra:
-        normals += [e, tuple(-x for x in e)]
-    _, masks = _double_description(normals)
+    normals.append((0,) * (pp.dim + pp.qdim) + (-1,))
+    lines, _, masks = _generators(normals)
     faces = set(masks)
-    for _ in range(pp.qdim - len(extra)):
+    for _ in range(pp.qdim - len(lines)):
         up = set()
         for face in faces:
             joins = {face & z for z in masks if z & face != face}
@@ -249,10 +236,10 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
     cell interior, and drops cells where no vertex is active (the
     polytope is empty there).  Chambers meet only in their boundaries.
 
-    The cells come from _arrangement_cells and their regions from
-    _region, both read off the generators of homogenized cones without
-    an LP.  Each chamber's sample is the interior_point of its cell's
-    rows, the one LP per chamber.
+    The cells come from _arrangement_cells with the generators of their
+    homogenized cones, and _region reads each chamber's facets off those
+    generators, without an LP.  Each chamber's sample is the
+    interior_point of its cell's rows, the one LP per chamber.
     """
     if qset is None:
         qset = HalfOpenPolyhedron(rows=())
@@ -274,13 +261,13 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
     hyperplanes = sorted(hyperplanes)
 
     chambers = []
-    for cell in _arrangement_cells([(g, h) for g, h, _ in qset.rows], qdim,
-                                   hyperplanes):
+    for cell, generators in _arrangement_cells(
+            [(g, h) for g, h, _ in qset.rows], qdim, hyperplanes):
         if cell:
             sample = interior_point([g for g, _ in cell], [h for _, h in cell])
         else:
             sample = (Fraction(0),) * qdim
-        region = _region(cell, qdim)
+        region = _region(cell, generators, qdim)
         active = tuple(v for v in vertices if v.activity.contains(sample))
         if not active:
             continue
@@ -290,18 +277,20 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
 
 
 def _arrangement_cells(base, qdim, hyperplanes):
-    """The full-dimensional cells of Q = base cut by the hyperplanes.
+    """The full-dimensional cells of Q = base cut by the hyperplanes, each
+    with the generators of its homogenized cone.
 
-    Cells are lists of (g, h) rows g . q <= h, in the order the splits
-    made them, or [] when Q is not full-dimensional.  Each cell carries
-    the generators of its homogenized cone (_cone), kept only until the
-    cell is split.  A full-dimensional cell meets the open side
+    Returns (rows, generators) pairs, or [] when Q is not
+    full-dimensional.  rows is a list of (g, h) rows g . q <= h, in the
+    order the splits made them, and generators = (lines, rays, masks)
+    is polytope._generators of _homogenized_rows(rows, qdim), up to the
+    order of the rays.  A full-dimensional cell meets the open side
     g . q < h exactly when some generator z has (g, -h) . z < 0, a line
     counting with both signs, so the hyperplane splits the cell when
     its values have both signs.  Each side's generators then come from
-    one _cut_cone.
+    one polytope._cut.
     """
-    cone = _cone(base, qdim)
+    cone = _generators(_homogenized_rows(base, qdim))
     if len(_first_basis(cone[0] + cone[1])) <= qdim:
         return []
     cells = [(base, cone)]
@@ -315,13 +304,13 @@ def _arrangement_cells(base, qdim, hyperplanes):
             if (any(sum(map(mul, n, line)) for line in lines)
                     or min(vals) < 0 < max(vals)):
                 bit = 2 << len(cell)
-                next_cells.append((cell + [(g, h)], _cut_cone(cone, n, bit)))
+                next_cells.append((cell + [(g, h)], _cut(cone, n, bit)))
                 next_cells.append((cell + [(tuple(-x for x in g), -h)],
-                                   _cut_cone(cone, flip, bit)))
+                                   _cut(cone, flip, bit)))
             else:
                 next_cells.append((cell, cone))
         cells = next_cells
-    return [cell for cell, _ in cells]
+    return cells
 
 
 def _homogenized(g, h):
@@ -331,65 +320,29 @@ def _homogenized(g, h):
     return (*(den * x for x in g), -h.numerator)
 
 
-def _cone(rows, p):
-    """Generators of the homogenized cone of the rows (g, h), g . q <= h:
+def _homogenized_rows(rows, p):
+    """The normals of the homogenized cone of the rows (g, h), g . q <= h,
     {(q, t) : g . q - h t <= 0 for each row, t >= 0} in R^(p + 1).
 
-    Returns (lines, rays, masks): a basis of the lineality space, one
-    representative of each extreme ray modulo the lines, and the rays'
-    incidence masks, bit 0 for t >= 0 and bit i + 1 for rows[i].  It
-    starts from R^p x {t >= 0}, lines e_1..e_p and the ray e_(p+1), and
-    cuts each row in turn (_cut_cone).
+    t >= 0 comes first, so bit 0 of a generator's mask is t >= 0 and
+    bit i + 1 is rows[i].
     """
-    units = [tuple(int(i == j) for i in range(p + 1)) for j in range(p + 1)]
-    cone = (units[:p], units[p:], [0])
-    for i, (g, h) in enumerate(rows):
-        cone = _cut_cone(cone, _homogenized(g, h), 2 << i)
-    return cone
+    return [(0,) * p + (-1,)] + [_homogenized(g, h) for g, h in rows]
 
 
-def _cut_cone(cone, n, bit):
-    """The generators (lines, rays, masks) of a cone cut by n . z <= 0.
-
-    bit is the new normal's mask bit, and the normals cut before it hold
-    every lower bit, so a line is tight on all of them.  When n vanishes
-    on every line this is one double-description _cut of the rays, its
-    adjacency count lowered by the number of lines.  Otherwise a line l,
-    oriented so that n . l < 0, becomes a ray tight on every earlier
-    normal, and each other generator moves along l onto n . z = 0,
-    which keeps its incidences.
-    """
-    lines, rays, masks = cone
-    k = next((k for k, line in enumerate(lines) if sum(map(mul, n, line))),
-             None)
-    if k is None:
-        vals = [sum(map(mul, n, r)) for r in rays]
-        return (lines, *_cut(rays, masks, vals, bit, len(n) - 2 - len(lines)))
-    line = lines[k]
-    s = sum(map(mul, n, line))
-    if s > 0:
-        line, s = tuple(-x for x in line), -s
-
-    def onto(z):
-        v = sum(map(mul, n, z))
-        return vec_primitive(tuple(v * b - s * a for a, b in zip(z, line)))
-
-    return ([onto(m) for j, m in enumerate(lines) if j != k],
-            [onto(r) for r in rays] + [line],
-            [z | bit for z in masks] + [bit - 1])
-
-
-def _region(rows, p):
+def _region(rows, generators, p):
     """The closed region of the rows (g, h), g . q <= h, with only its
     facet rows, for a full-dimensional region in R^p.
 
-    A row is a facet exactly when the generators of the region's
-    homogenized cone (_cone) tight on it, the lines and the rays whose
-    mask holds the row, have rank p.  Rows on one facet resolve the way
-    an LP redundancy pass in row order does: exact duplicates keep the
-    first, rescaled copies (equal _integer_row keys) keep the last.
+    generators are those of the region's homogenized cone
+    (_generators of _homogenized_rows(rows, p)).  A row is a facet
+    exactly when the generators tight on it, the lines and the rays
+    whose mask holds the row, have rank p.  Rows on one facet resolve
+    the way an LP redundancy pass in row order does: exact duplicates
+    keep the first, rescaled copies (equal _integer_row keys) keep the
+    last.
     """
-    lines, rays, masks = _cone(rows, p)
+    lines, rays, masks = generators
     facets = {}  # each facet row, first occurrence, to its _integer_row key
     for i, row in enumerate(rows):
         if row not in facets:

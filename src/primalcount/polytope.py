@@ -6,7 +6,6 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from . import lp
 from .errors import (
     DegenerateConeError,
     NotFullDimensionalError,
@@ -167,31 +166,35 @@ def enumerate_vertices(P: HPolytope):
     """All vertices of a bounded full-dimensional polytope, sorted.
 
     One double description of the homogenized cone
-    {(x, t) : A x - b t <= 0, t >= 0} gives everything: its extreme rays
-    (x, t), all with t > 0, are the vertices x / t; a ray's incidence
-    mask is its tight set, the rows with A_i . x == b_i t; and rays
-    adjacent in that cone span the edges, so the rays of the vertex cone
-    at x / t are primitive(t x' - t' x) over its neighbours (x', t').
-    Returns [] for an empty polytope and raises for unbounded or
-    lower-dimensional input.  LPs run only when that cone is not pointed
-    or not full-dimensional, to tell those cases apart.
+    {(x, t) : A x - b t <= 0, t >= 0} gives everything (_generators):
+    its extreme rays (x, t), all with t > 0, are the vertices x / t; a
+    ray's incidence mask is its tight set, the rows with
+    A_i . x == b_i t; and rays adjacent in that cone span the edges, so
+    the rays of the vertex cone at x / t are primitive(t x' - t' x) over
+    its neighbours (x', t').  The same generators classify bad input,
+    without an LP: no ray with t > 0 means the polytope is empty
+    (returns []); generators of rank at most dim mean it is
+    lower-dimensional (NotFullDimensionalError); and a line or a ray
+    with t = 0 is a recession direction (UnboundedError), as is a
+    polytope without rows.
     """
-    cone = _homogenized_cone(P.A, P.b)
-    if cone is None:
-        if not lp.lp_feasible(P.A, P.b):
-            return []
-        if lp.interior_point(P.A, P.b) is None:
-            raise NotFullDimensionalError("polyhedron not full-dimensional")
+    if not P.A:
         raise UnboundedError("polyhedron unbounded")
-    rays, masks = cone
-    if any(ray[-1] == 0 for ray in rays):
+    d = P.dim
+    lines, rays, masks = _generators([(*row, -bi) for row, bi in zip(P.A, P.b)]
+                                     + [(0,) * d + (-1,)])
+    if all(ray[-1] == 0 for ray in rays):
+        return []
+    if rank(lines + rays) <= d:
+        raise NotFullDimensionalError("polyhedron not full-dimensional")
+    if lines or any(ray[-1] == 0 for ray in rays):
         raise UnboundedError("polyhedron unbounded")
     vertices = []
-    # the homogenized cone lies in R^(dim + 1), so adjacency needs dim - 1
+    # the homogenized cone lies in R^(d + 1), so adjacency needs d - 1
     for k, (*x, t) in enumerate(rays):
         edges = set()
         for j, (*y, s) in enumerate(rays):
-            if j != k and _adjacent(masks, masks[j] & masks[k], P.dim - 1):
+            if j != k and _adjacent(masks, masks[j] & masks[k], d - 1):
                 edges.add(vec_primitive(tuple(t * a - s * b for a, b in zip(y, x))))
         vertices.append(Vertex(point=tuple(Fraction(a, t) for a in x),
                                tight=frozenset(i for i in range(P.nrows)
@@ -201,42 +204,16 @@ def enumerate_vertices(P: HPolytope):
     return vertices
 
 
-def _homogenized_cone(A, b):
-    """Double description (rays, masks) of {(x, t) : A x - b t <= 0, t >= 0}.
-
-    Bit i of a mask, for i < len(A), is row i of A x <= b; the last bit
-    is t >= 0.  When {A x <= b} is nonempty and full-dimensional, the
-    rays with t > 0 are its vertices scaled by t and the rays with t = 0
-    its extreme recession directions.  None when the cone is not pointed
-    or not full-dimensional: the set is empty, lower-dimensional,
-    contains a line, or has no rows.
-    """
-    if not A:
-        return None
-    normals = [tuple(row) + (-bi,) for row, bi in zip(A, b)]
-    normals.append((0,) * len(A[0]) + (-1,))
-    try:
-        rays, masks = _double_description(normals)
-    except DegenerateConeError:
-        return None
-    return (rays, masks) if rank(rays) == len(normals[0]) else None
-
-
-def _homogenized_rays(A, b):
-    """The rays of _homogenized_cone(A, b), or None."""
-    cone = _homogenized_cone(A, b)
-    return None if cone is None else cone[0]
-
-
 def _adjacent(masks, common, need):
     """Whether two extreme rays whose incidence masks meet in common are
     adjacent, by the combinatorial test.
 
-    masks are the incidence masks of all extreme rays of a pointed cone
-    in R^d, and need = d - 2.  Two rays are adjacent exactly when their
-    common incidence set has at least d - 2 members and no third ray's
-    incidence set contains it (Fukuda & Prodon 1996): the smallest face
-    holding both is then 2-dimensional.
+    masks are the incidence masks of all extreme rays of a cone in R^d
+    with a lineality space of dimension k, and need = d - 2 - k.  Two
+    rays are adjacent exactly when their common incidence set has at
+    least need members and no third ray's incidence set contains it
+    (Fukuda & Prodon 1996): the smallest face holding both is then
+    (k + 2)-dimensional.
     """
     return (common.bit_count() >= need
             and sum(z & common == common for z in masks) == 2)
@@ -245,11 +222,14 @@ def _adjacent(masks, common, need):
 def extreme_rays(normals):
     """Extreme rays of the pointed cone {x : n . x <= 0} for integer normals n.
 
-    Primitive and sorted; the rays of _double_description without its
-    incidence masks.  Raises DegenerateConeError if the cone is not
-    pointed or not full-dimensional.
+    Primitive and sorted; the rays of _generators without their
+    incidence masks.  Raises DegenerateConeError if the cone has lines
+    (is not pointed) or its rays have rank below the dimension (it is
+    not full-dimensional).
     """
-    rays = _double_description(normals)[0]
+    lines, rays, _ = _generators(normals)
+    if lines:
+        raise DegenerateConeError("cone is not pointed")
     if rank(rays) != len(normals[0]):
         raise DegenerateConeError("cone is not full-dimensional")
     return rays
@@ -286,66 +266,78 @@ def _first_basis(vectors):
     return tuple(kept)
 
 
-def _double_description(normals):
-    """Extreme rays of {x : n . x <= 0} and their incidence bitmasks.
+def _generators(normals):
+    """Generators of the cone {x : n . x <= 0} for integer normals n.
 
-    Incremental double description: start from the simplicial cone of
-    the first basis of the normals (_first_basis), then cut with the
-    remaining ones in order (Motzkin et al. 1953; Fukuda & Prodon 1996),
-    one _cut each.  Bit i of a ray's mask is set when normals[i] . ray
-    == 0 among the normals cut so far.  The combinatorial adjacency test
-    holds in any pointed cone, so a lower-dimensional cone comes out
-    right too, and the {0} cone with no rays; no rank is taken, and
-    callers that need a full-dimensional cone test the rays' rank
-    themselves.  Returns (rays, masks), rays primitive and sorted, masks
-    aligned.  Raises DegenerateConeError if the cone is not pointed.
+    Incremental double description with lines (Motzkin et al. 1953;
+    Fukuda & Prodon 1996): start from R^d, the d unit lines and no rays,
+    and cut with the normals in order, one _cut each.  Returns
+    (lines, rays, masks): a basis of the lineality space, one
+    representative of each extreme ray modulo the lines, primitive and
+    sorted, and the rays' incidence masks, aligned, with bit i set when
+    normals[i] . ray == 0.  A pointed cone has no lines and its extreme
+    rays themselves, the {0} cone none at all.  No rank is taken:
+    callers that need a pointed or full-dimensional cone test the
+    generators themselves.
     """
-    normals = [tuple(n) for n in normals]
     d = len(normals[0])
-    base = _first_basis(normals)
-    if len(base) < d:
-        raise DegenerateConeError("cone is not pointed")
-    adj, det_m = adjugate_int([normals[i] for i in base])
-    # the columns of -M^-1 = -adj / det, scaled by det^2 > 0; ray j lies
-    # on every base hyperplane but its own
-    rays = [vec_primitive(tuple(-det_m * row[j] for row in adj)) for j in range(d)]
-    full = sum(1 << i for i in base)
-    masks = [full ^ (1 << i) for i in base]
-
+    generators = ([tuple(int(i == j) for i in range(d)) for j in range(d)],
+                  [], [])
     for i, n in enumerate(normals):
-        if i not in base:
-            rays, masks = _cut(rays, masks, [sum(map(mul, n, r)) for r in rays],
-                               1 << i, d - 2)
-
+        generators = _cut(generators, n, 1 << i)
+    lines, rays, masks = generators
     order = sorted(range(len(rays)), key=rays.__getitem__)
-    return [rays[k] for k in order], [masks[k] for k in order]
+    return lines, [rays[k] for k in order], [masks[k] for k in order]
 
 
-def _cut(rays, masks, vals, bit, need):
-    """One double-description step: the extreme rays and incidence masks
-    of a cone cut by one more normal, whose values on the rays are vals.
+def _cut(generators, n, bit):
+    """One double-description step: the generators (lines, rays, masks)
+    of a cone cut by n . z <= 0.
 
-    Keeps the rays with value <= 0, setting bit in the masks of those
-    on the new hyperplane, and joins each adjacent pair the normal
-    separates (_adjacent with need, read off the masks); the joined ray
-    lies on the hyperplane and its mask is the pair's common mask plus
-    bit.  Returns (rays, masks), the kept rays first, in order.
+    bit is the new normal's mask bit, and the normals cut before it hold
+    every lower bit, so a line is tight on all of them.  When n vanishes
+    on every line, the rays with value <= 0 stay, with bit set in the
+    masks of those on the new hyperplane, and each adjacent pair that n
+    separates (_adjacent, read off the masks) is joined by a ray on the
+    hyperplane whose mask is the pair's common mask plus bit; the kept
+    rays come first, in order.  Otherwise a line l, oriented so that
+    n . l < 0, becomes a ray tight on every earlier normal, and each
+    other generator moves along l onto n . z = 0, which keeps its
+    incidences.
     """
-    keep = [(r, z | bit if v == 0 else z)
-            for r, z, v in zip(rays, masks, vals) if v <= 0]
-    for a, va in enumerate(vals):
-        if va <= 0:
-            continue
-        for b, vb in enumerate(vals):
-            if vb >= 0:
+    lines, rays, masks = generators
+    k = next((k for k, line in enumerate(lines) if sum(map(mul, n, line))),
+             None)
+    if k is None:
+        vals = [sum(map(mul, n, r)) for r in rays]
+        need = len(n) - 2 - len(lines)
+        keep = [(r, z | bit if v == 0 else z)
+                for r, z, v in zip(rays, masks, vals) if v <= 0]
+        for a, va in enumerate(vals):
+            if va <= 0:
                 continue
-            common = masks[a] & masks[b]
-            if not _adjacent(masks, common, need):
-                continue
-            keep.append((vec_primitive(tuple(va * y - vb * x for x, y
-                                             in zip(rays[a], rays[b]))),
-                         common | bit))
-    return [r for r, _ in keep], [z for _, z in keep]
+            for b, vb in enumerate(vals):
+                if vb >= 0:
+                    continue
+                common = masks[a] & masks[b]
+                if not _adjacent(masks, common, need):
+                    continue
+                keep.append((vec_primitive(tuple(va * y - vb * x for x, y
+                                                 in zip(rays[a], rays[b]))),
+                             common | bit))
+        return lines, [r for r, _ in keep], [z for _, z in keep]
+    line = lines[k]
+    s = sum(map(mul, n, line))
+    if s > 0:
+        line, s = tuple(-x for x in line), -s
+
+    def onto(z):
+        v = sum(map(mul, n, z))
+        return vec_primitive(tuple(v * b - s * a for a, b in zip(z, line)))
+
+    return ([onto(m) for j, m in enumerate(lines) if j != k],
+            [onto(r) for r in rays] + [line],
+            [z | bit for z in masks] + [bit - 1])
 
 
 def vertex_cone(P: HPolytope, v: Vertex) -> ClosedCone:

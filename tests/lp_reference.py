@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from primalcount import lp, parametric
 from primalcount.halfopen import HalfOpenPolyhedron
+from primalcount.polytope import _generators
 
 
 def remove_redundant(A, b):
@@ -41,8 +42,8 @@ def remove_redundant(A, b):
     return [list(g) for g, _ in kept], [h for _, h in kept]
 
 
-def region_reference(rows, p):
-    """parametric._region by remove_redundant."""
+def region_reference(rows, generators, p):
+    """parametric._region by remove_redundant, ignoring the generators."""
     return HalfOpenPolyhedron.from_inequalities(
         *remove_redundant([g for g, _ in rows], [h for _, h in rows]))
 
@@ -71,9 +72,14 @@ def cells_reference(base, hyperplanes, interior_point=None):
     return cells
 
 
+def cells_with_generators(base, qdim, hyperplanes, interior_point=None):
+    """parametric._arrangement_cells by cells_reference: each cell with
+    the generators of its homogenized cone, built from its rows."""
+    return [(cell, _generators(parametric._homogenized_rows(cell, qdim)))
+            for cell in cells_reference(base, hyperplanes, interior_point)]
+
+
 def lp_route(monkeypatch):
     """Make parametric split cells and prune rows by these LPs."""
-    monkeypatch.setattr(parametric, "_arrangement_cells",
-                        lambda base, qdim, hyperplanes:
-                        cells_reference(base, hyperplanes))
+    monkeypatch.setattr(parametric, "_arrangement_cells", cells_with_generators)
     monkeypatch.setattr(parametric, "_region", region_reference)

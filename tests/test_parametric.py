@@ -32,11 +32,18 @@ from primalcount.parametric import (
 from primalcount.polytope import (
     ClosedCone,
     HPolytope,
-    _homogenized_rays,
+    _generators,
+    enumerate_vertices,
     extreme_rays,
 )
 
-from lp_reference import cells_reference, lp_route, region_reference, remove_redundant
+from lp_reference import (
+    cells_reference,
+    cells_with_generators,
+    lp_route,
+    region_reference,
+    remove_redundant,
+)
 
 
 def interval_family():
@@ -722,7 +729,8 @@ class TestChamberSplit:
 
         def recording(base, qdim, hyperplanes):
             cells = original(base, qdim, hyperplanes)
-            seen.append(cells == cells_reference(base, hyperplanes))
+            seen.append([rows for rows, _ in cells]
+                        == cells_reference(base, hyperplanes))
             return cells
 
         monkeypatch.setattr(parametric, "_arrangement_cells", recording)
@@ -734,8 +742,7 @@ class TestChamberSplit:
         cases = self.split_cases()
         fast = [chambers_max_dim(v, pp.qset, qdim=pp.qdim) for pp, v in cases]
         monkeypatch.setattr(parametric, "_arrangement_cells",
-                            lambda base, qdim, hyperplanes:
-                            cells_reference(base, hyperplanes))
+                            cells_with_generators)
         slow = [chambers_max_dim(v, pp.qset, qdim=pp.qdim) for pp, v in cases]
         assert fast == slow
         assert sum(len(chambers) > 1 for chambers in fast) >= 10
@@ -755,7 +762,8 @@ class TestChamberSplit:
         calls.clear()
         monkeypatch.setattr(parametric, "_arrangement_cells",
                             lambda base, qdim, hyperplanes:
-                            cells_reference(base, hyperplanes, counted))
+                            cells_with_generators(base, qdim, hyperplanes,
+                                                  counted))
         slow = chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
         assert fast == slow and len(fast) == 21
         assert fast_calls < len(calls)
@@ -820,13 +828,15 @@ def setup_outcome(pp):
 
 
 def recorded_setups(monkeypatch, families):
-    """setup_outcome of each family, and every list _arrangement_cells gave."""
+    """setup_outcome of each family, and the rows of every list of cells
+    _arrangement_cells gave."""
     cells = []
     split = parametric._arrangement_cells
 
     def recording(base, qdim, hyperplanes):
-        cells.append(split(base, qdim, hyperplanes))
-        return cells[-1]
+        out = split(base, qdim, hyperplanes)
+        cells.append([rows for rows, _ in out])
+        return out
 
     monkeypatch.setattr(parametric, "_arrangement_cells", recording)
     return [setup_outcome(pp) for pp in families], cells
@@ -870,17 +880,19 @@ class TestGeneratorRule:
                 ((-1, 0), Fraction(0)), ((0, -1), Fraction(0)),
                 ((1, 1), Fraction(5)), ((2, 2), Fraction(10)),
                 ((1, 0), Fraction(7)), ((-1, -2), Fraction(0))]
-        region = parametric._region(rows, 2)
+        generators = _generators(parametric._homogenized_rows(rows, 2))
+        region = parametric._region(rows, generators, 2)
         assert region.rows == (((-2, 0), 0, False), ((0, -1), 0, False),
                                ((2, 2), 10, False))
-        assert region == region_reference(rows, 2)
+        assert region == region_reference(rows, generators, 2)
 
     def test_cells_with_lines(self):
         # Without Q the first cells are half-planes and a strip; the
         # arrangement of q1 = 0, q1 = 1 and q2 = 0 has six cells
         hyperplanes = [((1, 0), Fraction(0)), ((1, 0), Fraction(1)),
                        ((0, 1), Fraction(0))]
-        cells = parametric._arrangement_cells([], 2, hyperplanes)
+        cells = [rows for rows, _ in
+                 parametric._arrangement_cells([], 2, hyperplanes)]
         assert cells == cells_reference([], hyperplanes)
         assert len(cells) == 6
 
@@ -1029,9 +1041,8 @@ def subset_walk_vertices(pp):
     gives, in sorted (M, c) order, and a degenerate cone raises
     NotFullDimensionalError."""
     d, p = pp.dim, pp.qdim
-    rays = _homogenized_rays(pp.A, [1] * len(pp.A))
-    if rays is None or any(ray[-1] == 0 for ray in rays):
-        raise UnboundedError("polyhedron unbounded")
+    # {x : A x <= 1} has 0 in its interior, so it raises only when unbounded
+    enumerate_vertices(HPolytope(A=pp.A, b=(1,) * len(pp.A)))
     seen = {}
     for basis in combinations(range(len(pp.A)), d):
         try:
@@ -1136,6 +1147,15 @@ def random_walk_family(rng, case):
         qrows, qrhs))
 
 
+def combined_cone_normals(pp):
+    """The normals of K = {(x, q, t) : A x - E q - f t <= 0, Q's rows,
+    t >= 0}, with int and Fraction entries."""
+    n = pp.dim + pp.qdim + 1
+    normals = [(*a, *(-x for x in e), -fi) for a, e, fi in zip(pp.A, pp.E, pp.f)]
+    normals += [(0,) * pp.dim + (*g, -h) for g, h, _ in pp.qset.rows]
+    return normals + [(0,) * (n - 1) + (-1,)]
+
+
 class TestVertexMapsAgainstSubsetWalk:
     def test_sweep_family(self):
         pp = sweep_family()
@@ -1151,6 +1171,7 @@ class TestVertexMapsAgainstSubsetWalk:
     def test_random_families(self):
         rng = random.Random(20261019)
         kinds = []
+        with_lines = 0
         for case in range(540):
             pp = random_walk_family(rng, case)
             got = vertices_outcome(enumerate_parametric_vertices, pp)
@@ -1160,8 +1181,12 @@ class TestVertexMapsAgainstSubsetWalk:
                 # every listed map is active in some chamber
                 chambers = chambers_max_dim(got, pp.qset, qdim=pp.qdim)
                 assert {v for ch in chambers for v in ch.active} == set(got)
+                normals = combined_cone_normals(pp)  # K has lines at low rank
+                with_lines += linalg.rank(normals) < len(normals[0])
             kinds.append(got if isinstance(got, type) else bool(got))
         assert all(kinds.count(kind) >= 25 for kind in
                    (True, False, NotFullDimensionalError, UnboundedError)), \
             [kinds.count(k) for k in (True, False, NotFullDimensionalError,
                                       UnboundedError)]
+        # the faces of a combined cone with lines are climbed from fewer levels
+        assert with_lines >= 25, with_lines

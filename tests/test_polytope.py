@@ -18,6 +18,7 @@ from primalcount.linalg import (
     transpose,
     vec_primitive,
 )
+from primalcount import lp
 from primalcount.lp import OPTIMAL, interior_point, lp_feasible, lp_maximize
 from primalcount.polytope import (
     ClosedCone,
@@ -25,6 +26,7 @@ from primalcount.polytope import (
     SimplicialCone,
     Vertex,
     _first_basis,
+    _generators,
     enumerate_vertices,
     extreme_rays,
     triangulate,
@@ -92,6 +94,37 @@ def test_no_rows_is_unbounded():
         enumerate_vertices(HPolytope(A=(), b=()))
 
 
+ERROR_CORPUS = (
+    # (A, b, outcome): the line x = 0, the plane z = 0, an empty set, an
+    # empty set with a recession direction, a wedge, no rows and a slab
+    (((1, 0), (-1, 0)), (0, 0), NotFullDimensionalError),
+    (((0, 0, 1), (0, 0, -1)), (0, 0), NotFullDimensionalError),
+    (((1,), (-1,)), (0, -1), []),
+    (((1, 0), (-1, 0), (0, -1)), (-1, 0, 0), []),
+    (((-1, 0), (0, -1)), (0, 0), UnboundedError),
+    ((), (), UnboundedError),
+    (((1, 0), (-1, 0)), (1, 0), UnboundedError),
+)
+
+
+def test_bad_input_is_classified_without_lps(monkeypatch):
+    calls = []
+
+    def counted(c, A, b):
+        calls.append(1)
+        return lp_maximize(c, A, b)
+
+    monkeypatch.setattr(lp, "lp_maximize", counted)
+    for A, b, outcome in ERROR_CORPUS:
+        P = HPolytope(A=A, b=b)
+        if isinstance(outcome, list):
+            assert enumerate_vertices(P) == outcome
+        else:
+            with pytest.raises(outcome):
+                enumerate_vertices(P)
+    assert calls == []
+
+
 def test_zero_row_rejected():
     with pytest.raises(ValueError):
         HPolytope(A=((0, 0),), b=(1,))
@@ -147,10 +180,11 @@ def test_random_vertices_match_brute_force():
 def extreme_rays_reference(normals):
     """Extreme rays of {x : n . x <= 0} by the rank-based double description.
 
-    The same incremental double description as extreme_rays, but two
-    rays are adjacent when the normals tight at both have rank d - 2,
-    computed by elimination for every pair, so it shares no adjacency
-    code with the incidence bitmasks.
+    An incremental double description like extreme_rays', but started
+    from the simplicial cone of the first basis of normals found by a
+    subset search, and two rays are adjacent when the normals tight at
+    both have rank d - 2, computed by elimination for every pair, so it
+    shares no start and no adjacency code with the incidence bitmasks.
     """
     normals = [tuple(n) for n in normals]
     d = len(normals[0])
@@ -425,6 +459,9 @@ def test_extreme_rays_match_reference_on_random_cones():
         rng.shuffle(normals)
         got = rays_outcome(extreme_rays, normals)
         assert got == rays_outcome(extreme_rays_reference, normals), normals
+        lines = _generators(normals)[0]
+        assert len(lines) == d - rank(normals), normals
+        assert all(dot(n, line) == 0 for n in normals for line in lines)
         kinds.append(got if isinstance(got, str) else len(got) > d)
     assert all(kinds.count(kind) >= 40 for kind in
                ("cone is not pointed", "cone is not full-dimensional", False, True))
