@@ -8,11 +8,10 @@ pivot (*J. Res. NBS* 71B, 1967), the rule of the Bareiss elimination in
 `linalg._gauss_jordan`.  The stored tableau T holds integers only; the
 true tableau is T / D with D > 0 the determinant of the current basis,
 so every division in a pivot is exact.  Fractions appear only in the
-returned x and value.  LPs serve two callers only: the interior point
-that samples each chamber (parametric.chambers_max_dim) and the oracle's
-feasibility test and bounding box.  Vertices, cones, chamber cells and
-facets are read off double-description generators instead.
-Deliberately dense and small: those systems have a handful of rows.
+returned x and value.  LPs serve the oracle only, its feasibility test
+and bounding box; vertices, cones, chambers and their samples are read
+off double-description generators instead.  Deliberately dense and
+small: those systems have a handful of rows.
 """
 
 from fractions import Fraction

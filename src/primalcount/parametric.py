@@ -4,20 +4,20 @@ A family P_q = {x : A x <= E q + f} over parameters q has finitely many
 parametric vertices, each an affine map v(q) = M q + c valid on its
 activity region in q-space.  The regions overlap only in walls; cutting
 the parameter space along all activity boundaries yields chambers on
-which the vertex set is constant.  Vertex maps, cells and regions are
-all read off the generators of homogenized cones, a basis of their
-lines and their extreme rays with incidence masks, from the one double
-description polytope._generators and its cut step, without an LP: the
-maps are faces of one combined cone, a hyperplane splits a cell when
-it takes both signs on its generators, and a row is a facet when the
-generators tight on it have rank p.  The one LP per chamber picks its
-sample point.  Making chambers and activity regions half-open with one
-shared generic direction gives every parameter point exactly one
-evaluation formula, including points on the walls.  A wall is read off the
-chambers' own rows, without an LP: a facet whose hyperplane bounds
-some chamber from the other side.  On a chamber only the apexes of the
-fixed leaf cones move, so that formula is compiled once per chamber
-into integer arithmetic.
+which the vertex set is constant.  Vertex maps, cells, regions and
+chamber samples are all read off the generators of homogenized cones,
+a basis of their lines and their extreme rays with incidence masks,
+from the one double description polytope._generators and its cut
+step, so the setup runs no LP: the maps are faces of one combined
+cone, a hyperplane splits a cell when it takes both signs on its
+generators, a row is a facet when the generators tight on it have rank
+p, and a chamber's sample is the sum of its cell's rays.  Making
+chambers and activity regions half-open with one shared generic
+direction gives every parameter point exactly one evaluation formula,
+including points on the walls.  A wall is read off the chambers' own
+rows: a facet whose hyperplane bounds some chamber from the other
+side.  On a chamber only the apexes of the fixed leaf cones move, so
+that formula is compiled once per chamber into integer arithmetic.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,9 @@ from .linalg import (
     identity,
     is_zero_vec,
 )
-from .lp import interior_point
+# Not called here: chamber samples are sums of rays.  The name stays bound
+# because perfbench's tracer test looks for it in this module.
+from .lp import interior_point  # noqa: F401
 from .polytope import ClosedCone, _cut, _first_basis, _generators, extreme_rays
 
 
@@ -238,8 +240,10 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
 
     The cells come from _arrangement_cells with the generators of their
     homogenized cones, and _region reads each chamber's facets off those
-    generators, without an LP.  Each chamber's sample is the
-    interior_point of its cell's rows, the one LP per chamber.
+    generators.  Each chamber's sample is s_q / s_t for the sum (s_q, s_t)
+    of its cell's rays, without an LP: each row is <= 0 on the rays, 0 on
+    the lines and not 0 on all rays, or the cell would lie in its
+    hyperplane, so it is strict at the sum; s_t > 0, the cell not empty.
     """
     if qset is None:
         qset = HalfOpenPolyhedron(rows=())
@@ -248,30 +252,22 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
     elif qdim is None:
         if not vertices:
             return []
-        qdim = len(next(iter(vertices)).map_M[0]) if vertices[0].map_M else 1
+        qdim = len(vertices[0].map_M[0])
 
-    hyperplanes = set()
-    for v in vertices:
-        for g, h, _ in v.activity.rows:
-            lead = next((x for x in g if x != 0), 0)
-            if lead < 0:
-                hyperplanes.add((tuple(-x for x in g), -h))
-            else:
-                hyperplanes.add((g, h))
-    hyperplanes = sorted(hyperplanes)
+    # each hyperplane once, its first nonzero coefficient positive
+    hyperplanes = sorted({(g, h) if next((x for x in g if x), 0) >= 0
+                          else (tuple(-x for x in g), -h)
+                          for v in vertices for g, h, _ in v.activity.rows})
 
     chambers = []
     for cell, generators in _arrangement_cells(
             [(g, h) for g, h, _ in qset.rows], qdim, hyperplanes):
-        if cell:
-            sample = interior_point([g for g, _ in cell], [h for _, h in cell])
-        else:
-            sample = (Fraction(0),) * qdim
-        region = _region(cell, generators, qdim)
+        *s_q, s_t = map(sum, zip(*generators[1]))
+        sample = tuple(Fraction(x, s_t) for x in s_q)
         active = tuple(v for v in vertices if v.activity.contains(sample))
-        if not active:
-            continue
-        chambers.append(Chamber(region=region, active=active, sample=sample))
+        if active:
+            chambers.append(Chamber(region=_region(cell, generators, qdim),
+                                    active=active, sample=sample))
     chambers.sort(key=lambda ch: ch.region.rows)
     return chambers
 
@@ -369,6 +365,19 @@ def _walls(chambers):
     return {_integer_row(g, h) for ch in chambers for g, h, _ in ch.region.rows}
 
 
+def _opening(chambers, y_q=None):
+    """(y_q, walls) that open both the chambers and the activity regions:
+    y_q, or else the first chamber's sample, moved off the rows of every
+    chamber and of every vertex active on one, which are all the vertices
+    (halfopen.perturbed_direction), and _walls(chambers)."""
+    regions = [ch.region for ch in chambers]
+    regions += [v.activity for v in {v for ch in chambers for v in ch.active}]
+    seed = y_q if y_q is not None else chambers[0].sample
+    y_q = perturbed_direction(seed, identity(len(seed)),
+                              [g for region in regions for g, _, _ in region.rows])
+    return y_q, _walls(chambers)
+
+
 def _halfopen_region(region, y_q, walls):
     """Open the region's wall facets against y_q; keep outer facets closed.
 
@@ -382,6 +391,11 @@ def _halfopen_region(region, y_q, walls):
         for (g, h, _), strict in zip(region.rows, opened)))
 
 
+def _open_chambers(chambers, y_q, walls):
+    return [Chamber(region=_halfopen_region(ch.region, y_q, walls),
+                    active=ch.active, sample=ch.sample) for ch in chambers]
+
+
 def halfopen_chambers(chambers, y_q=None):
     """Half-open chambers that partition the union of the closed chambers.
 
@@ -389,16 +403,11 @@ def halfopen_chambers(chambers, y_q=None):
     and sample and a region whose wall rows may be strict.  Every
     parameter point in any chamber closure lands in exactly one
     half-open chamber.  y_q must not be orthogonal to any wall normal;
-    it is repaired by perturbation when it is.
+    it is repaired by perturbation when it is (_opening).
     """
     if not chambers:
         return []
-    normals = [g for ch in chambers for g, h, _ in ch.region.rows]
-    seed = y_q if y_q is not None else chambers[0].sample
-    y_q = perturbed_direction(seed, identity(len(seed)), normals)
-    walls = _walls(chambers)
-    return [Chamber(region=_halfopen_region(ch.region, y_q, walls),
-                    active=ch.active, sample=ch.sample) for ch in chambers]
+    return _open_chambers(chambers, *_opening(chambers, y_q))
 
 
 def halfopen_activity_regions(vertices, chambers, y_q=None):
@@ -411,11 +420,7 @@ def halfopen_activity_regions(vertices, chambers, y_q=None):
     """
     if not vertices:
         return []
-    normals = [g for ch in chambers for g, h, _ in ch.region.rows]
-    normals += [g for v in vertices for g, h, _ in v.activity.rows]
-    seed = y_q if y_q is not None else chambers[0].sample
-    y_q = perturbed_direction(seed, identity(len(seed)), normals)
-    walls = _walls(chambers)
+    y_q, walls = _opening(chambers, y_q)
     return [(v, _halfopen_region(v.activity, y_q, walls)) for v in vertices]
 
 
@@ -461,17 +466,12 @@ class ParametricAnalysis:
         self.max_index = max_index
         self.vertices = enumerate_parametric_vertices(pp)
         self.chambers = chambers_max_dim(self.vertices, pp.qset, qdim=pp.qdim)
-        wall_normals = [g for ch in self.chambers for g, h, _ in ch.region.rows]
-        act_normals = [g for v in self.vertices for g, h, _ in v.activity.rows]
-        if self.chambers:
-            seed = self.chambers[0].sample
-            self.y_q = perturbed_direction(seed, identity(len(seed)),
-                                           wall_normals + act_normals)
-        else:
-            self.y_q = None
-        self.open_chambers = halfopen_chambers(self.chambers, self.y_q)
-        self.open_activities = halfopen_activity_regions(self.vertices,
-                                                         self.chambers, self.y_q)
+        # no chambers means no vertices: each vertex is active in one
+        self.y_q, walls = (_opening(self.chambers) if self.chambers
+                           else (None, set()))
+        self.open_chambers = _open_chambers(self.chambers, self.y_q, walls)
+        self.open_activities = [(v, _halfopen_region(v.activity, self.y_q, walls))
+                                for v in self.vertices]
         self._decomps = {}
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
         self._compiled = {}

@@ -23,6 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
 SWEEP_FAMILY = Path(__file__).parent / "data" / "sweep_family.txt"
 CROSS_FAMILY5 = Path(__file__).parent / "data" / "cross_family5.txt"
 SWEEP_FAMILY_NOQ = Path(__file__).parent / "data" / "sweep_family_noq.txt"
+CHAMBERS1178 = Path(__file__).parent / "data" / "chambers1178.txt"
 
 
 @pytest.fixture
@@ -452,6 +453,7 @@ class TestGolden:
         ("sweep_family_chambers_json", ["chambers", "sweep_family.txt", "--json"]),
         ("cross_family5_chambers", ["chambers", "cross_family5.txt"]),
         ("sweep_family_noq_chambers", ["chambers", "sweep_family_noq.txt"]),
+        ("chambers1178_chambers", ["chambers", "chambers1178.txt"]),
     ]
 
     @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
@@ -462,7 +464,8 @@ class TestGolden:
                                 ("skew.txt", SKEW),
                                 ("sweep_family.txt", SWEEP_FAMILY.read_text()),
                                 ("cross_family5.txt", CROSS_FAMILY5.read_text()),
-                                ("sweep_family_noq.txt", SWEEP_FAMILY_NOQ.read_text())):
+                                ("sweep_family_noq.txt", SWEEP_FAMILY_NOQ.read_text()),
+                                ("chambers1178.txt", CHAMBERS1178.read_text())):
             (tmp_path / file_name).write_text(text)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0

@@ -323,7 +323,8 @@ def test_random_lps_match_reference():
 
 def sweep_family_setup():
     """Analyse the pcount-sweep family and compile each chamber, as the
-    benchmark's setup does: 21 LPs, one sample per chamber."""
+    benchmark's setup does.  The setup runs no LP; under lp_route it
+    splits cells and prunes rows by the reference LPs instead."""
     path = Path(__file__).parent / "data" / "sweep_family.txt"
     analysis = parse_parametric(path.read_text()).analysis()
     for chamber in analysis.chambers:
@@ -331,9 +332,9 @@ def sweep_family_setup():
 
 
 def test_sweep_family_setup_lps_match_reference(monkeypatch):
-    # The setup itself runs only the chamber samples' LPs, so the LP
-    # routes it replaced (tests/lp_reference.py) give the corpus of real
-    # LPs: redundancy pruning and both interior points at every split.
+    # The setup itself runs no LP, so the LP routes it replaced
+    # (tests/lp_reference.py) give the corpus of real LPs: redundancy
+    # pruning and both interior points at every split.
     captured = []
 
     def recorder(c, A, b):
@@ -369,5 +370,6 @@ def test_tableau_stays_integral(monkeypatch):
     assert lp_maximize(*DRIVE_OUT_NEGATIVE)[0] == OPTIMAL
     rational = len(pivots)
     assert rational > 0
+    lp_route(monkeypatch)
     sweep_family_setup()
     assert len(pivots) > rational

@@ -747,7 +747,7 @@ class TestChamberSplit:
         assert fast == slow
         assert sum(len(chambers) > 1 for chambers in fast) >= 10
 
-    def test_fewer_interior_point_lps(self, monkeypatch):
+    def test_no_interior_point_lp(self, monkeypatch):
         pp = sweep_family()
         vertices = enumerate_parametric_vertices(pp)
         calls = []
@@ -756,17 +756,17 @@ class TestChamberSplit:
             calls.append(1)
             return interior_point(A, b)
 
+        monkeypatch.setattr(lp, "interior_point", counted)
         monkeypatch.setattr(parametric, "interior_point", counted)
         fast = chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
-        fast_calls = len(calls)
-        calls.clear()
+        assert calls == []
         monkeypatch.setattr(parametric, "_arrangement_cells",
                             lambda base, qdim, hyperplanes:
                             cells_with_generators(base, qdim, hyperplanes,
                                                   counted))
         slow = chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
         assert fast == slow and len(fast) == 21
-        assert fast_calls < len(calls)
+        assert calls
 
 
 CROSS_FAMILY5 = Path(__file__).parent / "data" / "cross_family5.txt"
@@ -842,7 +842,7 @@ def recorded_setups(monkeypatch, families):
     return [setup_outcome(pp) for pp in families], cells
 
 
-def sweep_setup_lps(name, monkeypatch):
+def setup_lps(name, monkeypatch):
     """lp_maximize calls while a data family is analysed and each of its
     chambers compiled, and its number of chambers."""
     calls = []
@@ -905,10 +905,49 @@ class TestGeneratorRule:
             assert parametric._arrangement_cells(base, 2, hyperplanes) == []
             assert cells_reference(base, hyperplanes) == []
 
-    @pytest.mark.parametrize("name", ["sweep_family", "cross_family5"])
-    def test_setup_runs_one_lp_per_chamber(self, name, monkeypatch):
-        calls, chambers = sweep_setup_lps(name, monkeypatch)
-        assert calls == chambers == {"sweep_family": 21, "cross_family5": 1}[name]
+    @pytest.mark.parametrize("name", ["sweep_family", "sweep_family_noq",
+                                      "cross_family5", "chambers1178"])
+    def test_setup_runs_no_lp(self, name, monkeypatch):
+        chambers = {"sweep_family": 21, "sweep_family_noq": 21,
+                    "cross_family5": 1, "chambers1178": 1178}[name]
+        assert setup_lps(name, monkeypatch) == (0, chambers)
+
+    def test_samples_from_generators_match_the_lp_samples(self, monkeypatch):
+        # Every cell's sample, the sum of its rays, satisfies each of its
+        # rows strictly, and the vertices active there are those active
+        # at the cell's interior_point LP sample, the former rule.
+        cells = []
+        split = parametric._arrangement_cells
+
+        def recording(base, qdim, hyperplanes):
+            out = split(base, qdim, hyperplanes)
+            cells.extend((rows, gens, qdim) for rows, gens in out)
+            return out
+
+        monkeypatch.setattr(parametric, "_arrangement_cells", recording)
+        checked = 0
+        for pp in generator_rule_families():
+            outcome = setup_outcome(pp)
+            if isinstance(outcome, type):
+                continue
+            vertices, chambers = outcome
+            samples = []
+            for rows, (_, rays, _), qdim in cells:
+                *s_q, s_t = map(sum, zip(*rays))
+                sample = tuple(Fraction(x, s_t) for x in s_q)
+                assert all(linalg.dot(g, sample) < h for g, h in rows)
+                reference = (interior_point([g for g, _ in rows],
+                                            [h for _, h in rows])
+                             if rows else (Fraction(0),) * qdim)
+                active = [v for v in vertices if v.activity.contains(sample)]
+                assert active == [v for v in vertices
+                                  if v.activity.contains(reference)]
+                if active:
+                    samples.append(sample)
+                checked += 1
+            assert sorted(samples) == sorted(ch.sample for ch in chambers)
+            cells.clear()
+        assert checked >= 900
 
 
 # ---------------------------------------------------------------------------
@@ -1024,6 +1063,28 @@ class TestWallRule:
         halfopen_activity_regions(analysis.vertices, analysis.chambers,
                                   analysis.y_q)
         assert calls == []
+
+    def test_one_opening_per_analysis(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(parametric, name, wrapper)
+
+        counted("perturbed_direction", parametric.perturbed_direction)
+        counted("_walls", parametric._walls)
+        for pp in (sweep_family(), without_q(sweep_family()),
+                   parse_parametric(CROSS_FAMILY5.read_text())):
+            analysis = pp.analysis()
+            assert sorted(calls) == ["_walls", "perturbed_direction"]
+            calls.clear()
+            # the public functions open with the same direction unasked
+            assert halfopen_chambers(analysis.chambers) == analysis.open_chambers
+            assert halfopen_activity_regions(
+                analysis.vertices, analysis.chambers) == analysis.open_activities
+            calls.clear()
 
 
 # ---------------------------------------------------------------------------
