@@ -15,11 +15,13 @@ Counting decomposes cones only down to index DEFAULT_MAX_INDEX, as
 LattE does, and CompiledLeaves is the one leaf counter.  It walks each
 leaf's box once, without its apex, and keeps each facet's rounding as
 one integer row, affine in the parameters of its group's apex map
-v(q) = M q + c; a count at a parameter point is then one dot product
-and one floor division per facet and integer sums, building no point,
-apex or term.  count_leaves counts fixed apexes as maps with no
-parameters, and each compiled chamber of the parametric module counts
-at every parameter point it holds.
+v(q) = M q + c.  A facet whose row has no parameter part rounds the same
+at every parameter point, so it is rounded once when compiling; a count
+at a parameter point is then one dot product and one floor division per
+moving facet and integer sums, building no point, apex or term.
+count_leaves counts fixed apexes as maps with no parameters, so all its
+work is compiling, and each compiled chamber of the parametric module
+counts at every parameter point it holds.
 """
 
 from dataclasses import dataclass
@@ -216,6 +218,18 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
     return int(total)
 
 
+def _box_sums(u, Ns):
+    """sum_t u[t] num_t, with num_t = sum over the box of C(N, t) for its
+    values N, from the falling factorials N (N-1) ... (N-t+1) over t!."""
+    total = u[0] * len(Ns) + u[1] * sum(Ns)
+    falling, fact = Ns, 1
+    for t in range(2, len(u)):
+        fact *= t
+        falling = [x * (N - t + 1) for x, N in zip(falling, Ns)]
+        total += u[t] * (sum(falling) // fact)
+    return total
+
+
 class CompiledLeaves:
     """Signed leaf cones with affine apexes, counted in integers.
 
@@ -233,54 +247,73 @@ class CompiledLeaves:
     (_leaf_weights) are scaled to one common denominator,
     self.denominator.
 
-    Each facet j keeps the integer row (normals[j] . M columns...,
+    Facet j has the integer row (normals[j] . M columns...,
     normals[j] . c) and its strict flag, so the rounding of
     parallelepiped_points at the apex is the step-polynomial
     f_j = (row_j . (z, D) - strict_j) // (m D), and the parallelepiped
     point of residue k is k - sum_j ((f_j - normals[j] . k) // index)
     rays[j].  So N = <mu, point> + shift is c(k) -
     sum_j g_j ((f_j - normals[j] . k) // index) with g_j = <mu, rays[j]>,
-    and the sums over the box of the falling factorials N (N-1) ...
-    (N-t+1), divided by t!, are the num_t the weights multiply.
+    and _box_sums of the N over the box times the weights is the share.
+    A facet whose row has no parameter part is fixed: for every D >= 1,
+    f_j = (c_j D - s_j) // (m D) = (c_j - s_j) // m with c_j the row's
+    last entry, so its term is folded into c(k) here, once.  Only the
+    moving facets, with their rows, flags, gains and columns, are kept
+    for count.  A leaf with no moving facet adds its whole share to the
+    constant self.constant and keeps nothing; with p = 0 every facet is
+    fixed, so a fixed count is all compiled here and count only divides.
     """
 
     def __init__(self, groups, maps):
         mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
                                       for ray in leaf.base.rays}))
         self.groups = []
-        weights = []
+        weights = []  # (u, den) of each leaf with a moving facet
+        shares = []  # (share times den, den) of each leaf without one
         for leaves, (M, c, m) in zip(groups, maps):
-            # the columns of M, then c: a row's entries are normals[j] . col
-            cols = (*zip(*M), c)
+            mcols = list(zip(*M))
             records = []
             for eps, leaf in leaves:
                 base = leaf.base
+                index = base.index
                 gains = [sum(map(mul, mu, ray)) for ray in base.rays]
                 rows = [(n, 0) for n in base.normals]
                 rows.append((mu, sum(-g for g in gains if g < 0)))
                 columns = _box_columns(leaf, rows)
                 Ns = columns.pop()
+                moving = []
+                for n, s, g, column in zip(base.normals, leaf.sigma, gains, columns):
+                    row = [sum(map(mul, n, col)) for col in mcols]
+                    cn = sum(map(mul, n, c))
+                    if any(row):
+                        moving.append(((*row, cn), s < 0, g, column))
+                    else:
+                        f = (cn - (s < 0)) // m
+                        Ns = [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
                 u, den = _leaf_weights(gains, eps)
-                weights.append((u, den))
-                facets = list(zip(*[[sum(map(mul, n, col)) for n in base.normals]
-                                    for col in cols]))
-                records.append((facets, [s < 0 for s in leaf.sigma], base.index,
-                                gains, columns, Ns, u))
-            self.groups.append((m, records))
-        # each leaf's weights over the common denominator L, in place
-        self.denominator = L = lcm(*[den for _, den in weights])
+                if moving:
+                    weights.append((u, den))
+                    records.append((tuple(zip(*moving)), index, Ns, u))
+                else:
+                    shares.append((_box_sums(u, Ns), den))
+            if records:
+                self.groups.append((m, records))
+        # every weight and share over the common denominator L, in place
+        self.denominator = L = lcm(*[den for _, den in weights],
+                                   *[den for _, den in shares])
         for u, den in weights:
             scale = L // den
             u[:] = [scale * x for x in u]
+        self.constant = sum(share * (L // den) for share, den in shares)
 
     def count(self, z, D) -> int:
         """Lattice points of the signed leaf sum at the parameter point
         z / D: z an integer vector of length p, D a positive integer."""
         zD = (*z, D)
-        total = 0
+        total = self.constant
         for m, records in self.groups:
             mD = m * D
-            for facets, strict, index, gains, columns, Ns, u in records:
+            for (facets, strict, gains, columns), index, Ns, u in records:
                 if index == 1:
                     # the box is the one point k = 0: the same sums in
                     # scalars, as building 2d - 1 one-item lists per leaf
@@ -297,13 +330,7 @@ class CompiledLeaves:
                 for row, s, g, column in zip(facets, strict, gains, columns):
                     f = (sum(map(mul, row, zD)) - s) // mD
                     Ns = [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
-                # num_0 counts the box's index many points, num_1 sums N
-                total += u[0] * index + u[1] * sum(Ns)
-                falling, fact = Ns, 1
-                for t in range(2, len(u)):
-                    fact *= t
-                    falling = [x * (N - t + 1) for x, N in zip(falling, Ns)]
-                    total += u[t] * (sum(falling) // fact)
+                total += _box_sums(u, Ns)
         count, rem = divmod(total, self.denominator)
         assert rem == 0, "specialization must produce an integer"
         return count
@@ -316,8 +343,10 @@ def count_leaves(pairs) -> int:
     HalfOpenCone) as signed_decompose returns them; each leaf is moved
     to apex.  Each apex, split into a / q by linalg._int_row, is the
     constant map ((), a, q), and the leaves are compiled once
-    (CompiledLeaves) and counted at the empty parameter point.  The
-    result is specialize_at_one of the leaves' gf_terms.
+    (CompiledLeaves): every facet is fixed, so compiling sums each
+    leaf's share, one leaf at a time, and the count at the empty
+    parameter point only divides.  The result is specialize_at_one of
+    the leaves' gf_terms.
     """
     maps = []
     for apex, _ in pairs:

@@ -17,7 +17,8 @@ direction gives every parameter point exactly one evaluation formula,
 including points on the walls.  A wall is read off the chambers' own
 rows: a facet whose hyperplane bounds some chamber from the other
 side.  On a chamber only the apexes of the fixed leaf cones move, so
-that formula is compiled once per chamber into integer arithmetic.
+that formula is compiled once per chamber into integer arithmetic, and
+a parameter point finds its chamber down the chambers' split tree.
 """
 
 from dataclasses import dataclass
@@ -254,9 +255,7 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
             return []
         qdim = len(vertices[0].map_M[0])
 
-    # each hyperplane once, its first nonzero coefficient positive
-    hyperplanes = sorted({(g, h) if next((x for x in g if x), 0) >= 0
-                          else (tuple(-x for x in g), -h)
+    hyperplanes = sorted({_oriented(g, h)
                           for v in vertices for g, h, _ in v.activity.rows})
 
     chambers = []
@@ -284,7 +283,8 @@ def _arrangement_cells(base, qdim, hyperplanes):
     g . q < h exactly when some generator z has (g, -h) . z < 0, a line
     counting with both signs, so the hyperplane splits the cell when
     its values have both signs.  Each side's generators then come from
-    one polytope._cut.
+    one polytope._cut.  _split_tree repeats these splits over the final
+    chambers alone, by their samples, to find a point's chamber.
     """
     cone = _generators(_homogenized_rows(base, qdim))
     if len(_first_basis(cone[0] + cone[1])) <= qdim:
@@ -307,6 +307,14 @@ def _arrangement_cells(base, qdim, hyperplanes):
                 next_cells.append((cell, cone))
         cells = next_cells
     return cells
+
+
+def _oriented(g, h):
+    """The hyperplane g . q = h, g nonzero, with the first nonzero entry
+    of g positive, so that each hyperplane has one key."""
+    if next(x for x in g if x) > 0:
+        return g, h
+    return tuple(-x for x in g), -h
 
 
 def _homogenized(g, h):
@@ -424,6 +432,45 @@ def halfopen_activity_regions(vertices, chambers, y_q=None):
     return [(v, _halfopen_region(v.activity, y_q, walls)) for v in vertices]
 
 
+def _split_tree(chambers, walls, y_q):
+    """The chambers' split tree: nested (n, up, below, above) nodes with
+    chamber indices at the leaves, or None without chambers.  walls is
+    _walls(chambers), the keys of the chambers' facet rows.
+
+    The chambers are full-dimensional cells of one hyperplane arrangement
+    cut from Q, so each lies on one side of every hyperplane, the side its
+    sample is strictly on, and any two are separated by a facet hyperplane
+    of either one.  Splitting them by their own facet hyperplanes in
+    sorted order, as _arrangement_cells splits Q, with a node wherever a
+    hyperplane separates chambers, therefore ends in one chamber per leaf.
+    A node holds the integer row n = _homogenized(g, h) of g . q <= h
+    (_oriented): the chambers below it have n . (z, D) < 0 at their
+    samples z / D, those above > 0.  A point on the hyperplane goes to the
+    side that q + eps y_q lies in, above when up = g . y_q > 0, the rule
+    exactify uses to open the walls; so a point of a half-open chamber
+    lands on it unless it lies on an outer facet that y_q leaves.  Q's
+    rows and cells without a chamber separate no chambers and get no node.
+    """
+    if not chambers:
+        return None
+    hyperplanes = sorted({_oriented(g, h) for g, h in walls})
+    points = [(*z, D) for D, z in (_int_row(ch.sample) for ch in chambers)]
+
+    def split(ks, i):
+        for j in range(i, len(hyperplanes)):
+            g, h = hyperplanes[j]
+            n = _homogenized(g, h)
+            below, above = sides = [], []
+            for k in ks:
+                sides[sum(map(mul, n, points[k])) > 0].append(k)
+            if below and above:
+                return (n, dot(g, y_q) > 0, split(below, j + 1), split(above, j + 1))
+        (k,) = ks
+        return k
+
+    return split(range(len(chambers)), 0)
+
+
 def _integer_map(vertex):
     """v(q) = M q + c as (M', c', m) with M = M' / m and c = c' / m."""
     width = len(vertex.map_M[0]) + 1
@@ -442,15 +489,19 @@ class _CompiledChamber:
 class ParametricAnalysis:
     """Precomputed chambers, half-open regions, and cone decompositions.
 
-    Evaluation through the chambers is compiled: q is tested against the
-    int_rows of the half-open chambers, and a chamber's leaves, each
-    group at its active vertex's integer map, become a _CompiledChamber
-    on the first evaluation that lands in it.  No Q test runs: every
-    chamber region is a cell cut from Q's rows, with only redundant
-    rows removed and walls opened, so it lies inside Q.  Evaluation
-    through the activity regions tests Q, finds the active vertices by
-    their half-open activity regions, takes their values at q as
-    Fractions, and counts their leaves there with count_leaves.  Both
+    Evaluation through the chambers is compiled: q walks the chambers'
+    split tree (_split_tree) and is tested against the int_rows of the
+    one half-open chamber it lands on, or of every chamber when that test
+    fails (_chamber_at), and a chamber's leaves, each group at its active
+    vertex's integer map, become a _CompiledChamber on the first
+    evaluation that lands in it; compiling rounds the facets that do not
+    move with q, so an evaluation does only the work that depends on q.
+    No Q test runs: every chamber region is a cell cut from Q's rows,
+    with only redundant rows removed and walls opened, so it lies inside
+    Q.  Evaluation through the activity regions tests Q, finds the
+    active vertices by their half-open activity regions, takes their
+    values at q as Fractions, and counts their leaves there with
+    count_leaves.  Both
     routes count with one CompiledLeaves, so they differ only in how
     they find the region and the vertex values, and the second checks
     the first on those.  A max_index below 1 raises ValueError before
@@ -474,6 +525,7 @@ class ParametricAnalysis:
                                 for v in self.vertices]
         self._decomps = {}
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
+        self._tree = _split_tree(self.chambers, walls, self.y_q)
         self._compiled = {}
 
     def _decomposition(self, vertex: ParametricVertex):
@@ -497,10 +549,27 @@ class ParametricAnalysis:
             self._compiled[k] = _CompiledChamber(leaves=leaves, stats=stats)
         return self._compiled[k]
 
+    def _chamber_at(self, z, D):
+        """The index of the half-open chamber holding z / D, or None.
+
+        Walks the split tree and tests the chamber it lands on; a point it
+        misses, outside every chamber or on an outer facet that y_q
+        leaves, takes the scan of every chamber's rows."""
+        node = self._tree
+        if node is not None:
+            zD = (*z, D)
+            while type(node) is tuple:
+                n, up, below, above = node
+                v = sum(map(mul, n, zD))
+                node = above if v > 0 or (v == 0 and up) else below
+            if _rows_hold(self._chamber_rows[node], D, z):
+                return node
+        return next((k for k, rows in enumerate(self._chamber_rows)
+                     if _rows_hold(rows, D, z)), None)
+
     def _count_compiled(self, q0, stats):
         D, z = _int_row(q0)
-        k = next((k for k, rows in enumerate(self._chamber_rows)
-                  if _rows_hold(rows, D, z)), None)
+        k = self._chamber_at(z, D)
         if k is None:
             return None
         chamber = self._compile(k)
@@ -527,7 +596,8 @@ class ParametricAnalysis:
     def count_at(self, q0, via="chambers", stats=None):
         """Exact |P_q0 intersect Z^d|, or 0 outside Q and every chamber.
 
-        via="chambers" finds the first half-open chamber containing q0
+        via="chambers" finds the half-open chamber containing q0 by the
+        split tree, with a scan of every chamber where the tree misses,
         and evaluates its compiled counting function in integers;
         via="activities" sums count_leaves over the vertices whose
         half-open activity region contains q0.  Both report num_vertices,

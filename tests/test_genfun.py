@@ -497,6 +497,82 @@ def test_compiled_leaves_match_count_leaves(max_index):
             assert compiled.count([3 * x for x in z], 3 * D) == want
 
 
+def test_fixed_facets_fold_into_the_compiled_constant():
+    # The half-open simplices of test_count_leaves_matches_specialized_terms,
+    # as sums of tangent cones, translated by t = T z / D with T of rank
+    # at most one, often along one of the simplex's rays, so some facets
+    # of a leaf have rows without a parameter part (fixed, rounded at
+    # compile time) and others move with z.  Each vertex a / q is the map
+    # (k q T, k a, k q) for a scale k, so m > 1 occurs with c_j divisible
+    # by m and not.  The compiled count must equal count_leaves at the
+    # Fraction apex and the scanned count at every D.
+    rng = random.Random(83)
+    seen = set()
+    for case in range(36):
+        d, p = 2 + case % 2, 1 + case % 3 % 2
+        den = 1 + case % 4
+        apex = tuple(Fraction(rng.randint(-4 * den, 4 * den), den) for _ in range(d))
+        while True:
+            rays = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+            if 0 < abs(det(rays)) <= 12:
+                break
+        strict = [rng.random() < 0.5 for _ in range(d + 1)]
+        w = [rng.randint(-2, 2) for _ in range(p)]
+        along = rng.choice([rng.choice(rays), (0,) * d,
+                            tuple(rng.randint(-2, 2) for _ in range(d))])
+        T = [[x * y for y in w] for x in along]
+        corners = [(0,) * d] + rays
+        groups, maps = [], []
+        for i, ci in enumerate(corners):
+            vertex = tuple(x + c for x, c in zip(apex, ci))
+            others = [j for j in range(d + 1) if j != i]
+            cone_rays = [tuple(x - y for x, y in zip(corners[j], ci)) for j in others]
+            sigma = [-1 if strict[j - 1 if j else d] else 1 for j in others]
+            leaf = hoc(cone_rays, sigma, vertex)
+            k = rng.choice((1, 2, 3))
+            q = lcm(*(x.denominator for x in vertex))
+            M = [[k * q * x for x in row] for row in T]
+            c = [k * int(x * q) for x in vertex]
+            groups.append([(1, leaf)])
+            maps.append((M, c, k * q))
+            fixed = [not any(dot(n, col) for col in zip(*M)) for n in leaf.base.normals]
+            seen.add(("leaf fixed facets", min(sum(fixed), 2 - all(fixed))))
+            for n, s, f in zip(leaf.base.normals, sigma, fixed):
+                seen.add((f, s < 0))
+                if f and k * q > 1:
+                    seen.add(("divisible", dot(n, c) % (k * q) == 0))
+        compiled = CompiledLeaves(groups, maps)
+        for D in (1, 2, 3, 7, 10 ** 6 + 3):
+            z = [rng.randint(-3 * D, 3 * D) for _ in range(p)]
+            t = [Fraction(dot(row, z), D) for row in T]
+            moved = [(tuple(x + y for x, y in zip(leaf.base.apex, t)), leaves)
+                     for leaves in groups for _, leaf in leaves]
+            want = halfopen_simplex_count(tuple(x + y for x, y in zip(apex, t)),
+                                          rays, strict)
+            assert compiled.count(z, D) == count_leaves(moved) == want, \
+                (apex, rays, strict, T, z, D)
+    assert seen >= {(True, True), (True, False), (False, True), (False, False),
+                    ("divisible", True), ("divisible", False),
+                    ("leaf fixed facets", 0), ("leaf fixed facets", 1),
+                    ("leaf fixed facets", 2)}
+
+
+def test_fixed_counts_leave_no_work_per_evaluation():
+    # With p = 0 every facet row is fixed: compiling rounds them all, so
+    # no leaf is kept for count and the count is the compiled constant.
+    P = HPolytope(A=((-2, 1), (1, -3), (1, 1)), b=(0, 0, 11))
+    groups, maps = [], []
+    for v in enumerate_vertices(P):
+        groups.append(signed_decompose(vertex_cone(P, v), max_index=20).terms)
+        q = lcm(*(Fraction(x).denominator for x in v.point))
+        maps.append(((), [int(x * q) for x in v.point], q))
+    assert max(leaf.index for leaves in groups for _, leaf in leaves) > 1
+    compiled = CompiledLeaves(groups, maps)
+    assert compiled.groups == []
+    assert compiled.constant == compiled.count((), 1) * compiled.denominator
+    assert compiled.count((), 1) == brute_box_count(P.A, P.b, [(-1, 12), (-1, 12)])
+
+
 def test_generic_directions():
     rays = [(1, -1), (0, 1)]
     mus = list(generic_directions(rays, count=3))

@@ -1,5 +1,6 @@
 """Parametric vertices, chambers, and counting-function evaluation."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -684,6 +685,135 @@ class TestCompiledChambers:
         # from that box, so even the activities route takes no Smith form
         assert "walk" in calls
         assert "smith" not in calls
+
+
+def pcount_sweep_pool(seed):
+    """The parameter points of the pcount-sweep benchmark for seed."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    return [workloads.sweep_point(rng, k)
+            for k in range(workloads.PcountSweep.pool_size)]
+
+
+def tree_and_scan(analysis, points, monkeypatch):
+    """(chamber the split tree finds, chamber the scan finds, row tests
+    the tree lookup made) for each point; the scan tests every half-open
+    chamber with contains, in order."""
+    real, calls = linalg._rows_hold, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parametric, "_rows_hold", counted)
+    out = []
+    for q in points:
+        calls.clear()
+        D, z = linalg._int_row(q)
+        k = analysis._chamber_at(z, D)
+        scan = next((j for j, ho in enumerate(analysis.open_chambers)
+                     if ho.region.contains(q)), None)
+        out.append((k, scan, len(calls)))
+    return out
+
+
+def closed_owners(analysis, q):
+    return sum(ch.region.contains(q) for ch in analysis.chambers)
+
+
+class TestSplitTree:
+    # The compiled route finds a point's chamber by walking the split tree
+    # and testing the one chamber it lands on; the scan of every chamber
+    # stays behind it as a fallback, so counts never depend on the tree.
+    # These tests check the walk itself: the same chamber as the scan, with
+    # one row test wherever q + eps y_q lies inside a chamber.
+
+    def test_sweep_pools_take_one_row_test(self, monkeypatch):
+        analysis = sweep_family().analysis()
+        for seed in (1, 2, 3):
+            pool = pcount_sweep_pool(seed)
+            for q, (k, scan, calls) in zip(pool, tree_and_scan(analysis, pool,
+                                                               monkeypatch)):
+                assert k == scan is not None and calls == 1, (seed, q)
+
+    def test_wall_points_follow_y_q(self, monkeypatch):
+        # Rational points on every hyperplane of the arrangement inside Q;
+        # those inside Q's interior lie on walls between chambers, where
+        # only the tie rule by y_q lands on the chamber that holds them.
+        analysis = sweep_family().analysis()
+        hyperplanes = {(g, h) for v in analysis.vertices for g, h, _ in v.activity.rows}
+        points = [(4, 12), (6, 1)]
+        for (g1, g2), h in sorted(hyperplanes):
+            base = (h / g1, 0) if g1 else (0, h / g2)
+            points += [(base[0] - Fraction(t, 3) * g2, base[1] + Fraction(t, 3) * g1)
+                       for t in range(-90, 91)]
+        points = [q for q in points if min(q) >= 0]
+        walls = 0
+        for q, (k, scan, calls) in zip(points, tree_and_scan(analysis, points,
+                                                             monkeypatch)):
+            assert k == scan is not None, q
+            if min(q) > 0:
+                assert closed_owners(analysis, q) >= 2 and calls == 1, q
+                walls += 1
+        assert walls >= 500
+        assert closed_owners(analysis, (4, 12)) == 8
+
+    def test_points_outside_q_find_no_chamber(self, monkeypatch):
+        analysis = sweep_family().analysis()
+        points = [(-1, 2), (Fraction(-1, 2), 3), (5, Fraction(-1, 3)), (-7, -7),
+                  (-1, 0), (0, Fraction(-1, 10 ** 6))]
+        assert all(k is scan is None for k, scan, _ in
+                   tree_and_scan(analysis, points, monkeypatch))
+
+    def test_points_outside_every_chamber_take_the_scan(self, monkeypatch):
+        # Without Q, the min family is empty wherever q1 < 0 or q2 < 0:
+        # those cells have no chamber and no leaf, so the tree lands on a
+        # chamber that does not hold the point, and the scan finds none.
+        # The complex's outer facets separate no chambers and are never
+        # walked; here every point on them still takes one row test.
+        analysis = without_q(min_family()).analysis()
+        assert len(analysis.open_chambers) == 2
+        grid = [Fraction(k, 2) for k in range(-6, 7)]
+        points = [(a, b) for a in grid for b in grid]
+        outside = 0
+        for q, (k, scan, calls) in zip(points, tree_and_scan(analysis, points,
+                                                             monkeypatch)):
+            assert k == scan, q
+            if scan is None:
+                assert min(q) < 0 and calls > 1, q
+                outside += 1
+            else:
+                assert calls == 1, q
+        assert outside == 13 * 13 - 7 * 7
+
+    def test_many_chamber_family(self, monkeypatch):
+        # 600 seeded points of the 1178-chamber family, near the origin,
+        # where most chambers are, and out to the largest samples.  Every
+        # point of Q here lies in a chamber, some on walls or on Q's
+        # boundary, and y_q points into Q, so each takes one row test;
+        # only the points outside Q take the fallback scan.
+        pp = parse_parametric((Path(__file__).parent / "data" /
+                               "chambers1178.txt").read_text())
+        analysis = pp.analysis()
+        assert len(analysis.open_chambers) == 1178
+        rng = random.Random(1178)
+        points = []
+        for k in range(600):
+            den = rng.randint(1, 6)
+            top = 12 if k % 3 else 2000
+            points.append(tuple(Fraction(rng.randint(-den, top * den), den)
+                                for _ in range(2)))
+        inside = 0
+        for q, (k, scan, calls) in zip(points, tree_and_scan(analysis, points,
+                                                             monkeypatch)):
+            assert k == scan, q
+            if k is not None:
+                assert calls == 1, q
+                inside += 1
+        assert inside >= 500
 
 
 def box_q(rng, p):
