@@ -16,18 +16,23 @@ LattE does, and CompiledLeaves is the one leaf counter.  It walks each
 leaf's box once, without its apex, and keeps each facet's rounding as
 one integer row, affine in the parameters of its group's apex map
 v(q) = M q + c.  A facet whose row has no parameter part rounds the same
-at every parameter point, so it is rounded once when compiling; a count
-at a parameter point is then one dot product and one floor division per
-moving facet and integer sums, building no point, apex or term.
-count_leaves counts fixed apexes as maps with no parameters, so all its
-work is compiling, and each compiled chamber of the parametric module
-counts at every parameter point it holds.
+at every parameter point, so it is rounded once when compiling.  A leaf
+that moves with q through one facet's floor f = index Q + r, or through
+any number of them at index 1, has a share that is a polynomial in Q
+with coefficients that depend only on r, the step-polynomial form of
+Verdoolaege & Woods; compiling tabulates those coefficients for every r
+(_residue_table).  A count at a parameter point is then one dot product
+and one floor division per moving facet, one table row per such leaf,
+and integer sums over the box of each remaining leaf, building no point,
+apex or term.  count_leaves counts fixed apexes as maps with no
+parameters, so all its work is compiling, and each compiled chamber of
+the parametric module counts at every parameter point it holds.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .halfopen import HalfOpenCone, _check_max_index, signed_decompose
 from .linalg import _int_row, dot, hermite_diagonal, identity
@@ -230,6 +235,48 @@ def _box_sums(u, Ns):
     return total
 
 
+def _residue_table(u, Ns, column, g, index):
+    """The rows W(r), r = 0..index-1, of a leaf whose one moving facet
+    has gain g and the column v(k) = normals . k over the box, with Ns
+    the leaf's column of N with every fixed facet folded in.
+
+    With f = index Q + r, 0 <= r < index, the facet moves the point of
+    residue k to N = B_k(r) + X for B_k(r) = N_k - g ((r - v_k) // index)
+    and X = -g Q.  Vandermonde's identity
+    C(B + X, t) = sum_i C(B, t - i) C(X, i) makes the share
+    sum_i W_i(r) C(X, i) with W_i(r) = sum_(t >= i) u[t] S_(t-i)(r) and
+    S_i(r) = sum_k C(B_k(r), i).  For v_k = a index + b, B_k(r) is
+    N_k + g (a + 1) while r < b and N_k + g a from r = b on (always when
+    b = 0), so S starts at the sums of the first values and changes only
+    at the residues b that some v_k has; a residue with none repeats the
+    row before it, the same tuple.  An index-1 leaf is the case
+    column = [0]: its one row serves every moving facet, each with r = 0.
+    """
+    order = len(u) - 1
+    zero = [0] * (order + 1)
+    S = zero
+    steps = {}  # b -> the change of S at r = b
+    for N, v in zip(Ns, column):
+        a, b = divmod(v, index)
+        low = _binomials(N + g * a, order)
+        if b:
+            high = _binomials(N + g * (a + 1), order)
+            S = list(map(add, S, high))
+            steps[b] = list(map(add, steps.get(b, zero), map(sub, low, high)))
+        else:
+            S = list(map(add, S, low))
+    rows = []
+    W = None
+    for r in range(index):
+        if r in steps:
+            S = list(map(add, S, steps[r]))
+            W = None
+        if W is None:
+            W = tuple(sum(map(mul, u[i:], S)) for i in range(order + 1))
+        rows.append(W)
+    return tuple(rows)
+
+
 class CompiledLeaves:
     """Signed leaf cones with affine apexes, counted in integers.
 
@@ -258,10 +305,18 @@ class CompiledLeaves:
     A facet whose row has no parameter part is fixed: for every D >= 1,
     f_j = (c_j D - s_j) // (m D) = (c_j - s_j) // m with c_j the row's
     last entry, so its term is folded into c(k) here, once.  Only the
-    moving facets, with their rows, flags, gains and columns, are kept
-    for count.  A leaf with no moving facet adds its whole share to the
-    constant self.constant and keeps nothing; with p = 0 every facet is
-    fixed, so a fixed count is all compiled here and count only divides.
+    moving facets, with their rows, flags and gains, are kept for count.
+    A leaf with no moving facet adds its whole share to the constant
+    self.constant and keeps nothing; with p = 0 every facet is fixed, so
+    a fixed count is all compiled here and count only divides.
+
+    A leaf with one moving facet, or of index 1, depends on the
+    parameters only through f = index Q + r for each moving facet: its
+    share is sum_i W_i(r) C(X, i) with X = -sum_j g_j Q_j, and the rows
+    W(r) of its residue table (_residue_table, at most index of them)
+    replace its columns.  Only a leaf with two or more moving facets and
+    index above 1 keeps its facet columns and its column of N, which
+    count walks.
     """
 
     def __init__(self, groups, maps):
@@ -272,7 +327,7 @@ class CompiledLeaves:
         shares = []  # (share times den, den) of each leaf without one
         for leaves, (M, c, m) in zip(groups, maps):
             mcols = list(zip(*M))
-            records = []
+            tabled, walked = [], []
             for eps, leaf in leaves:
                 base = leaf.base
                 index = base.index
@@ -291,13 +346,20 @@ class CompiledLeaves:
                         f = (cn - (s < 0)) // m
                         Ns = [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
                 u, den = _leaf_weights(gains, eps)
-                if moving:
-                    weights.append((u, den))
-                    records.append((tuple(zip(*moving)), index, Ns, u))
-                else:
+                if not moving:
                     shares.append((_box_sums(u, Ns), den))
-            if records:
-                self.groups.append((m, records))
+                    continue
+                weights.append((u, den))
+                facets, strict, moving_gains, columns = zip(*moving)
+                if len(moving) == 1 or index == 1:
+                    # tabulated below, once u is scaled
+                    tabled.append((facets, strict, moving_gains, index,
+                                   (u, Ns, columns[0])))
+                else:
+                    walked.append((facets, strict, moving_gains, columns,
+                                   index, Ns, u))
+            if tabled or walked:
+                self.groups.append((m, tabled, walked))
         # every weight and share over the common denominator L, in place
         self.denominator = L = lcm(*[den for _, den in weights],
                                    *[den for _, den in shares])
@@ -305,28 +367,31 @@ class CompiledLeaves:
             scale = L // den
             u[:] = [scale * x for x in u]
         self.constant = sum(share * (L // den) for share, den in shares)
+        for _, tabled, _ in self.groups:
+            tabled[:] = [(facets, strict, gains, index,
+                          _residue_table(u, Ns, column, gains[0], index))
+                         for facets, strict, gains, index, (u, Ns, column) in tabled]
 
     def count(self, z, D) -> int:
         """Lattice points of the signed leaf sum at the parameter point
         z / D: z an integer vector of length p, D a positive integer."""
         zD = (*z, D)
         total = self.constant
-        for m, records in self.groups:
+        for m, tabled, walked in self.groups:
             mD = m * D
-            for (facets, strict, gains, columns), index, Ns, u in records:
-                if index == 1:
-                    # the box is the one point k = 0: the same sums in
-                    # scalars, as building 2d - 1 one-item lists per leaf
-                    # made repeated parametric evaluations measurably slower
-                    N = Ns[0]
-                    for row, s, g in zip(facets, strict, gains):
-                        N -= g * ((sum(map(mul, row, zD)) - s) // mD)
-                    total += u[0] + u[1] * N
-                    binomial = N
-                    for t in range(2, len(u)):
-                        binomial = binomial * (N - t + 1) // t
-                        total += u[t] * binomial
-                    continue
+            for facets, strict, gains, index, table in tabled:
+                # one moving facet gives r; at index 1 every r is 0
+                X = 0
+                for row, s, g in zip(facets, strict, gains):
+                    Q, r = divmod((sum(map(mul, row, zD)) - s) // mD, index)
+                    X -= g * Q
+                W = table[r]
+                total += W[0] + W[1] * X
+                binomial = X
+                for i in range(2, len(W)):
+                    binomial = binomial * (X - i + 1) // i
+                    total += W[i] * binomial
+            for facets, strict, gains, columns, index, Ns, u in walked:
                 for row, s, g, column in zip(facets, strict, gains, columns):
                     f = (sum(map(mul, row, zD)) - s) // mD
                     Ns = [N - g * ((f - v) // index) for N, v in zip(Ns, column)]

@@ -379,7 +379,9 @@ def _opening(chambers, y_q=None):
     chamber and of every vertex active on one, which are all the vertices
     (halfopen.perturbed_direction), and _walls(chambers)."""
     regions = [ch.region for ch in chambers]
-    regions += [v.activity for v in {v for ch in chambers for v in ch.active}]
+    # each vertex once, by identity: hashing a vertex hashes all its fields
+    active = {id(v): v for ch in chambers for v in ch.active}
+    regions += [v.activity for v in active.values()]
     seed = y_q if y_q is not None else chambers[0].sample
     y_q = perturbed_direction(seed, identity(len(seed)),
                               [g for region in regions for g, _, _ in region.rows])
@@ -491,20 +493,22 @@ class ParametricAnalysis:
 
     Evaluation through the chambers is compiled: q walks the chambers'
     split tree (_split_tree) and is tested against the int_rows of the
-    one half-open chamber it lands on, or of every chamber when that test
-    fails (_chamber_at), and a chamber's leaves, each group at its active
-    vertex's integer map, become a _CompiledChamber on the first
-    evaluation that lands in it; compiling rounds the facets that do not
-    move with q, so an evaluation does only the work that depends on q.
-    No Q test runs: every chamber region is a cell cut from Q's rows,
-    with only redundant rows removed and walls opened, so it lies inside
-    Q.  Evaluation through the activity regions tests Q, finds the
-    active vertices by their half-open activity regions, takes their
-    values at q as Fractions, and counts their leaves there with
-    count_leaves.  Both
-    routes count with one CompiledLeaves, so they differ only in how
-    they find the region and the vertex values, and the second checks
-    the first on those.  A max_index below 1 raises ValueError before
+    one half-open chamber it lands on (_chamber_at), and a chamber's
+    leaves, each group at its active vertex's integer map, become a
+    _CompiledChamber on the first evaluation that lands in it; compiling
+    rounds the facets that do not move with q and tabulates the leaves
+    that move through one floor, so an evaluation does only the work
+    that depends on q.  Every chamber region is a cell cut from Q's
+    rows, with only redundant rows removed and walls opened, so it lies
+    inside Q: a point of a chamber needs no Q test, and Q's rows are
+    tested only when the landed chamber's fail.  Evaluation through the
+    activity regions tests Q, finds the active vertices by their
+    half-open activity regions, takes their values at q as Fractions,
+    and counts their leaves there with count_leaves.  Both routes count
+    with one CompiledLeaves, so they differ only in how they find the
+    region and the vertex values, and the second checks the first on
+    those.  Decompositions are cached by the vertex's position in
+    self.vertices.  A max_index below 1 raises ValueError before
     anything is computed.
     """
 
@@ -523,25 +527,29 @@ class ParametricAnalysis:
         self.open_chambers = _open_chambers(self.chambers, self.y_q, walls)
         self.open_activities = [(v, _halfopen_region(v.activity, self.y_q, walls))
                                 for v in self.vertices]
+        # decompositions by position in self.vertices, which keeps each
+        # vertex alive, so that no lookup hashes a vertex's fields
         self._decomps = {}
+        self._position = {id(v): i for i, v in enumerate(self.vertices)}
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
         self._tree = _split_tree(self.chambers, walls, self.y_q)
         self._compiled = {}
 
-    def _decomposition(self, vertex: ParametricVertex):
+    def _decomposition(self, i):
         """(leaves, depth): the signed half-open low-index leaves of the
-        vertex cone at apex 0, and the depth of their decomposition."""
-        if vertex not in self._decomps:
+        cone of self.vertices[i] at apex 0, and the depth of their
+        decomposition."""
+        if i not in self._decomps:
             stats = {}
-            result = signed_decompose(vertex.cone, max_index=self.max_index,
-                                      stats=stats)
-            self._decomps[vertex] = (result.terms, stats["max_depth"])
-        return self._decomps[vertex]
+            result = signed_decompose(self.vertices[i].cone,
+                                      max_index=self.max_index, stats=stats)
+            self._decomps[i] = (result.terms, stats["max_depth"])
+        return self._decomps[i]
 
     def _compile(self, k):
         if k not in self._compiled:
             active = self.open_chambers[k].active
-            decomps = [self._decomposition(v) for v in active]
+            decomps = [self._decomposition(self._position[id(v)]) for v in active]
             leaves = CompiledLeaves([group for group, _ in decomps],
                                     [_integer_map(v) for v in active])
             stats = (len(active), sum(len(leaves) for leaves, _ in decomps),
@@ -552,9 +560,10 @@ class ParametricAnalysis:
     def _chamber_at(self, z, D):
         """The index of the half-open chamber holding z / D, or None.
 
-        Walks the split tree and tests the chamber it lands on; a point it
-        misses, outside every chamber or on an outer facet that y_q
-        leaves, takes the scan of every chamber's rows."""
+        Walks the split tree and tests the chamber it lands on.  A point
+        it misses is outside Q, outside every chamber or on an outer
+        facet that y_q leaves; Q's rows answer the first kind, and the
+        others take the scan of every chamber's rows."""
         node = self._tree
         if node is not None:
             zD = (*z, D)
@@ -564,6 +573,9 @@ class ParametricAnalysis:
                 node = above if v > 0 or (v == 0 and up) else below
             if _rows_hold(self._chamber_rows[node], D, z):
                 return node
+        # every chamber lies inside Q, so a point outside Q needs no scan
+        if not _rows_hold(self.qset.int_rows, D, z):
+            return None
         return next((k for k, rows in enumerate(self._chamber_rows)
                      if _rows_hold(rows, D, z)), None)
 
@@ -581,12 +593,12 @@ class ParametricAnalysis:
     def _count_activities(self, q0, stats):
         if not self.qset.contains(q0):
             return None
-        active = tuple(v for v, region in self.open_activities
-                       if region.contains(q0))
+        active = [(i, v) for i, (v, region) in enumerate(self.open_activities)
+                  if region.contains(q0)]
         if not active:
             return None
-        decomps = [self._decomposition(v) for v in active]
-        pairs = [(v.value(q0), leaves) for v, (leaves, _) in zip(active, decomps)]
+        decomps = [self._decomposition(i) for i, _ in active]
+        pairs = [(v.value(q0), leaves) for (_, v), (leaves, _) in zip(active, decomps)]
         if stats is not None:
             stats["num_vertices"] = len(active)
             stats["num_cones"] = sum(len(leaves) for leaves, _ in decomps)
@@ -597,8 +609,8 @@ class ParametricAnalysis:
         """Exact |P_q0 intersect Z^d|, or 0 outside Q and every chamber.
 
         via="chambers" finds the half-open chamber containing q0 by the
-        split tree, with a scan of every chamber where the tree misses,
-        and evaluates its compiled counting function in integers;
+        split tree, with a scan of every chamber where the tree misses
+        inside Q, and evaluates its compiled counting function in integers;
         via="activities" sums count_leaves over the vertices whose
         half-open activity region contains q0.  Both report num_vertices,
         num_cones and max_depth in stats, or stats["outside"] for 0

@@ -202,8 +202,8 @@ def test_no_smith_form_for_any_index(monkeypatch):
         for ch in analysis.chambers:
             assert analysis.count_at(ch.sample) == \
                 analysis.count_at(ch.sample, via="activities")
-        leaves = {leaf for v in analysis.vertices if v.cone is not None
-                  for _, leaf in analysis._decomposition(v)[0]}
+        leaves = {leaf for i in range(len(analysis.vertices))
+                  for _, leaf in analysis._decomposition(i)[0]}
         assert max(leaf.index for leaf in leaves) > 1
 
 
@@ -571,6 +571,142 @@ def test_fixed_counts_leave_no_work_per_evaluation():
     assert compiled.groups == []
     assert compiled.constant == compiled.count((), 1) * compiled.denominator
     assert compiled.count((), 1) == brute_box_count(P.A, P.b, [(-1, 12), (-1, 12)])
+
+
+def counted_box_sums(monkeypatch):
+    """A list that gets one entry per _box_sums call from now on."""
+    calls, real = [], genfun._box_sums
+
+    def counted(u, Ns):
+        calls.append(len(Ns))
+        return real(u, Ns)
+
+    monkeypatch.setattr(genfun, "_box_sums", counted)
+    return calls
+
+
+def test_residue_tables_match_count_leaves(monkeypatch):
+    # The half-open simplices of test_count_leaves_matches_specialized_terms,
+    # as sums of tangent cones, of index up to 200, dilated about their
+    # first vertex: vertex i sits at (c + corner_i y / D) / m with
+    # y = w . z > 0.  It moves along its edge to the first vertex, a ray
+    # of its cone, so each cone but the first has one moving facet and is
+    # counted from its residue table, walking no box.  m is a multiple of
+    # the index, so m D >= index and z puts f = index Q + r of the second
+    # vertex's cone at any value above its value at y = 1: r = 0, 1 and
+    # index - 1, and Q of both signs, so f < 0 and X = -g Q of both
+    # signs, at every D.  The cones have different weight denominators,
+    # so a table built before its weights are scaled would count wrong.
+    rng = random.Random(97)
+    calls = counted_box_sums(monkeypatch)
+    seen = set()
+    for case in range(30):
+        d, p = 2 + case % 2, 1 + case // 2 % 2
+        span = {2: 15, 3: 6}[d]
+        while True:
+            rays = [tuple(rng.randint(-span, span) for _ in range(d)) for _ in range(d)]
+            index = abs(det(rays))
+            if 0 < index <= 200 and (case % 3 or index > 100):
+                break
+        strict = [rng.random() < 0.5 for _ in range(d + 1)]
+        w = (1, rng.randint(-2, 2))[:p]
+        m = index * rng.choice((1, 2, 3))
+        c = [rng.randint(-12 * m, 4 * m) for _ in range(d)]
+        corners = [(0,) * d] + rays
+        groups, maps = [], []
+        for i, ci in enumerate(corners):
+            others = [j for j in range(d + 1) if j != i]
+            cone_rays = [tuple(x - y for x, y in zip(corners[j], ci)) for j in others]
+            sigma = [-1 if strict[j - 1 if j else d] else 1 for j in others]
+            groups.append([(1, hoc(cone_rays, sigma))])
+            maps.append(([[x * y for y in w] for x in ci], c, m))
+        compiled = CompiledLeaves(groups, maps)
+        assert [len(facets) for _, tabled, walked in compiled.groups
+                for facets, *_ in tabled + walked] == [1] * d
+        # the second vertex's cone: its ray 0 points back to the first
+        # vertex, and its facet 0 moves, with normal n . corner_1 = index
+        leaf = groups[1][0][1]
+        n, s = leaf.base.normals[0], leaf.sigma[0] < 0
+        assert dot(n, corners[1]) == index
+        mu = next(generic_directions({ray for leaves in groups
+                                      for _, leaf in leaves for ray in leaf.base.rays}))
+        g = dot(mu, leaf.base.rays[0])
+        for D in (1, 7, 10 ** 6 + 3):
+            low = (index + D * dot(n, c) - s) // (m * D) // index + 1
+            for target_q in sorted({low, low + 2} | {q for q in (-1, 0, 2) if q >= low}):
+                for target_r in sorted({0, 1, index - 1}):
+                    # the least y with (index y + D n . c - s) // (m D) = f
+                    f = index * target_q + target_r
+                    y = -((D * dot(n, c) - s - f * m * D) // index)
+                    t = rng.randint(-5, 5)
+                    z = (y,) if p == 1 else (y - w[1] * t, t)
+                    assert y >= 1 and (index * y + D * dot(n, c) - s) // (m * D) == f
+                    apexes = [tuple(Fraction(x * y + D * cj, m * D) for x, cj in zip(ci, c))
+                              for ci in corners]
+                    del calls[:]
+                    got = compiled.count(z, D)
+                    assert calls == []
+                    assert got == count_leaves(list(zip(apexes, groups))), \
+                        (rays, strict, w, c, m, z, D)
+                    if index > 2:
+                        kind = {0: "0", 1: "1", index - 1: "index - 1"}[target_r]
+                        seen.add((D, "r = " + kind))
+                    seen.add((D, "f < 0", f < 0))
+                    seen.add((D, "X sign", (-g * target_q > 0) - (-g * target_q < 0)))
+        seen.add(("index above 100", index > 100))
+        seen.add(("p", p))
+    for D in (1, 7, 10 ** 6 + 3):
+        assert {(D, "r = 0"), (D, "r = 1"), (D, "r = index - 1")} <= seen
+        assert {(D, "f < 0", True), (D, "f < 0", False)} <= seen
+        assert {(D, "X sign", 1), (D, "X sign", -1), (D, "X sign", 0)} <= seen
+    assert {("index above 100", True), ("index above 100", False),
+            ("p", 1), ("p", 2)} <= seen
+
+
+def test_only_multi_facet_leaves_above_index_1_walk(monkeypatch):
+    # Leaves of random polytopes' vertex cones at max_index 20, compiled
+    # at the maps t -> vertex + t of a translation t = z / D in d
+    # parameters, as in test_compiled_leaves_match_count_leaves: every
+    # facet of every leaf moves.  An index-1 leaf has one table row for
+    # all d moving facets (each with r = 0); every other leaf keeps its
+    # columns, and one evaluation calls _box_sums once per such leaf.
+    # Leaves of one polytope have many weight denominators, so a table
+    # built before its weights are scaled would count wrong.
+    rng = random.Random(29)
+    seen = set()
+    for case in range(16):
+        P = random_box_with_cuts(rng, 2 + case % 2)
+        vertices = enumerate_vertices(P)
+        groups = [signed_decompose(vertex_cone(P, v), max_index=20).terms
+                  for v in vertices]
+        maps = []
+        for v in vertices:
+            q = lcm(*(Fraction(x).denominator for x in v.point))
+            maps.append(([[q * (i == j) for j in range(P.dim)] for i in range(P.dim)],
+                         [int(x * q) for x in v.point], q))
+        compiled = CompiledLeaves(groups, maps)
+        indices = [leaf.index for leaves in groups for _, leaf in leaves]
+        tabled = [leaf for _, leaves, _ in compiled.groups for leaf in leaves]
+        walks = sum(len(walked) for _, _, walked in compiled.groups)
+        assert walks == sum(index > 1 for index in indices)
+        assert len(tabled) == indices.count(1)
+        assert all(len(facets) == P.dim and len(table) == 1
+                   for facets, _, _, _, table in tabled)
+        seen.add(("index 1", bool(tabled)))
+        seen.add(("walked", walks > 0))
+        calls = counted_box_sums(monkeypatch)
+        for _ in range(3):
+            shift = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                          for _ in range(P.dim))
+            D = lcm(*(Fraction(t).denominator for t in shift))
+            z = [int(t * D) for t in shift]
+            del calls[:]
+            got = compiled.count(z, D)
+            assert len(calls) == walks
+            moved = [(tuple(x + t for x, t in zip(v.point, shift)), leaves)
+                     for v, leaves in zip(vertices, groups)]
+            assert got == count_leaves(moved), (P, shift)
+    assert {("index 1", True), ("walked", True)} <= seen
 
 
 def test_generic_directions():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+from functools import cache
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -720,6 +721,13 @@ def tree_and_scan(analysis, points, monkeypatch):
     return out
 
 
+@cache
+def chambers1178():
+    """The 1178-chamber family, parsed once, so its analysis is made once."""
+    return parse_parametric((Path(__file__).parent / "data" /
+                             "chambers1178.txt").read_text())
+
+
 def closed_owners(analysis, q):
     return sum(ch.region.contains(q) for ch in analysis.chambers)
 
@@ -762,10 +770,12 @@ class TestSplitTree:
         assert closed_owners(analysis, (4, 12)) == 8
 
     def test_points_outside_q_find_no_chamber(self, monkeypatch):
+        # every chamber lies inside Q, so Q's rows answer once the landed
+        # chamber's fail, without the scan
         analysis = sweep_family().analysis()
         points = [(-1, 2), (Fraction(-1, 2), 3), (5, Fraction(-1, 3)), (-7, -7),
                   (-1, 0), (0, Fraction(-1, 10 ** 6))]
-        assert all(k is scan is None for k, scan, _ in
+        assert all(k is scan is None and calls == 2 for k, scan, calls in
                    tree_and_scan(analysis, points, monkeypatch))
 
     def test_points_outside_every_chamber_take_the_scan(self, monkeypatch):
@@ -794,10 +804,8 @@ class TestSplitTree:
         # where most chambers are, and out to the largest samples.  Every
         # point of Q here lies in a chamber, some on walls or on Q's
         # boundary, and y_q points into Q, so each takes one row test;
-        # only the points outside Q take the fallback scan.
-        pp = parse_parametric((Path(__file__).parent / "data" /
-                               "chambers1178.txt").read_text())
-        analysis = pp.analysis()
+        # the points outside Q take one more, Q's own.
+        analysis = chambers1178().analysis()
         assert len(analysis.open_chambers) == 1178
         rng = random.Random(1178)
         points = []
@@ -813,7 +821,20 @@ class TestSplitTree:
             if k is not None:
                 assert calls == 1, q
                 inside += 1
+            else:
+                assert calls == 2, q
         assert inside >= 500
+
+    def test_points_outside_q_skip_the_scan(self, monkeypatch):
+        # At q1 = -1, left of Q = {q >= 0}, the tree lands on a chamber
+        # whose rows fail, and Q's rows answer: at most two row tests per
+        # point, where the scan of all 1178 chambers made up to 1179.
+        analysis = chambers1178().analysis()
+        points = [(-1, k) for k in range(-3, 60)]
+        points += [(Fraction(-1, 7), Fraction(k, 3)) for k in range(0, 200, 7)]
+        for q, (k, scan, calls) in zip(points, tree_and_scan(analysis, points,
+                                                             monkeypatch)):
+            assert k is scan is None and calls <= 2, q
 
 
 def box_q(rng, p):
