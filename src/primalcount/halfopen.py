@@ -105,7 +105,9 @@ class SignedConeSum:
     terms: tuple  # of (eps, HalfOpenCone)
 
     def evaluate(self, x) -> int:
-        p, y = _int_row(x)
+        """The signed count of terms holding x; other dimensions raise."""
+        rows = self.terms[0][1].int_rows if self.terms else ()
+        p, y = _scaled_point(rows, x)
         return sum(eps for eps, cone in self.terms
                    if _rows_hold(cone.int_rows, p, y))
 

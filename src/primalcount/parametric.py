@@ -18,7 +18,7 @@ including points on the walls.  A wall is read off the chambers' own
 rows: a facet whose hyperplane bounds some chamber from the other
 side.  On a chamber only the apexes of the fixed leaf cones move, so
 that formula is compiled once per chamber into integer arithmetic, and
-a parameter point finds its chamber down the chambers' split tree.
+a parameter point finds its chamber by a search of the split tree.
 """
 
 from dataclasses import dataclass
@@ -448,10 +448,10 @@ def _split_tree(chambers, walls, y_q):
     A node holds the integer row n = _homogenized(g, h) of g . q <= h
     (_oriented): the chambers below it have n . (z, D) < 0 at their
     samples z / D, those above > 0.  A point on the hyperplane goes to the
-    side that q + eps y_q lies in, above when up = g . y_q > 0, the rule
-    exactify uses to open the walls; so a point of a half-open chamber
-    lands on it unless it lies on an outer facet that y_q leaves.  Q's
-    rows and cells without a chamber separate no chambers and get no node.
+    side that q + eps y_q lies in first, above when up = g . y_q > 0, the
+    rule exactify uses to open the walls, and then to the other side
+    (ParametricAnalysis._chamber_at).  Q's rows and cells without a
+    chamber separate no chambers and get no node.
     """
     if not chambers:
         return None
@@ -491,17 +491,16 @@ class _CompiledChamber:
 class ParametricAnalysis:
     """Precomputed chambers, half-open regions, and cone decompositions.
 
-    Evaluation through the chambers is compiled: q walks the chambers'
-    split tree (_split_tree) and is tested against the int_rows of the
-    one half-open chamber it lands on (_chamber_at), and a chamber's
-    leaves, each group at its active vertex's integer map, become a
-    _CompiledChamber on the first evaluation that lands in it; compiling
-    rounds the facets that do not move with q and tabulates the leaves
-    that move through one floor, so an evaluation does only the work
-    that depends on q.  Every chamber region is a cell cut from Q's
-    rows, with only redundant rows removed and walls opened, so it lies
-    inside Q: a point of a chamber needs no Q test, and Q's rows are
-    tested only when the landed chamber's fail.  Evaluation through the
+    Evaluation through the chambers is compiled: q is found by an exact
+    search of the chambers' split tree (_split_tree), which tests the
+    int_rows of the half-open chambers it reaches (_chamber_at), and a
+    chamber's leaves, each group at its active vertex's integer map,
+    become a _CompiledChamber on the first evaluation that lands in it;
+    compiling rounds the facets that do not move with q and tabulates
+    the leaves that move through one floor, so an evaluation does only
+    the work that depends on q.  Every chamber region is a cell cut from
+    Q's rows, with only redundant rows removed and walls opened, so it
+    lies inside Q, and this route runs no Q test.  Evaluation through the
     activity regions tests Q, finds the active vertices by their
     half-open activity regions, takes their values at q as Fractions,
     and counts their leaves there with count_leaves.  Both routes count
@@ -560,24 +559,23 @@ class ParametricAnalysis:
     def _chamber_at(self, z, D):
         """The index of the half-open chamber holding z / D, or None.
 
-        Walks the split tree and tests the chamber it lands on.  A point
-        it misses is outside Q, outside every chamber or on an outer
-        facet that y_q leaves; Q's rows answer the first kind, and the
-        others take the scan of every chamber's rows."""
-        node = self._tree
-        if node is not None:
-            zD = (*z, D)
+        Searches the split tree.  Off a node's hyperplane the point goes
+        to its own side; on it, first to the side y_q picks, then to the
+        other.  The first leaf whose chamber's rows hold answers.  This is
+        exact: each chamber lies on one closed side of every node
+        hyperplane, and the half-open chambers are disjoint."""
+        zD, node, pending = (*z, D), self._tree, []
+        while node is not None:
             while type(node) is tuple:
                 n, up, below, above = node
                 v = sum(map(mul, n, zD))
+                if v == 0:
+                    pending.append(below if up else above)
                 node = above if v > 0 or (v == 0 and up) else below
             if _rows_hold(self._chamber_rows[node], D, z):
                 return node
-        # every chamber lies inside Q, so a point outside Q needs no scan
-        if not _rows_hold(self.qset.int_rows, D, z):
-            return None
-        return next((k for k, rows in enumerate(self._chamber_rows)
-                     if _rows_hold(rows, D, z)), None)
+            node = pending.pop() if pending else None
+        return None
 
     def _count_compiled(self, q0, stats):
         D, z = _int_row(q0)
@@ -608,9 +606,9 @@ class ParametricAnalysis:
     def count_at(self, q0, via="chambers", stats=None):
         """Exact |P_q0 intersect Z^d|, or 0 outside Q and every chamber.
 
-        via="chambers" finds the half-open chamber containing q0 by the
-        split tree, with a scan of every chamber where the tree misses
-        inside Q, and evaluates its compiled counting function in integers;
+        via="chambers" finds the half-open chamber containing q0 by a
+        search of the split tree and evaluates its compiled counting
+        function in integers;
         via="activities" sums count_leaves over the vertices whose
         half-open activity region contains q0.  Both report num_vertices,
         num_cones and max_depth in stats, or stats["outside"] for 0

@@ -1,5 +1,6 @@
 """Polytopes in inequality form and the cones at their vertices."""
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -115,8 +116,9 @@ class SimplicialCone:
     and index is |det| of the ray matrix (1 means unimodular).  So
     index * lam_j == -normals[j] . (x - apex) in ray coordinates, and the
     signs of those products decide facet sides without any Fraction.
-    Built from rays, a cone eliminates once; a signed-decomposition child
-    instead takes its normals from its parent's (_with_ray).
+    Built from its rays (a start simplex of triangulate, or a cone made
+    directly), a cone eliminates once; any other cone takes its normals
+    from the cone it derives from, by the rank-one update _with_ray.
     """
 
     apex: tuple
@@ -137,7 +139,7 @@ class SimplicialCone:
                            tuple(tuple(sign * x for x in row) for row in adj))
         object.__setattr__(self, "index", abs(det_r))
 
-    def _with_ray(self, m, w, num):
+    def _with_ray(self, m, w, num, at=None):
         """The cone with rays[m] replaced by w, normals by a rank-one update.
 
         num[j] = -normals[j] . w, so w = sum (num[j] / index) rays[j], and
@@ -146,18 +148,20 @@ class SimplicialCone:
         opposite every other ray j, with s = sign(num[m]).  These meet the
         new rays as the normal identity requires, which determines them,
         so they are the integer normals an elimination would give and the
-        division is exact.
+        division is exact.  w and its normal go to position at (m if None).
         """
         n_m, c_m = self.normals[m], num[m]
         s = 1 if c_m > 0 else -1
-        normals = tuple(
-            tuple(s * x for x in n_m) if j == m else
+        at = m if at is None else at
+        normals = [
             tuple(s * (c_m * a - c_j * b) // self.index for a, b in zip(n, n_m))
-            for j, (n, c_j) in enumerate(zip(self.normals, num)))
+            for j, (n, c_j) in enumerate(zip(self.normals, num)) if j != m]
+        normals.insert(at, tuple(s * x for x in n_m))
+        rays = self.rays[:m] + self.rays[m + 1:]
         child = object.__new__(SimplicialCone)
         object.__setattr__(child, "apex", self.apex)
-        object.__setattr__(child, "rays", self.rays[:m] + (w,) + self.rays[m + 1:])
-        object.__setattr__(child, "normals", normals)
+        object.__setattr__(child, "rays", rays[:at] + (w,) + rays[at:])
+        object.__setattr__(child, "normals", tuple(normals))
         object.__setattr__(child, "index", abs(c_m))
         return child
 
@@ -350,48 +354,42 @@ def vertex_cone(P: HPolytope, v: Vertex) -> ClosedCone:
     return ClosedCone(apex=v.point, rays=v.rays, normals=normals)
 
 
-def _boundary_facets(pieces):
-    """Boundary (d-1)-faces of a triangulated convex cone with outer normals.
-
-    pieces maps each simplex (a sorted tuple of ray indices) to its
-    SimplicialCone.  A face lies on the boundary exactly when it belongs
-    to a single simplex; its outer normal is that cone's normal opposite
-    the dropped ray.
-    """
-    counts = {}
-    normal = {}
-    for simplex, cone in pieces.items():
-        for j in range(len(simplex)):
-            face = simplex[:j] + simplex[j + 1:]
-            counts[face] = counts.get(face, 0) + 1
-            normal[face] = cone.normals[j]
-    return [(face, normal[face]) for face, cnt in counts.items() if cnt == 1]
-
-
 def triangulate(C: ClosedCone):
     """Split a pointed full-dimensional cone into simplicial cones.
 
     Placing order: the start simplex is the first basis of the rays
     (_first_basis), and the other rays are inserted as given (ClosedCone
-    keeps them sorted), each joined to the boundary faces it sees.  Pieces share facets
-    exactly, cover C, and use only C's own rays.
+    keeps them sorted).  Ray t joins each boundary face it sees (outer
+    normal n with n . rays[t] > 0): the new piece is the one behind the
+    face with the opposite ray swapped for rays[t] (_with_ray), so only
+    the start simplex is eliminated.  boundary maps each face to the
+    piece behind it and the position opposite; a face of two pieces is
+    interior.  Pieces keep rays in index order, share facets exactly,
+    cover C, use only C's own rays, and come sorted by ray indices.
     """
-    rays = list(C.rays)
+    rays = C.rays
     d = len(rays[0])
-
-    def piece(simplex):
-        return SimplicialCone(apex=C.apex, rays=tuple(rays[i] for i in simplex))
-
     # d rays admit no other start, and the piece checks their independence
     start = tuple(range(d)) if len(rays) == d else _first_basis(rays)
     if len(start) < d:
         raise DegenerateConeError("cone is not full-dimensional")
-    pieces = {start: piece(start)}
-    for t in range(len(rays)):
+    pieces, boundary = {}, {}
+
+    def add(simplex, piece):
+        pieces[simplex] = piece
+        for j in range(d):
+            face = simplex[:j] + simplex[j + 1:]
+            if boundary.pop(face, None) is None:
+                boundary[face] = (piece, j)
+
+    add(start, SimplicialCone(apex=C.apex, rays=tuple(rays[i] for i in start)))
+    for t, r in enumerate(rays):
         if t in start:
             continue
-        new = [tuple(sorted(face + (t,)))
-               for face, n in _boundary_facets(pieces) if dot(n, rays[t]) > 0]
-        pieces.update((simplex, piece(simplex)) for simplex in new)
-
+        seen = [(face, piece, j) for face, (piece, j) in boundary.items()
+                if dot(piece.normals[j], r) > 0]
+        for face, piece, j in seen:
+            at = bisect(face, t)
+            num = [-dot(n, r) for n in piece.normals]
+            add(face[:at] + (t,) + face[at:], piece._with_ray(j, r, num, at))
     return [pieces[simplex] for simplex in sorted(pieces)]

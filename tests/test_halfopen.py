@@ -158,6 +158,21 @@ def test_cone_membership_rejects_other_dimensions():
                 cone.contains(x)
 
 
+def test_signed_sum_evaluation_rejects_other_dimensions():
+    # Zipping rows and point counted (1, 1) and (1, 1, 1, 5) on this 3-d
+    # decomposition, the latter as 1; evaluate refuses both, as contains
+    # does.
+    rays = ((0, 0, 1), (0, 1, 1), (2, 0, 1), (2, 3, 1))
+    normals = ((-1, 0, 0), (0, -1, 0), (1, 0, -2), (-1, 1, -1))
+    decomposition = signed_decompose(ClosedCone(apex=(0, 0, 0), rays=rays,
+                                                normals=normals))
+    assert decomposition.evaluate((1, 1, 1)) == 1
+    assert decomposition.evaluate((1, 1, -1)) == 0
+    for x in ((1, 1), (1, 1, 1, 5), (Fraction(1, 2),), ()):
+        with pytest.raises(ValueError, match="dimension"):
+            decomposition.evaluate(x)
+
+
 def test_halfopen_polyhedron_membership():
     # square [0,2]^2 with the x <= 2 side strict
     P = HalfOpenPolyhedron.from_inequalities(

@@ -733,11 +733,11 @@ def closed_owners(analysis, q):
 
 
 class TestSplitTree:
-    # The compiled route finds a point's chamber by walking the split tree
-    # and testing the one chamber it lands on; the scan of every chamber
-    # stays behind it as a fallback, so counts never depend on the tree.
-    # These tests check the walk itself: the same chamber as the scan, with
-    # one row test wherever q + eps y_q lies inside a chamber.
+    # The compiled route finds a point's chamber by an exact search of the
+    # split tree: on a node's hyperplane it tries the side y_q picks, then
+    # the other.  These tests check the search against a scan of every
+    # chamber: the same chamber, with one row test wherever q + eps y_q
+    # lies inside a chamber, and never more than two here.
 
     def test_sweep_pools_take_one_row_test(self, monkeypatch):
         analysis = sweep_family().analysis()
@@ -770,18 +770,19 @@ class TestSplitTree:
         assert closed_owners(analysis, (4, 12)) == 8
 
     def test_points_outside_q_find_no_chamber(self, monkeypatch):
-        # every chamber lies inside Q, so Q's rows answer once the landed
-        # chamber's fail, without the scan
+        # the tree lands on a chamber whose rows fail; (-1/2, 3) lies on a
+        # node hyperplane, so the other side's chamber is tested too
         analysis = sweep_family().analysis()
         points = [(-1, 2), (Fraction(-1, 2), 3), (5, Fraction(-1, 3)), (-7, -7),
                   (-1, 0), (0, Fraction(-1, 10 ** 6))]
-        assert all(k is scan is None and calls == 2 for k, scan, calls in
-                   tree_and_scan(analysis, points, monkeypatch))
+        assert [(k, scan, calls) for k, scan, calls in
+                tree_and_scan(analysis, points, monkeypatch)] == (
+            [(None, None, 1), (None, None, 2)] + [(None, None, 1)] * 4)
 
-    def test_points_outside_every_chamber_take_the_scan(self, monkeypatch):
+    def test_points_outside_every_chamber_find_none(self, monkeypatch):
         # Without Q, the min family is empty wherever q1 < 0 or q2 < 0:
         # those cells have no chamber and no leaf, so the tree lands on a
-        # chamber that does not hold the point, and the scan finds none.
+        # chamber that does not hold the point, and the search finds none.
         # The complex's outer facets separate no chambers and are never
         # walked; here every point on them still takes one row test.
         analysis = without_q(min_family()).analysis()
@@ -793,7 +794,7 @@ class TestSplitTree:
                                                              monkeypatch)):
             assert k == scan, q
             if scan is None:
-                assert min(q) < 0 and calls > 1, q
+                assert min(q) < 0 and calls <= 2, q
                 outside += 1
             else:
                 assert calls == 1, q
@@ -804,7 +805,7 @@ class TestSplitTree:
         # where most chambers are, and out to the largest samples.  Every
         # point of Q here lies in a chamber, some on walls or on Q's
         # boundary, and y_q points into Q, so each takes one row test;
-        # the points outside Q take one more, Q's own.
+        # the points outside Q find none after one or two.
         analysis = chambers1178().analysis()
         assert len(analysis.open_chambers) == 1178
         rng = random.Random(1178)
@@ -822,13 +823,14 @@ class TestSplitTree:
                 assert calls == 1, q
                 inside += 1
             else:
-                assert calls == 2, q
+                assert calls <= 2, q
         assert inside >= 500
 
     def test_points_outside_q_skip_the_scan(self, monkeypatch):
         # At q1 = -1, left of Q = {q >= 0}, the tree lands on a chamber
-        # whose rows fail, and Q's rows answer: at most two row tests per
-        # point, where the scan of all 1178 chambers made up to 1179.
+        # whose rows fail, and only a tied node sends the search to a
+        # second: at most two row tests per point, where a scan of all
+        # 1178 chambers makes up to 1178.
         analysis = chambers1178().analysis()
         points = [(-1, k) for k in range(-3, 60)]
         points += [(Fraction(-1, 7), Fraction(k, 3)) for k in range(0, 200, 7)]

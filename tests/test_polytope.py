@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -18,7 +20,8 @@ from primalcount.linalg import (
     transpose,
     vec_primitive,
 )
-from primalcount import lp
+from primalcount import lp, polytope
+from primalcount.genfun import count_polytope
 from primalcount.lp import OPTIMAL, interior_point, lp_feasible, lp_maximize
 from primalcount.polytope import (
     ClosedCone,
@@ -591,6 +594,110 @@ def test_triangulate_random_cones_cover():
             assert set(piece.rays) <= set(C.rays)
         _assert_pieces_cover(C, pieces, rng)
         done += 1
+
+
+def triangulate_reference(C):
+    """triangulate's placing triangulation with every piece eliminated
+    from its own rays and the boundary recounted from all pieces for each
+    inserted ray: a face is on the boundary when one piece has it."""
+    rays = C.rays
+    d = len(rays[0])
+
+    def piece(simplex):
+        return SimplicialCone(apex=C.apex, rays=tuple(rays[i] for i in simplex))
+
+    def boundary(pieces):
+        counts, normal = {}, {}
+        for simplex, cone in pieces.items():
+            for j in range(d):
+                face = simplex[:j] + simplex[j + 1:]
+                counts[face] = counts.get(face, 0) + 1
+                normal[face] = cone.normals[j]
+        return [(face, normal[face]) for face, cnt in counts.items() if cnt == 1]
+
+    start = tuple(range(d)) if len(rays) == d else _first_basis(rays)
+    pieces = {start: piece(start)}
+    for t in range(len(rays)):
+        if t not in start:
+            new = [tuple(sorted(face + (t,))) for face, n in boundary(pieces)
+                   if dot(n, rays[t]) > 0]
+            pieces.update((simplex, piece(simplex)) for simplex in new)
+    return [pieces[simplex] for simplex in sorted(pieces)]
+
+
+def cross_polytope(d, r=3):
+    """sum_i +-x_i <= r, one row per sign vector."""
+    A = tuple(product((1, -1), repeat=d))
+    return HPolytope(A=A, b=(r,) * len(A))
+
+
+@cache
+def non_simplicial_vertex_cones():
+    """One vertex cone of each cross-polytope, d = 3..9 (2d - 2 rays), and
+    every vertex cone with more than d rays of 60 random polytopes in
+    d = 3..5 whose rows in {-1, 0, 1}^d make many vertices degenerate."""
+    cones = []
+    for d in range(3, 10):
+        P = cross_polytope(d)
+        cones.append(vertex_cone(P, enumerate_vertices(P)[0]))
+    rng = random.Random(24)
+    for k in range(60):
+        d = 3 + k % 3
+        A = [row for row in (tuple(rng.randint(-1, 1) for _ in range(d))
+                             for _ in range(rng.randint(d + 2, d + 6))) if any(row)]
+        b = [rng.randint(1, 2) for _ in A]
+        for j in range(d):  # box rows keep it bounded; 0 is interior
+            A += [tuple(s * (i == j) for i in range(d)) for s in (1, -1)]
+            b += [2, 2]
+        P = HPolytope(A=tuple(A), b=tuple(b))
+        cones += [vertex_cone(P, v) for v in enumerate_vertices(P)
+                  if len(v.rays) > d]
+    return cones
+
+
+def test_triangulate_matches_the_eliminating_reference():
+    cones = non_simplicial_vertex_cones()
+    assert len(cones) >= 300
+    for C in cones:
+        pieces, reference = triangulate(C), triangulate_reference(C)
+        assert pieces == reference, C
+        assert ([(p.normals, p.index) for p in pieces]
+                == [(p.normals, p.index) for p in reference]), C
+
+
+def test_triangulation_pieces_match_fresh_cones():
+    # the rank-one update gives each piece the normals and index that
+    # one elimination of its own rays gives
+    for C in non_simplicial_vertex_cones():
+        for piece in triangulate(C):
+            fresh = SimplicialCone(apex=piece.apex, rays=piece.rays)
+            assert (piece.normals, piece.index) == (fresh.normals, fresh.index)
+
+
+def test_triangulate_eliminates_only_start_simplices(monkeypatch):
+    # 18 vertex cones of the 9-d cross-polytope, 128 pieces each: one
+    # elimination per cone, where eliminating every piece took 2304
+    P = cross_polytope(9)
+    cones = [vertex_cone(P, v) for v in enumerate_vertices(P)]
+    calls = []
+
+    def counted(M):
+        calls.append(1)
+        return adjugate_int(M)
+
+    monkeypatch.setattr(polytope, "adjugate_int", counted)
+    pieces = [piece for C in cones for piece in triangulate(C)]
+    assert (len(cones), len(pieces), len(calls)) == (18, 2304, 18)
+
+
+def test_cross_polytope_counts_match_the_closed_form():
+    # |{x in Z^d : sum |x_i| <= r}| = sum_k 2^k C(d, k) C(r, k): choose the
+    # k nonzero coordinates, their signs, and k positive parts summing to
+    # at most r; no oracle needed, and it reaches d = 9
+    counts = {d: count_polytope(cross_polytope(d)) for d in range(5, 10)}
+    assert counts == {d: sum(2 ** k * comb(d, k) * comb(3, k) for k in range(4))
+                      for d in range(5, 10)}
+    assert (counts[8], counts[9]) == (833, 1159)
 
 
 def _cone_facets(gens, d):
