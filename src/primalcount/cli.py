@@ -525,6 +525,9 @@ def main(argv=None) -> int:
     if args.max_index < 1:
         print("error: --max-index must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.oracle_cap < 0:
+        print("error: --oracle-cap must be at least 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except OSError as exc:

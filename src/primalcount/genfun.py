@@ -17,13 +17,17 @@ leaf's box once, without its apex, and keeps each facet's rounding as
 one integer row, affine in the parameters of its group's apex map
 v(q) = M q + c.  A facet whose row has no parameter part rounds the same
 at every parameter point, so it is rounded once when compiling.  A leaf
-that moves with q through one facet's floor f = index Q + r, or through
-any number of them at index 1, has a share that is a polynomial in Q
-with coefficients that depend only on r, the step-polynomial form of
-Verdoolaege & Woods; compiling tabulates those coefficients for every r
-(_residue_table).  A count at a parameter point is then one dot product
-and one floor division per moving facet, one table row per such leaf,
-and integer sums over the box of each remaining leaf, building no point,
+that moves with q through the floors f_j = index Q_j + r_j of its moving
+facets has a share that is a polynomial in the Q_j with coefficients
+that depend only on the r_j, the step-polynomial form of Verdoolaege &
+Woods, and only through a cell of a small grid (_grid_ranks).  Such a
+leaf is tabulated when its grid has at most max_index cells: with one
+moving facet, or at index 1, compiling fills every row
+(_residue_table); with several, a row is filled the first time a count
+needs it (_GridRows).
+A count at a parameter point is then one dot product and one floor
+division per moving facet, one table row per tabulated leaf, and
+integer sums over the box of each remaining leaf, building no point,
 apex or term.  count_leaves counts fixed apexes as maps with no
 parameters, so all its work is compiling, and each compiled chamber of
 the parametric module counts at every parameter point it holds.
@@ -31,6 +35,7 @@ the parametric module counts at every parameter point it holds.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -223,16 +228,29 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
     return int(total)
 
 
-def _box_sums(u, Ns):
-    """sum_t u[t] num_t, with num_t = sum over the box of C(N, t) for its
-    values N, from the falling factorials N (N-1) ... (N-t+1) over t!."""
-    total = u[0] * len(Ns) + u[1] * sum(Ns)
+def _box_sums(Ns, order):
+    """[S_0, ..., S_order], with S_t the sum of C(N, t) over the values N
+    of a box, from the falling factorials N (N-1) ... (N-t+1) over t!."""
+    S = [len(Ns), sum(Ns)]
     falling, fact = Ns, 1
-    for t in range(2, len(u)):
+    for t in range(2, order + 1):
         fact *= t
         falling = [x * (N - t + 1) for x, N in zip(falling, Ns)]
-        total += u[t] * (sum(falling) // fact)
-    return total
+        S.append(sum(falling) // fact)
+    return S
+
+
+def _row(u, S):
+    """W with W_i = sum_(t >= i) u[t] S_(t-i): W[0] is the share of a box
+    whose binomial sums are S, and W_i the weight of C(X, i) when every
+    N of the box moves by X (Vandermonde's identity, _residue_table)."""
+    return tuple(sum(map(mul, u[i:], S)) for i in range(len(u)))
+
+
+def _moved(Ns, g, f, column, index):
+    """Ns with each N moved by -g ((f - v) // index), v from column: the
+    rounding of one facet at f over the box."""
+    return [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
 
 
 def _residue_table(u, Ns, column, g, index):
@@ -244,7 +262,7 @@ def _residue_table(u, Ns, column, g, index):
     residue k to N = B_k(r) + X for B_k(r) = N_k - g ((r - v_k) // index)
     and X = -g Q.  Vandermonde's identity
     C(B + X, t) = sum_i C(B, t - i) C(X, i) makes the share
-    sum_i W_i(r) C(X, i) with W_i(r) = sum_(t >= i) u[t] S_(t-i)(r) and
+    sum_i W_i(r) C(X, i) with W(r) = _row(u, S(r)) and
     S_i(r) = sum_k C(B_k(r), i).  For v_k = a index + b, B_k(r) is
     N_k + g (a + 1) while r < b and N_k + g a from r = b on (always when
     b = 0), so S starts at the sums of the first values and changes only
@@ -272,9 +290,69 @@ def _residue_table(u, Ns, column, g, index):
             S = list(map(add, S, steps[r]))
             W = None
         if W is None:
-            W = tuple(sum(map(mul, u[i:], S)) for i in range(order + 1))
+            W = _row(u, S)
         rows.append(W)
-    return tuple(rows)
+    return rows
+
+
+class _GridRows(dict):
+    """The rows of a leaf with several moving facets, keyed by cell, each
+    filled the first time a count needs it by one walk of the box.
+
+    gains, columns and ranks hold per moving facet its gain, its column
+    v(k) = normals . k over the box, and its rank array (_grid_ranks).
+    The cell's coordinate c on a facet is how many distinct nonzero
+    residues v_k mod index are at most r, and every r with the same c
+    gives the same B_k(r) (_residue_table).  So the row is the one at
+    the least r whose rank is c times the facet's stride, and the
+    facet's largest rank, at r = index - 1, gives the next stride.
+    """
+
+    __slots__ = ("u", "Ns", "gains", "columns", "ranks", "index")
+
+    def __init__(self, u, Ns, gains, columns, ranks, index):
+        super().__init__()
+        self.u, self.Ns, self.index = u, Ns, index
+        self.gains, self.columns, self.ranks = gains, columns, ranks
+
+    def __missing__(self, cell):
+        Ns, stride = self.Ns, 1
+        for g, column, rank in zip(self.gains, self.columns, self.ranks):
+            size = rank[-1] // stride + 1
+            r = rank.index(cell // stride % size * stride)
+            Ns = _moved(Ns, g, r, column, self.index)
+            stride *= size
+        row = self[cell] = _row(self.u, _box_sums(Ns, len(self.u) - 1))
+        return row
+
+
+def _grid_ranks(columns, index, max_index):
+    """The rank arrays of a leaf with several moving facets and index
+    above 1, or None when its grid has more than max_index cells.
+
+    With v_jk = a_jk index + b_jk on facet j and f_j = index Q_j + r_j,
+    B_k = N_k + sum_j g_j (a_jk + [r_j < b_jk]) depends on r_j only
+    through how many distinct nonzero b_jk are at most r_j, the facet's
+    coordinate of the cell.  With n_j such residues on facet j the grid
+    has prod_j (n_j + 1) cells.  ranks[j][r] is the coordinate of r times
+    the facet's stride, so a cell is sum_j ranks[j][r_j].  Each rank is
+    below the number of cells, so up to 256 cells one byte holds it.
+    """
+    residues = [{v % index for v in column} - {0} for column in columns]
+    cells = 1
+    for bs in residues:
+        cells *= len(bs) + 1
+    if cells > max_index:
+        return None
+    array = bytes if cells <= 256 else tuple
+    ranks, stride = [], 1
+    for bs in residues:
+        steps = [0] * index  # the rank rises by the stride at each residue
+        for b in bs:
+            steps[b] = stride
+        ranks.append(array(accumulate(steps)))
+        stride *= len(bs) + 1
+    return ranks
 
 
 class CompiledLeaves:
@@ -301,30 +379,37 @@ class CompiledLeaves:
     point of residue k is k - sum_j ((f_j - normals[j] . k) // index)
     rays[j].  So N = <mu, point> + shift is c(k) -
     sum_j g_j ((f_j - normals[j] . k) // index) with g_j = <mu, rays[j]>,
-    and _box_sums of the N over the box times the weights is the share.
-    A facet whose row has no parameter part is fixed: for every D >= 1,
-    f_j = (c_j D - s_j) // (m D) = (c_j - s_j) // m with c_j the row's
-    last entry, so its term is folded into c(k) here, once.  Only the
-    moving facets, with their rows, flags and gains, are kept for count.
-    A leaf with no moving facet adds its whole share to the constant
-    self.constant and keeps nothing; with p = 0 every facet is fixed, so
-    a fixed count is all compiled here and count only divides.
+    and the binomial sums of the N over the box (_box_sums) times the
+    weights are the share.  A facet whose row has no parameter part is
+    fixed: for every D >= 1, f_j = (c_j D - s_j) // (m D) = (c_j - s_j)
+    // m with c_j the row's last entry, so its term is folded into c(k)
+    here, once.  Only the moving facets, with their rows, flags and
+    gains, are kept for count.  A leaf with no moving facet adds its
+    whole share to the constant self.constant and keeps nothing; with
+    p = 0 every facet is fixed, so a fixed count is all compiled here and
+    count only divides.
 
-    A leaf with one moving facet, or of index 1, depends on the
-    parameters only through f = index Q + r for each moving facet: its
-    share is sum_i W_i(r) C(X, i) with X = -sum_j g_j Q_j, and the rows
-    W(r) of its residue table (_residue_table, at most index of them)
-    replace its columns.  Only a leaf with two or more moving facets and
-    index above 1 keeps its facet columns and its column of N, which
-    count walks.
+    A leaf with moving facets depends on the parameters only through
+    f_j = index Q_j + r_j for each of them: its share is
+    sum_i W_i(r) C(X, i) with X = -sum_j g_j Q_j, and the row W(r)
+    depends on r only through the cell of r (_grid_ranks).  A leaf with
+    at most max_index cells is tabulated: it keeps one rank array per
+    moving facet, which adds r_j's coordinate to the cell, and its rows
+    by cell.  With one moving facet the ranks are the identity, the
+    cells are the index residues, and every row is filled here
+    (_residue_table); at index 1 there is one cell, filled here too.
+    Any other leaf's rows are filled on first use (_GridRows).  A leaf
+    with more cells keeps its facet columns and its column of N, which
+    count walks.  So no leaf holds more than max_index rows.
     """
 
-    def __init__(self, groups, maps):
+    def __init__(self, groups, maps, max_index=DEFAULT_MAX_INDEX):
         mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
                                       for ray in leaf.base.rays}))
         self.groups = []
         weights = []  # (u, den) of each leaf with a moving facet
         shares = []  # (share times den, den) of each leaf without one
+        tables = []  # (rows, u, Ns, column, g, index) to fill once u is scaled
         for leaves, (M, c, m) in zip(groups, maps):
             mcols = list(zip(*M))
             tabled, walked = [], []
@@ -343,21 +428,30 @@ class CompiledLeaves:
                     if any(row):
                         moving.append(((*row, cn), s < 0, g, column))
                     else:
-                        f = (cn - (s < 0)) // m
-                        Ns = [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
+                        Ns = _moved(Ns, g, (cn - (s < 0)) // m, column, index)
                 u, den = _leaf_weights(gains, eps)
                 if not moving:
-                    shares.append((_box_sums(u, Ns), den))
+                    shares.append((sum(map(mul, u, _box_sums(Ns, len(u) - 1))), den))
                     continue
                 weights.append((u, den))
                 facets, strict, moving_gains, columns = zip(*moving)
-                if len(moving) == 1 or index == 1:
-                    # tabulated below, once u is scaled
-                    tabled.append((facets, strict, moving_gains, index,
-                                   (u, Ns, columns[0])))
+                if len(moving) > 1 and index > 1:
+                    ranks = _grid_ranks(columns, index, max_index)
+                    rows = ranks and _GridRows(u, Ns, moving_gains, columns,
+                                               ranks, index)
+                elif index <= max_index:
+                    # identity ranks, or one cell; rows filled once u is scaled
+                    ranks = ((range(index),) if len(moving) == 1
+                             else ((0,),) * len(moving))
+                    rows = []
+                    tables.append((rows, u, Ns, columns[0], moving_gains[0], index))
                 else:
+                    rows = None
+                if rows is None:
                     walked.append((facets, strict, moving_gains, columns,
                                    index, Ns, u))
+                else:
+                    tabled.append((facets, strict, moving_gains, index, ranks, rows))
             if tabled or walked:
                 self.groups.append((m, tabled, walked))
         # every weight and share over the common denominator L, in place
@@ -367,10 +461,8 @@ class CompiledLeaves:
             scale = L // den
             u[:] = [scale * x for x in u]
         self.constant = sum(share * (L // den) for share, den in shares)
-        for _, tabled, _ in self.groups:
-            tabled[:] = [(facets, strict, gains, index,
-                          _residue_table(u, Ns, column, gains[0], index))
-                         for facets, strict, gains, index, (u, Ns, column) in tabled]
+        for rows, u, Ns, column, g, index in tables:
+            rows[:] = _residue_table(u, Ns, column, g, index)
 
     def count(self, z, D) -> int:
         """Lattice points of the signed leaf sum at the parameter point
@@ -379,13 +471,13 @@ class CompiledLeaves:
         total = self.constant
         for m, tabled, walked in self.groups:
             mD = m * D
-            for facets, strict, gains, index, table in tabled:
-                # one moving facet gives r; at index 1 every r is 0
-                X = 0
-                for row, s, g in zip(facets, strict, gains):
+            for facets, strict, gains, index, ranks, rows in tabled:
+                X = cell = 0
+                for row, s, g, rank in zip(facets, strict, gains, ranks):
                     Q, r = divmod((sum(map(mul, row, zD)) - s) // mD, index)
                     X -= g * Q
-                W = table[r]
+                    cell += rank[r]
+                W = rows[cell]
                 total += W[0] + W[1] * X
                 binomial = X
                 for i in range(2, len(W)):
@@ -393,9 +485,9 @@ class CompiledLeaves:
                     total += W[i] * binomial
             for facets, strict, gains, columns, index, Ns, u in walked:
                 for row, s, g, column in zip(facets, strict, gains, columns):
-                    f = (sum(map(mul, row, zD)) - s) // mD
-                    Ns = [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
-                total += _box_sums(u, Ns)
+                    Ns = _moved(Ns, g, (sum(map(mul, row, zD)) - s) // mD,
+                                column, index)
+                total += sum(map(mul, u, _box_sums(Ns, len(u) - 1)))
         count, rem = divmod(total, self.denominator)
         assert rem == 0, "specialization must produce an integer"
         return count

@@ -497,18 +497,19 @@ class ParametricAnalysis:
     chamber's leaves, each group at its active vertex's integer map,
     become a _CompiledChamber on the first evaluation that lands in it;
     compiling rounds the facets that do not move with q and tabulates
-    the leaves that move through one floor, so an evaluation does only
-    the work that depends on q.  Every chamber region is a cell cut from
-    Q's rows, with only redundant rows removed and walls opened, so it
-    lies inside Q, and this route runs no Q test.  Evaluation through the
-    activity regions tests Q, finds the active vertices by their
-    half-open activity regions, takes their values at q as Fractions,
-    and counts their leaves there with count_leaves.  Both routes count
-    with one CompiledLeaves, so they differ only in how they find the
-    region and the vertex values, and the second checks the first on
-    those.  Decompositions are cached by the vertex's position in
-    self.vertices.  A max_index below 1 raises ValueError before
-    anything is computed.
+    each leaf whose grid of residue cells has at most max_index cells
+    (rows of several moving facets are filled on first use), so an
+    evaluation does only the work that depends on q.  Every chamber
+    region is a cell cut from Q's rows, with only redundant rows removed
+    and walls opened, so it lies inside Q, and this route runs no Q
+    test.  Evaluation through the activity regions tests Q, finds the
+    active vertices by their half-open activity regions, takes their
+    values at q as Fractions, and counts their leaves there with
+    count_leaves.  Both routes count with one CompiledLeaves, so they
+    differ only in how they find the region and the vertex values, and
+    the second checks the first on those.  Decompositions are cached by
+    the vertex's position in self.vertices.  A max_index below 1 raises
+    ValueError before anything is computed.
     """
 
     def __init__(self, pp: ParametricPolytope,
@@ -550,7 +551,8 @@ class ParametricAnalysis:
             active = self.open_chambers[k].active
             decomps = [self._decomposition(self._position[id(v)]) for v in active]
             leaves = CompiledLeaves([group for group, _ in decomps],
-                                    [_integer_map(v) for v in active])
+                                    [_integer_map(v) for v in active],
+                                    max_index=self.max_index)
             stats = (len(active), sum(len(leaves) for leaves, _ in decomps),
                      max(depth for _, depth in decomps))
             self._compiled[k] = _CompiledChamber(leaves=leaves, stats=stats)

@@ -213,6 +213,17 @@ class TestExitCodes:
     def test_max_index_validation(self, square_file):
         assert main(["count", square_file, "--max-index", "0"]) == 1
 
+    def test_negative_oracle_cap_is_a_usage_error(self, square_file, capsys):
+        # No box fits under a negative cap: count --verify used to print
+        # the count first and then fail the oracle with exit 3.
+        for argv in (["count", square_file, "--verify"],
+                     ["pcount", str(SWEEP_FAMILY), "--at", "1,1", "--verify"],
+                     ["oracle", square_file]):
+            assert main([*argv, "--oracle-cap", "-1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --oracle-cap must be at least 0\n"
+
     def test_non_utf8_input_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "latin.txt"
         path.write_bytes(b"\xff\xfe2 4\n")

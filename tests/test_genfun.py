@@ -577,9 +577,9 @@ def counted_box_sums(monkeypatch):
     """A list that gets one entry per _box_sums call from now on."""
     calls, real = [], genfun._box_sums
 
-    def counted(u, Ns):
+    def counted(Ns, order):
         calls.append(len(Ns))
-        return real(u, Ns)
+        return real(Ns, order)
 
     monkeypatch.setattr(genfun, "_box_sums", counted)
     return calls
@@ -663,15 +663,35 @@ def test_residue_tables_match_count_leaves(monkeypatch):
             ("p", 1), ("p", 2)} <= seen
 
 
+def grid_cells(leaf):
+    """The cells of a leaf whose every facet moves: the product over its
+    facets of one more than the number of distinct nonzero residues
+    normals . k mod index over the points k of its parallelepiped."""
+    points = parallelepiped_points(leaf, (0,) * len(leaf.base.rays))
+    cells = 1
+    for n in leaf.base.normals:
+        cells *= len({dot(n, k) % leaf.index for k in points} - {0}) + 1
+    return cells
+
+
+def grid_rows(compiled):
+    """The row stores of the leaves of compiled that fill on use."""
+    return [rows for _, tabled, _ in compiled.groups for *_, rows in tabled
+            if isinstance(rows, genfun._GridRows)]
+
+
 def test_only_multi_facet_leaves_above_index_1_walk(monkeypatch):
     # Leaves of random polytopes' vertex cones at max_index 20, compiled
     # at the maps t -> vertex + t of a translation t = z / D in d
     # parameters, as in test_compiled_leaves_match_count_leaves: every
-    # facet of every leaf moves.  An index-1 leaf has one table row for
-    # all d moving facets (each with r = 0); every other leaf keeps its
-    # columns, and one evaluation calls _box_sums once per such leaf.
-    # Leaves of one polytope have many weight denominators, so a table
-    # built before its weights are scaled would count wrong.
+    # facet of every leaf moves.  A leaf is tabulated when its grid has
+    # at most max_index cells (grid_cells, from its parallelepiped): an
+    # index-1 leaf has one table row for all d moving facets (each with
+    # r = 0), and any other tabulated leaf starts with no row.  The rest
+    # keep their columns.  One evaluation calls _box_sums once per walked
+    # leaf and once per row it fills, and no leaf holds more rows than
+    # max_index.  Leaves of one polytope have many weight denominators,
+    # so a table built before its weights are scaled would count wrong.
     rng = random.Random(29)
     seen = set()
     for case in range(16):
@@ -684,29 +704,111 @@ def test_only_multi_facet_leaves_above_index_1_walk(monkeypatch):
             q = lcm(*(Fraction(x).denominator for x in v.point))
             maps.append(([[q * (i == j) for j in range(P.dim)] for i in range(P.dim)],
                          [int(x * q) for x in v.point], q))
-        compiled = CompiledLeaves(groups, maps)
-        indices = [leaf.index for leaves in groups for _, leaf in leaves]
-        tabled = [leaf for _, leaves, _ in compiled.groups for leaf in leaves]
-        walks = sum(len(walked) for _, _, walked in compiled.groups)
-        assert walks == sum(index > 1 for index in indices)
-        assert len(tabled) == indices.count(1)
-        assert all(len(facets) == P.dim and len(table) == 1
-                   for facets, _, _, _, table in tabled)
-        seen.add(("index 1", bool(tabled)))
-        seen.add(("walked", walks > 0))
-        calls = counted_box_sums(monkeypatch)
-        for _ in range(3):
-            shift = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
-                          for _ in range(P.dim))
-            D = lcm(*(Fraction(t).denominator for t in shift))
-            z = [int(t * D) for t in shift]
-            del calls[:]
-            got = compiled.count(z, D)
-            assert len(calls) == walks
-            moved = [(tuple(x + t for x, t in zip(v.point, shift)), leaves)
-                     for v, leaves in zip(vertices, groups)]
-            assert got == count_leaves(moved), (P, shift)
-    assert {("index 1", True), ("walked", True)} <= seen
+        for max_index in (5, 200):
+            compiled = CompiledLeaves(groups, maps, max_index=max_index)
+            for leaves, (_, tabled, walked) in zip(groups, compiled.groups):
+                fits = [grid_cells(leaf) <= max_index for _, leaf in leaves]
+                assert len(tabled) == fits.count(True)
+                assert len(walked) == fits.count(False)
+                assert [len(facets) for facets, *_ in tabled + walked] \
+                    == [P.dim] * len(leaves)
+                ones = [leaf.index == 1 for _, leaf in leaves]
+                assert [index == 1 for *_, index, _, _ in tabled] == \
+                    [one for one, fit in zip(ones, fits) if fit]
+                for *_, index, ranks, rows in tabled:
+                    if index == 1:
+                        assert ranks == ((0,),) * P.dim and len(rows) == 1
+                    else:
+                        assert type(rows) is genfun._GridRows and rows == {}
+                seen.add((max_index, "index 1", any(ones)))
+                seen.add((max_index, "grid", any(f and not o for f, o in zip(fits, ones))))
+                seen.add((max_index, "walked", bool(walked)))
+            walks = sum(len(walked) for _, _, walked in compiled.groups)
+            calls = counted_box_sums(monkeypatch)
+            for _ in range(3):
+                shift = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                              for _ in range(P.dim))
+                D = lcm(*(Fraction(t).denominator for t in shift))
+                z = [int(t * D) for t in shift]
+                moved = [(tuple(x + t for x, t in zip(v.point, shift)), leaves)
+                         for v, leaves in zip(vertices, groups)]
+                want = count_leaves(moved)
+                for again in (False, True):
+                    filled = sum(map(len, grid_rows(compiled)))
+                    del calls[:]
+                    assert compiled.count(z, D) == want, (P, shift)
+                    fills = sum(map(len, grid_rows(compiled))) - filled
+                    assert len(calls) == walks + fills
+                    assert fills == 0 or not again
+                    seen.add((max_index, "fills", fills > 0))
+            assert all(len(rows) <= max_index for _, tabled, _ in compiled.groups
+                       for *_, rows in tabled)
+    for max_index in (5, 200):
+        assert {(max_index, "index 1", True), (max_index, "grid", True),
+                (max_index, "fills", True)} <= seen
+    assert (5, "walked", True) in seen
+
+
+def test_grid_rows_match_count_leaves():
+    # The tangent cones of random simplices in d = 2 and 3, moved by the
+    # translation z / (L D), with L a multiple of the index of the cone at
+    # the first vertex.  Every facet of every cone moves, so that cone has
+    # d moving facets and, at a large max_index, rows by cell filled on
+    # use.  As normals[j] . rays[j] = -index, z = -sum_j y_j rays[j] gives
+    # normals[j] . z = index y_j, and L D >= index, so y_j puts
+    # f_j = index Q_j + r_j at any value: r_j of 0, 1 and index - 1 on
+    # each facet together, with Q_j and X = -sum_j g_j Q_j of both signs,
+    # at every D.  The cones have different weight denominators, so a row
+    # filled from unscaled weights would count wrong.
+    rng = random.Random(53)
+    seen = set()
+    for case in range(6):
+        d = 2 + case % 2
+        span = {2: 6, 3: 3}[d]
+        while True:
+            rays = [tuple(rng.randint(-span, span) for _ in range(d)) for _ in range(d)]
+            index = abs(det(rays))
+            if 3 <= index <= 16:
+                break
+        strict = [rng.random() < 0.5 for _ in range(d + 1)]
+        c = [rng.randint(-4, 4) for _ in range(d)]
+        L = index * rng.choice((1, 2, 3))
+        corners = [(0,) * d] + rays
+        groups, maps = [], []
+        for i, ci in enumerate(corners):
+            others = [j for j in range(d + 1) if j != i]
+            cone_rays = [tuple(x - y for x, y in zip(corners[j], ci)) for j in others]
+            sigma = [-1 if strict[j - 1 if j else d] else 1 for j in others]
+            groups.append([(1, hoc(cone_rays, sigma))])
+            maps.append((identity(d), [L * (x + y) for x, y in zip(c, ci)], L))
+        compiled = CompiledLeaves(groups, maps, max_index=10 ** 4)
+        (_, tabled, walked) = compiled.groups[0]
+        assert walked == [] and len(tabled) == 1
+        facets, _, gains, _, _, rows = tabled[0]
+        assert type(rows) is genfun._GridRows and len(facets) == d
+        leaf = groups[0][0][1]
+        for D in (1, 7, 10 ** 6 + 3):
+            for residues in product(sorted({0, 1, index - 1}), repeat=d):
+                Qs = [rng.randint(-3, 3) for _ in range(d)]
+                ys = []
+                for n, s, Q, r in zip(leaf.base.normals, leaf.sigma, Qs, residues):
+                    f, s = index * Q + r, s < 0
+                    # the least y with (index y + L D n . c - s) // (L D) = f
+                    y = -((L * D * dot(n, c) - s - f * L * D) // index)
+                    assert (index * y + L * D * dot(n, c) - s) // (L * D) == f
+                    ys.append(y)
+                z = [-sum(y * ray[t] for y, ray in zip(ys, leaf.base.rays))
+                     for t in range(d)]
+                assert [dot(n, z) for n in leaf.base.normals] == [index * y for y in ys]
+                apexes = [tuple(x + y + Fraction(t, L * D) for x, y, t in zip(c, ci, z))
+                          for ci in corners]
+                assert compiled.count(z, D) == count_leaves(list(zip(apexes, groups))), \
+                    (rays, strict, c, L, z, D)
+                X = -sum(g * Q for g, Q in zip(gains, Qs))
+                seen.add((d, D, "X sign", (X > 0) - (X < 0)))
+        assert 1 < len(rows) <= grid_cells(leaf)
+    for d, D in product((2, 3), (1, 7, 10 ** 6 + 3)):
+        assert {(d, D, "X sign", 1), (d, D, "X sign", -1)} <= seen
 
 
 def test_generic_directions():

@@ -22,6 +22,7 @@ from primalcount.halfopen import HalfOpenPolyhedron, exactify, signed_decompose
 from primalcount.lp import OPTIMAL, interior_point, lp_maximize
 from primalcount.oracle import brute_count
 from primalcount.parametric import (
+    ParametricAnalysis,
     ParametricPolytope,
     ParametricVertex,
     _integer_row,
@@ -686,6 +687,49 @@ class TestCompiledChambers:
         # from that box, so even the activities route takes no Smith form
         assert "walk" in calls
         assert "smith" not in calls
+
+
+def grid_rows(analysis):
+    """The row stores of the compiled leaves that fill on use."""
+    return [rows for chamber in analysis._compiled.values()
+            for _, tabled, _ in chamber.leaves.groups for *_, rows in tabled
+            if isinstance(rows, genfun._GridRows)]
+
+
+class TestGridRows:
+    def test_fill_order_does_not_change_counts(self):
+        # Rows of leaves with several moving facets fill on first use, so
+        # two fresh analyses that meet the pool in opposite orders fill
+        # their rows in different orders.  Their counts agree, with each
+        # other and with the activities route, and so do the rows.
+        pool = pcount_sweep_pool(1)
+        forwards = ParametricAnalysis(sweep_family())
+        backwards = ParametricAnalysis(sweep_family())
+        got = [forwards.count_at(q) for q in pool]
+        assert [backwards.count_at(q) for q in reversed(pool)] == got[::-1]
+        assert got == [forwards.count_at(q, via="activities") for q in pool]
+        filled = [sorted(sorted(rows.items()) for rows in grid_rows(a))
+                  for a in (forwards, backwards)]
+        assert filled[0] and filled[0] == filled[1]
+
+    @pytest.mark.parametrize("max_index", [5, 20, 200])
+    def test_no_leaf_holds_more_rows_than_max_index(self, max_index):
+        # Every chamber compiled, and rows filled by two pools.  A leaf is
+        # tabulated only when its grid has at most max_index cells, so at
+        # 5 some leaf still walks.  At 200 every leaf of the sweep is
+        # tabulated.
+        analysis = ParametricAnalysis(sweep_family(), max_index)
+        for q in [ch.sample for ch in analysis.chambers] + pcount_sweep_pool(1) \
+                + sweep_points(3, 400):
+            analysis.count_at(q)
+        groups = [group for chamber in analysis._compiled.values()
+                  for group in chamber.leaves.groups]
+        assert len(analysis._compiled) == len(analysis.open_chambers)
+        assert all(len(rows) <= max_index for _, tabled, _ in groups
+                   for *_, rows in tabled)
+        assert max(map(len, grid_rows(analysis))) > 1
+        walked = sum(len(walked) for _, _, walked in groups)
+        assert (walked > 0) == (max_index < 200)
 
 
 def pcount_sweep_pool(seed):
