@@ -29,8 +29,10 @@ A count at a parameter point is then one dot product and one floor
 division per moving facet, one table row per tabulated leaf, and
 integer sums over the box of each remaining leaf, building no point,
 apex or term.  count_leaves counts fixed apexes as maps with no
-parameters, so all its work is compiling, and each compiled chamber of
-the parametric module counts at every parameter point it holds.
+parameters, so all its work is compiling.  The parametric module
+compiles each vertex's leaves once per direction mu, and a chamber
+counts as the CompiledSum of its active vertices' programs, which
+shares their rows and compiles nothing.
 """
 
 from dataclasses import dataclass
@@ -366,11 +368,15 @@ class CompiledLeaves:
     sits at apex (M z + D c) / (m D); a fixed apex a / q is the map
     ((), a, q), counted at z = () and D = 1.  One direction mu, generic
     for every leaf ray, makes the leaves' shares of specialize_at_one
-    sum to the count.  Each leaf is walked once (_box_columns), with no
-    apex, into integer columns over its Hermite box: normals[j] . k for
-    each facet j and c(k) = <mu, k> + shift.  Its share's weights
-    (_leaf_weights) are scaled to one common denominator,
-    self.denominator.
+    sum to the count: the given mu, or else the first of
+    generic_directions over all leaf rays.  A share depends only on the
+    leaf, its map and mu, so programs compiled under one mu add up
+    (CompiledSum) once they count over one denominator (rescale).  Each
+    leaf is walked once (_box_columns), with no apex, into integer
+    columns over its Hermite box: normals[j] . k for each facet j and
+    c(k) = <mu, k> + shift.  Its share's weights (_leaf_weights) are
+    scaled to one common denominator, self.denominator, the lcm of the
+    leaves' own.
 
     Facet j has the integer row (normals[j] . M columns...,
     normals[j] . c) and its strict flag, so the rounding of
@@ -403,9 +409,10 @@ class CompiledLeaves:
     count walks.  So no leaf holds more than max_index rows.
     """
 
-    def __init__(self, groups, maps, max_index=DEFAULT_MAX_INDEX):
-        mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
-                                      for ray in leaf.base.rays}))
+    def __init__(self, groups, maps, max_index=DEFAULT_MAX_INDEX, mu=None):
+        if mu is None:
+            mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
+                                          for ray in leaf.base.rays}))
         self.groups = []
         weights = []  # (u, den) of each leaf with a moving facet
         shares = []  # (share times den, den) of each leaf without one
@@ -491,6 +498,45 @@ class CompiledLeaves:
         count, rem = divmod(total, self.denominator)
         assert rem == 0, "specialization must produce an integer"
         return count
+
+    def rescale(self, factor):
+        """Count over factor times self.denominator: the constant and
+        every weight and row times factor, in place.  Equal rows of one
+        leaf stay one tuple."""
+        self.denominator *= factor
+        self.constant *= factor
+        for _, tabled, walked in self.groups:
+            for *_, rows in tabled:
+                grid = isinstance(rows, _GridRows)
+                if grid:
+                    rows.u[:] = [factor * x for x in rows.u]
+                scaled = {}
+                for key in list(rows) if grid else range(len(rows)):
+                    W = rows[key]
+                    if W not in scaled:
+                        scaled[W] = tuple(factor * x for x in W)
+                    rows[key] = scaled[W]
+            for *_, u in walked:
+                u[:] = [factor * x for x in u]
+
+
+class CompiledSum:
+    """The sum of CompiledLeaves programs compiled under one mu and over
+    one denominator, counted as one program.
+
+    It shares the programs' groups, so it compiles nothing and a count
+    costs what the programs' groups cost in one CompiledLeaves; a sum
+    made before a program is rescaled must be made again.
+    """
+
+    __slots__ = ("groups", "constant", "denominator")
+
+    def __init__(self, programs):
+        (self.denominator,) = {p.denominator for p in programs}
+        self.constant = sum(p.constant for p in programs)
+        self.groups = [group for p in programs for group in p.groups]
+
+    count = CompiledLeaves.count
 
 
 def count_leaves(pairs) -> int:

@@ -11,23 +11,33 @@ from the one double description polytope._generators and its cut
 step, so the setup runs no LP: the maps are faces of one combined
 cone, a hyperplane splits a cell when it takes both signs on its
 generators, a row is a facet when the generators tight on it have rank
-p, and a chamber's sample is the sum of its cell's rays.  Making
-chambers and activity regions half-open with one shared generic
-direction gives every parameter point exactly one evaluation formula,
-including points on the walls.  A wall is read off the chambers' own
-rows: a facet whose hyperplane bounds some chamber from the other
-side.  On a chamber only the apexes of the fixed leaf cones move, so
-that formula is compiled once per chamber into integer arithmetic, and
-a parameter point finds its chamber by a search of the split tree.
+p, and a chamber's sample is the sum of its cell's rays.  Each cell
+carries the side of every hyperplane it lies on, so a chamber's active
+vertices are read off bitmasks.  Making chambers and activity regions
+half-open with one shared generic direction gives every parameter point
+exactly one evaluation formula, including points on the walls.  A wall
+is read off the chambers' own rows: a facet whose hyperplane bounds
+some chamber from the other side.  On a chamber the count is the sum of
+its active vertices' leaf cones moved to v(q) (Brion), and only their
+apexes move, so each vertex is compiled once per specialization
+direction into integer arithmetic, each chamber adds up its vertices'
+programs, and a parameter point finds its chamber by a search of the
+split tree.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateConeError, NotFullDimensionalError, UnboundedError
-from .genfun import DEFAULT_MAX_INDEX, CompiledLeaves, count_leaves
+from .genfun import (
+    DEFAULT_MAX_INDEX,
+    CompiledLeaves,
+    CompiledSum,
+    count_leaves,
+    generic_directions,
+)
 from .halfopen import (
     HalfOpenPolyhedron,
     _check_max_index,
@@ -240,11 +250,15 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
     polytope is empty there).  Chambers meet only in their boundaries.
 
     The cells come from _arrangement_cells with the generators of their
-    homogenized cones, and _region reads each chamber's facets off those
-    generators.  Each chamber's sample is s_q / s_t for the sum (s_q, s_t)
-    of its cell's rays, without an LP: each row is <= 0 on the rays, 0 on
-    the lines and not 0 on all rays, or the cell would lie in its
-    hyperplane, so it is strict at the sum; s_t > 0, the cell not empty.
+    homogenized cones and their side masks, and _region reads each
+    chamber's facets off those generators.  A vertex is active on a cell
+    when the cell lies on the inner side of each of its activity rows,
+    two integer ANDs of its masks (_activity_masks) with the cell's side
+    mask, without a point test.  Each chamber's sample is s_q / s_t for
+    the sum (s_q, s_t) of its cell's rays, without an LP: each row is
+    <= 0 on the rays, 0 on the lines and not 0 on all rays, or the cell
+    would lie in its hyperplane, so it is strict at the sum; s_t > 0,
+    the cell not empty.
     """
     if qset is None:
         qset = HalfOpenPolyhedron(rows=())
@@ -257,14 +271,16 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
 
     hyperplanes = sorted({_oriented(g, h)
                           for v in vertices for g, h, _ in v.activity.rows})
+    masks = _activity_masks(vertices, hyperplanes)
 
     chambers = []
-    for cell, generators in _arrangement_cells(
+    for cell, generators, side in _arrangement_cells(
             [(g, h) for g, h, _ in qset.rows], qdim, hyperplanes):
-        *s_q, s_t = map(sum, zip(*generators[1]))
-        sample = tuple(Fraction(x, s_t) for x in s_q)
-        active = tuple(v for v in vertices if v.activity.contains(sample))
+        active = tuple(v for v, (le, ge) in zip(vertices, masks)
+                       if side & le == le and not side & ge)
         if active:
+            *s_q, s_t = map(sum, zip(*generators[1]))
+            sample = tuple(Fraction(x, s_t) for x in s_q)
             chambers.append(Chamber(region=_region(cell, generators, qdim),
                                     active=active, sample=sample))
     chambers.sort(key=lambda ch: ch.region.rows)
@@ -273,9 +289,9 @@ def chambers_max_dim(vertices, qset=None, qdim=None):
 
 def _arrangement_cells(base, qdim, hyperplanes):
     """The full-dimensional cells of Q = base cut by the hyperplanes, each
-    with the generators of its homogenized cone.
+    with the generators of its homogenized cone and its side mask.
 
-    Returns (rows, generators) pairs, or [] when Q is not
+    Returns (rows, generators, side) triples, or [] when Q is not
     full-dimensional.  rows is a list of (g, h) rows g . q <= h, in the
     order the splits made them, and generators = (lines, rays, masks)
     is polytope._generators of _homogenized_rows(rows, qdim), up to the
@@ -283,30 +299,56 @@ def _arrangement_cells(base, qdim, hyperplanes):
     g . q < h exactly when some generator z has (g, -h) . z < 0, a line
     counting with both signs, so the hyperplane splits the cell when
     its values have both signs.  Each side's generators then come from
-    one polytope._cut.  _split_tree repeats these splits over the final
-    chambers alone, by their samples, to find a point's chamber.
+    one polytope._cut.  Bit j of side is set when the cell lies on the
+    side g . q <= h of hyperplanes[j]: the side that a split gives it,
+    or else the side of all its rays, which some ray takes strictly.
+    _split_tree repeats these splits over the final chambers alone, by
+    their samples, to find a point's chamber.
     """
     cone = _generators(_homogenized_rows(base, qdim))
     if len(_first_basis(cone[0] + cone[1])) <= qdim:
         return []
-    cells = [(base, cone)]
-    for g, h in hyperplanes:
+    cells = [(base, cone, 0)]
+    for j, (g, h) in enumerate(hyperplanes):
         n = _homogenized(g, h)
         flip = tuple(-x for x in n)
+        below = 1 << j
         next_cells = []
-        for cell, cone in cells:
+        for cell, cone, side in cells:
             lines, rays, _ = cone
             vals = [sum(map(mul, n, r)) for r in rays]
             if (any(sum(map(mul, n, line)) for line in lines)
                     or min(vals) < 0 < max(vals)):
                 bit = 2 << len(cell)
-                next_cells.append((cell + [(g, h)], _cut(cone, n, bit)))
+                next_cells.append((cell + [(g, h)], _cut(cone, n, bit),
+                                   side | below))
                 next_cells.append((cell + [(tuple(-x for x in g), -h)],
-                                   _cut(cone, flip, bit)))
+                                   _cut(cone, flip, bit), side))
             else:
-                next_cells.append((cell, cone))
+                next_cells.append((cell, cone,
+                                   side | below if min(vals) < 0 else side))
         cells = next_cells
     return cells
+
+
+def _activity_masks(vertices, hyperplanes):
+    """(le, ge) for each vertex: the bits j of the hyperplanes whose
+    side g . q <= h, respectively g . q >= h, each of its activity rows
+    is (_oriented).  A cell whose side mask (_arrangement_cells) holds
+    every bit of le and none of ge lies in the vertex's activity region,
+    and only then: it lies on one side of every hyperplane."""
+    bits = {plane: 1 << j for j, plane in enumerate(hyperplanes)}
+    masks = []
+    for v in vertices:
+        le = ge = 0
+        for g, h, _ in v.activity.rows:
+            plane = _oriented(g, h)
+            if plane == (g, h):
+                le |= bits[plane]
+            else:
+                ge |= bits[plane]
+        masks.append((le, ge))
+    return masks
 
 
 def _oriented(g, h):
@@ -484,7 +526,9 @@ def _integer_map(vertex):
 
 @dataclass(frozen=True)
 class _CompiledChamber:
-    leaves: CompiledLeaves  # one group per active vertex, at its _integer_map
+    mu: tuple  # the direction of its programs
+    programs: tuple  # one shared CompiledLeaves per active vertex
+    leaves: CompiledSum  # their sum
     stats: tuple  # (num_vertices, num_cones, max_depth)
 
 
@@ -493,10 +537,14 @@ class ParametricAnalysis:
 
     Evaluation through the chambers is compiled: q is found by an exact
     search of the chambers' split tree (_split_tree), which tests the
-    int_rows of the half-open chambers it reaches (_chamber_at), and a
-    chamber's leaves, each group at its active vertex's integer map,
-    become a _CompiledChamber on the first evaluation that lands in it;
-    compiling rounds the facets that do not move with q and tabulates
+    int_rows of the half-open chambers it reaches (_chamber_at), and the
+    chamber becomes a _CompiledChamber on the first evaluation that lands
+    in it.  The chamber picks its direction mu from its active vertices'
+    leaf rays (generic_directions), and each active vertex's leaves at
+    its integer map are compiled once per (vertex, mu) into a program
+    (_program) that every chamber under mu with that vertex active
+    shares; the chamber counts as the CompiledSum of its programs.
+    Compiling rounds the facets that do not move with q and tabulates
     each leaf whose grid of residue cells has at most max_index cells
     (rows of several moving facets are filled on first use), so an
     evaluation does only the work that depends on q.  Every chamber
@@ -505,11 +553,12 @@ class ParametricAnalysis:
     test.  Evaluation through the activity regions tests Q, finds the
     active vertices by their half-open activity regions, takes their
     values at q as Fractions, and counts their leaves there with
-    count_leaves.  Both routes count with one CompiledLeaves, so they
-    differ only in how they find the region and the vertex values, and
-    the second checks the first on those.  Decompositions are cached by
-    the vertex's position in self.vertices.  A max_index below 1 raises
-    ValueError before anything is computed.
+    count_leaves.  Both routes count with CompiledLeaves under the same
+    mu, so they differ only in how they find the region and the vertex
+    values and in how they add up the vertices' shares, and the second
+    checks the first on those.  Decompositions are cached by the
+    vertex's position in self.vertices, and programs by (position, mu).
+    A max_index below 1 raises ValueError before anything is computed.
     """
 
     def __init__(self, pp: ParametricPolytope,
@@ -533,7 +582,9 @@ class ParametricAnalysis:
         self._position = {id(v): i for i, v in enumerate(self.vertices)}
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
         self._tree = _split_tree(self.chambers, walls, self.y_q)
-        self._compiled = {}
+        self._programs = {}  # (position, mu) -> CompiledLeaves
+        self._denominators = {}  # mu -> the one denominator of its programs
+        self._compiled = {}  # chamber index -> _CompiledChamber
 
     def _decomposition(self, i):
         """(leaves, depth): the signed half-open low-index leaves of the
@@ -546,16 +597,50 @@ class ParametricAnalysis:
             self._decomps[i] = (result.terms, stats["max_depth"])
         return self._decomps[i]
 
+    def _program(self, i, mu):
+        """The CompiledLeaves of self.vertices[i]'s leaves at its
+        _integer_map under the direction mu, compiled once per (i, mu).
+
+        Every program under mu counts over self._denominators[mu], the
+        lcm of their own denominators, so a chamber's programs add up
+        with no scale (CompiledSum).  A program whose denominator does
+        not divide it raises it: the programs under mu are rescaled and
+        the compiled chambers under mu summed again."""
+        key = (i, mu)
+        if key not in self._programs:
+            program = CompiledLeaves(
+                [self._decomposition(i)[0]], [_integer_map(self.vertices[i])],
+                max_index=self.max_index, mu=mu)
+            old = self._denominators.get(mu, 1)
+            common = self._denominators[mu] = lcm(old, program.denominator)
+            if common != old:
+                for (_, nu), other in self._programs.items():
+                    if nu == mu:
+                        other.rescale(common // old)
+                for k, chamber in self._compiled.items():
+                    if chamber.mu == mu:
+                        self._compiled[k] = replace(
+                            chamber, leaves=CompiledSum(chamber.programs))
+            if common != program.denominator:
+                program.rescale(common // program.denominator)
+            self._programs[key] = program
+        return self._programs[key]
+
     def _compile(self, k):
+        """Chamber k's compiled counting function, made on first use: the
+        CompiledSum of its active vertices' programs under the first
+        generic direction of all their leaf rays."""
         if k not in self._compiled:
-            active = self.open_chambers[k].active
-            decomps = [self._decomposition(self._position[id(v)]) for v in active]
-            leaves = CompiledLeaves([group for group, _ in decomps],
-                                    [_integer_map(v) for v in active],
-                                    max_index=self.max_index)
-            stats = (len(active), sum(len(leaves) for leaves, _ in decomps),
+            positions = [self._position[id(v)] for v in self.open_chambers[k].active]
+            decomps = [self._decomposition(i) for i in positions]
+            mu = next(generic_directions({ray for leaves, _ in decomps
+                                          for _, leaf in leaves
+                                          for ray in leaf.base.rays}))
+            programs = tuple(self._program(i, mu) for i in positions)
+            stats = (len(positions), sum(len(leaves) for leaves, _ in decomps),
                      max(depth for _, depth in decomps))
-            self._compiled[k] = _CompiledChamber(leaves=leaves, stats=stats)
+            self._compiled[k] = _CompiledChamber(
+                mu=mu, programs=programs, leaves=CompiledSum(programs), stats=stats)
         return self._compiled[k]
 
     def _chamber_at(self, z, D):

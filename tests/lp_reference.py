@@ -48,8 +48,10 @@ def region_reference(rows, generators, p):
         *remove_redundant([g for g, _ in rows], [h for _, h in rows]))
 
 
-def cells_reference(base, hyperplanes, interior_point=None):
-    """The split loop with both interior_point LPs at every split."""
+def cells_and_sides_reference(base, hyperplanes, interior_point=None):
+    """The split loop with both interior_point LPs at every split: each
+    cell with the mask of the hyperplanes whose g . q <= h side holds it,
+    the side whose LP found the cell full-dimensional."""
     interior_point = interior_point or lp.interior_point
 
     def full(rows):
@@ -57,26 +59,35 @@ def cells_reference(base, hyperplanes, interior_point=None):
 
     if base and not full(base):
         return []
-    cells = [base]
-    for g, h in hyperplanes:
+    cells = [(base, 0)]
+    for j, (g, h) in enumerate(hyperplanes):
         next_cells = []
-        for cell in cells:
+        for cell, side in cells:
             low = cell + [(g, h)]
             high = cell + [(tuple(-x for x in g), -h)]
-            if full(low) and full(high):
-                next_cells.append(low)
-                next_cells.append(high)
+            low_full = full(low)
+            if low_full and full(high):
+                next_cells.append((low, side | 1 << j))
+                next_cells.append((high, side))
             else:
-                next_cells.append(cell)
+                next_cells.append((cell, side | 1 << j if low_full else side))
         cells = next_cells
     return cells
 
 
+def cells_reference(base, hyperplanes, interior_point=None):
+    """The rows of the cells of cells_and_sides_reference."""
+    return [cell for cell, _ in
+            cells_and_sides_reference(base, hyperplanes, interior_point)]
+
+
 def cells_with_generators(base, qdim, hyperplanes, interior_point=None):
-    """parametric._arrangement_cells by cells_reference: each cell with
-    the generators of its homogenized cone, built from its rows."""
-    return [(cell, _generators(parametric._homogenized_rows(cell, qdim)))
-            for cell in cells_reference(base, hyperplanes, interior_point)]
+    """parametric._arrangement_cells by cells_and_sides_reference: each
+    cell with the generators of its homogenized cone, built from its
+    rows, and its side mask."""
+    return [(cell, _generators(parametric._homogenized_rows(cell, qdim)), side)
+            for cell, side in
+            cells_and_sides_reference(base, hyperplanes, interior_point)]
 
 
 def lp_route(monkeypatch):

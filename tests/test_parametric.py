@@ -1,7 +1,9 @@
 """Parametric vertices, chambers, and counting-function evaluation."""
 
+import gc
 import importlib.util
 import random
+import tracemalloc
 from functools import cache
 from fractions import Fraction
 from itertools import combinations
@@ -41,6 +43,7 @@ from primalcount.polytope import (
 )
 
 from lp_reference import (
+    cells_and_sides_reference,
     cells_reference,
     cells_with_generators,
     lp_route,
@@ -690,9 +693,9 @@ class TestCompiledChambers:
 
 
 def grid_rows(analysis):
-    """The row stores of the compiled leaves that fill on use."""
-    return [rows for chamber in analysis._compiled.values()
-            for _, tabled, _ in chamber.leaves.groups for *_, rows in tabled
+    """The row stores of the compiled programs' leaves that fill on use."""
+    return [rows for program in analysis._programs.values()
+            for _, tabled, _ in program.groups for *_, rows in tabled
             if isinstance(rows, genfun._GridRows)]
 
 
@@ -722,14 +725,93 @@ class TestGridRows:
         for q in [ch.sample for ch in analysis.chambers] + pcount_sweep_pool(1) \
                 + sweep_points(3, 400):
             analysis.count_at(q)
-        groups = [group for chamber in analysis._compiled.values()
-                  for group in chamber.leaves.groups]
+        groups = [group for program in analysis._programs.values()
+                  for group in program.groups]
         assert len(analysis._compiled) == len(analysis.open_chambers)
         assert all(len(rows) <= max_index for _, tabled, _ in groups
                    for *_, rows in tabled)
         assert max(map(len, grid_rows(analysis))) > 1
         walked = sum(len(walked) for _, _, walked in groups)
         assert (walked > 0) == (max_index < 200)
+
+
+def compile_every_chamber(analysis, order=1):
+    for chamber in analysis.chambers[::order]:
+        analysis.count_at(chamber.sample)
+    assert len(analysis._compiled) == len(analysis.open_chambers)
+
+
+class TestSharedPrograms:
+    # A vertex's program depends on the vertex and the direction mu, not
+    # on the chamber, so each (vertex, mu) is compiled once and every
+    # chamber under mu that has the vertex active shares it.
+
+    @pytest.mark.parametrize("name, incidences, programs",
+                             [("sweep", 114, 31), ("chambers1178", 9608, 138)])
+    def test_one_program_per_vertex_and_direction(self, name, incidences,
+                                                  programs):
+        analysis = ParametricAnalysis(sweep_family() if name == "sweep"
+                                      else chambers1178())
+        compile_every_chamber(analysis)
+        assert sum(len(ch.active) for ch in analysis.chambers) == incidences
+        assert len(analysis._programs) == programs
+        for k, chamber in analysis._compiled.items():
+            positions = [analysis._position[id(v)]
+                         for v in analysis.open_chambers[k].active]
+            assert len(chamber.programs) == len(positions)
+            for i, program in zip(positions, chamber.programs):
+                assert program is analysis._programs[i, chamber.mu]
+                assert analysis._program(i, chamber.mu) is program
+                assert program.denominator == analysis._denominators[chamber.mu]
+            assert len(chamber.leaves.groups) == sum(
+                len(program.groups) for program in chamber.programs)
+        assert len(analysis._programs) == programs
+
+    @pytest.mark.parametrize("max_index", [1, 5, 200])
+    def test_shared_programs_count_as_the_activities_route(self, max_index):
+        analysis = ParametricAnalysis(sweep_family(), max_index)
+        compile_every_chamber(analysis)
+        for q in [ch.sample for ch in analysis.chambers] + sweep_points(max_index, 400):
+            assert analysis.count_at(q) == analysis.count_at(q, via="activities"), q
+
+    @pytest.mark.parametrize("name", ["sweep", "chambers1178"])
+    def test_compile_order_does_not_change_programs(self, name):
+        # Under one mu, each new program whose denominator does not divide
+        # the common one rescales the others, so the two orders rescale at
+        # different steps.  Both end at the lcm over all programs, with the
+        # same rows, and count as the activities route.
+        pp = sweep_family() if name == "sweep" else chambers1178()
+        forwards, backwards = ParametricAnalysis(pp), ParametricAnalysis(pp)
+        compile_every_chamber(forwards)
+        compile_every_chamber(backwards, order=-1)
+        assert forwards._denominators == backwards._denominators
+        assert len(forwards._denominators) == 3
+        for key, program in forwards._programs.items():
+            other = backwards._programs[key]
+            assert (program.denominator, program.constant) == (
+                other.denominator, other.constant)
+            assert program.groups == other.groups
+        rng = random.Random(29)
+        points = [ch.sample for ch in forwards.chambers[::7]] + [
+            tuple(Fraction(rng.randint(0, 60 * den), den) for _ in range(2))
+            for den in (1, 2, 3, 7) for _ in range(25)]
+        for q in points:
+            want = forwards.count_at(q, via="activities")
+            assert forwards.count_at(q) == backwards.count_at(q) == want, q
+
+    def test_compiling_every_chamber_keeps_under_8_mb(self):
+        # One program per chamber and active vertex kept 33.8 MB live on
+        # this family; one per vertex and direction keeps about 2 MB.
+        analysis = ParametricAnalysis(chambers1178())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            compile_every_chamber(analysis)
+            gc.collect()
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live < 8 * 10 ** 6
 
 
 def pcount_sweep_pool(seed):
@@ -926,8 +1008,8 @@ class TestChamberSplit:
 
         def recording(base, qdim, hyperplanes):
             cells = original(base, qdim, hyperplanes)
-            seen.append([rows for rows, _ in cells]
-                        == cells_reference(base, hyperplanes))
+            seen.append([(rows, side) for rows, _, side in cells]
+                        == cells_and_sides_reference(base, hyperplanes))
             return cells
 
         monkeypatch.setattr(parametric, "_arrangement_cells", recording)
@@ -964,6 +1046,49 @@ class TestChamberSplit:
         slow = chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
         assert fast == slow and len(fast) == 21
         assert calls
+
+
+class TestActiveMasks:
+    # chambers_max_dim reads a cell's active vertices off its side mask and
+    # two masks per vertex; the sample test it replaces must agree on
+    # every cell, those without an active vertex included.
+
+    @staticmethod
+    def families():
+        data = Path(__file__).parent / "data"
+        return ([parse_parametric((data / f"{name}.txt").read_text())
+                 for name in ("sweep_family", "sweep_family_noq", "cross_family5")]
+                + [chambers1178()] + [pp for pp, _ in random_families(6, 20)])
+
+    def test_mask_active_sets_match_the_sample_test(self, monkeypatch):
+        split = parametric._arrangement_cells
+        calls = []
+
+        def recording(base, qdim, hyperplanes):
+            cells = split(base, qdim, hyperplanes)
+            calls.append((hyperplanes, cells))
+            return cells
+
+        monkeypatch.setattr(parametric, "_arrangement_cells", recording)
+        checked = 0
+        for pp in self.families():
+            vertices = enumerate_parametric_vertices(pp)
+            chambers = chambers_max_dim(vertices, pp.qset, qdim=pp.qdim)
+            ((hyperplanes, cells),) = calls
+            calls.clear()
+            masks = parametric._activity_masks(vertices, hyperplanes)
+            samples = {}
+            for rows, (_, rays, _), side in cells:
+                *s_q, s_t = map(sum, zip(*rays))
+                sample = tuple(Fraction(x, s_t) for x in s_q)
+                by_mask = [v for v, (le, ge) in zip(vertices, masks)
+                           if side & le == le and not side & ge]
+                assert by_mask == [v for v in vertices if v.activity.contains(sample)]
+                if by_mask:
+                    samples[sample] = tuple(by_mask)
+                checked += 1
+            assert {ch.sample: ch.active for ch in chambers} == samples
+        assert checked >= 1290
 
 
 CROSS_FAMILY5 = Path(__file__).parent / "data" / "cross_family5.txt"
@@ -1032,7 +1157,7 @@ def recorded_setups(monkeypatch, families):
 
     def recording(base, qdim, hyperplanes):
         out = split(base, qdim, hyperplanes)
-        cells.append([rows for rows, _ in out])
+        cells.append([rows for rows, _, _ in out])
         return out
 
     monkeypatch.setattr(parametric, "_arrangement_cells", recording)
@@ -1088,10 +1213,25 @@ class TestGeneratorRule:
         # arrangement of q1 = 0, q1 = 1 and q2 = 0 has six cells
         hyperplanes = [((1, 0), Fraction(0)), ((1, 0), Fraction(1)),
                        ((0, 1), Fraction(0))]
-        cells = [rows for rows, _ in
+        cells = [rows for rows, _, _ in
                  parametric._arrangement_cells([], 2, hyperplanes)]
         assert cells == cells_reference([], hyperplanes)
         assert len(cells) == 6
+
+    def test_sides_of_cells_with_lines(self):
+        # Strips q1 <= 0, 0 <= q1 <= 1 and q1 >= 1 keep their line; q1 = 2
+        # splits only the last, so the first two take its side from the
+        # values at their rays, and q2 = 5 splits every strip
+        hyperplanes = [((1, 0), Fraction(0)), ((1, 0), Fraction(1)),
+                       ((1, 0), Fraction(2)), ((0, 1), Fraction(5))]
+        for planes in (hyperplanes[:3], hyperplanes):
+            cells = parametric._arrangement_cells([], 2, planes)
+            assert [(rows, side) for rows, _, side in cells] == \
+                cells_and_sides_reference([], planes)
+            assert sum(bool(lines) for _, (lines, _, _), _ in cells) == (
+                4 if len(planes) == 3 else 0)
+        assert [side for *_, side in parametric._arrangement_cells(
+            [], 2, hyperplanes[:3])] == [0b111, 0b110, 0b100, 0b000]
 
     def test_no_cells_in_a_lower_dimensional_or_empty_q(self):
         hyperplanes = [((1, 0), Fraction(1)), ((0, 1), Fraction(1))]
@@ -1118,7 +1258,7 @@ class TestGeneratorRule:
 
         def recording(base, qdim, hyperplanes):
             out = split(base, qdim, hyperplanes)
-            cells.extend((rows, gens, qdim) for rows, gens in out)
+            cells.extend((rows, gens, qdim) for rows, gens, _ in out)
             return out
 
         monkeypatch.setattr(parametric, "_arrangement_cells", recording)
