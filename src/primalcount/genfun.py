@@ -174,7 +174,10 @@ def _leaf_weights(exps, sign):
     sign s [u^d] num / H.  With h0 = H[0], the integers
     P_k = h0^(k+1) [u^k] 1/H obey P_0 = 1 and
     P_k = -sum_{i>=1} H_i h0^(i-1) P_(k-i), so u[t] = sign s P_(d-t) h0^t
-    over den = h0^(d+1), reduced by their common divisor.
+    over den = h0^(d+1), reduced by their common divisor.  H depends on
+    exps only through the multiset of |e|, and the sign of the share
+    only through s, so every term whose |e| sort the same shares u and
+    den up to sign (_signed_weights).
     """
     d = len(exps)
     H = [1]
@@ -193,6 +196,18 @@ def _leaf_weights(exps, sign):
     den = h0 ** (d + 1)
     common = gcd(den, *u)
     return [x // common for x in u], den // common
+
+
+def _signed_weights(cache, exps, sign):
+    """(u, den) of _leaf_weights(exps, sign), u a new list, computed once
+    per multiset of |e| in cache: the weights for the sorted |e| and
+    sign 1, negated when sign and the parity of the negative e disagree."""
+    key = tuple(sorted(map(abs, exps)))
+    if key not in cache:
+        cache[key] = _leaf_weights(key, 1)
+    u, den = cache[key]
+    odd = sum(e < 0 for e in exps) % 2 == 1
+    return ([-x for x in u] if (sign < 0) != odd else list(u)), den
 
 
 def specialize_at_one(g: GenFun, direction=None) -> int:
@@ -374,9 +389,9 @@ class CompiledLeaves:
     (CompiledSum) once they count over one denominator (rescale).  Each
     leaf is walked once (_box_columns), with no apex, into integer
     columns over its Hermite box: normals[j] . k for each facet j and
-    c(k) = <mu, k> + shift.  Its share's weights (_leaf_weights) are
-    scaled to one common denominator, self.denominator, the lcm of the
-    leaves' own.
+    c(k) = <mu, k> + shift.  Its share's weights (_leaf_weights, computed
+    once per multiset of |gains| by _signed_weights) are scaled to one
+    common denominator, self.denominator, the lcm of the leaves' own.
 
     Facet j has the integer row (normals[j] . M columns...,
     normals[j] . c) and its strict flag, so the rounding of
@@ -414,6 +429,7 @@ class CompiledLeaves:
             mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
                                           for ray in leaf.base.rays}))
         self.groups = []
+        cache = {}  # sorted |gains| -> their _leaf_weights with sign 1
         weights = []  # (u, den) of each leaf with a moving facet
         shares = []  # (share times den, den) of each leaf without one
         tables = []  # (rows, u, Ns, column, g, index) to fill once u is scaled
@@ -436,7 +452,7 @@ class CompiledLeaves:
                         moving.append(((*row, cn), s < 0, g, column))
                     else:
                         Ns = _moved(Ns, g, (cn - (s < 0)) // m, column, index)
-                u, den = _leaf_weights(gains, eps)
+                u, den = _signed_weights(cache, gains, eps)
                 if not moving:
                     shares.append((sum(map(mul, u, _box_sums(Ns, len(u) - 1))), den))
                     continue

@@ -36,7 +36,6 @@ from .genfun import (
     CompiledLeaves,
     CompiledSum,
     count_leaves,
-    generic_directions,
 )
 from .halfopen import (
     HalfOpenPolyhedron,
@@ -540,10 +539,12 @@ class ParametricAnalysis:
     int_rows of the half-open chambers it reaches (_chamber_at), and the
     chamber becomes a _CompiledChamber on the first evaluation that lands
     in it.  The chamber picks its direction mu from its active vertices'
-    leaf rays (generic_directions), and each active vertex's leaves at
-    its integer map are compiled once per (vertex, mu) into a program
-    (_program) that every chamber under mu with that vertex active
-    shares; the chamber counts as the CompiledSum of its programs.
+    leaf rays, the first generic_directions of their union, found from
+    one memoized answer per (vertex, candidate) (_is_generic).  Each
+    active vertex's leaves at its integer map are compiled once per
+    (vertex, mu) into a program (_program) that every chamber under mu
+    with that vertex active shares; the chamber counts as the
+    CompiledSum of its programs.
     Compiling rounds the facets that do not move with q and tabulates
     each leaf whose grid of residue cells has at most max_index cells
     (rows of several moving facets are filled on first use), so an
@@ -566,7 +567,7 @@ class ParametricAnalysis:
         _check_max_index(max_index)
         # qset and qdim, not pp: pp caches this analysis, and a reference
         # back would make a cycle that outlives pp until a full collection
-        self.qset, self.qdim = pp.qset, pp.qdim
+        self.qset, self.qdim, self.dim = pp.qset, pp.qdim, pp.dim
         self.max_index = max_index
         self.vertices = enumerate_parametric_vertices(pp)
         self.chambers = chambers_max_dim(self.vertices, pp.qset, qdim=pp.qdim)
@@ -582,6 +583,7 @@ class ParametricAnalysis:
         self._position = {id(v): i for i, v in enumerate(self.vertices)}
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
         self._tree = _split_tree(self.chambers, walls, self.y_q)
+        self._generic = {}  # (position, M) -> whether M suits its leaf rays
         self._programs = {}  # (position, mu) -> CompiledLeaves
         self._denominators = {}  # mu -> the one denominator of its programs
         self._compiled = {}  # chamber index -> _CompiledChamber
@@ -626,16 +628,30 @@ class ParametricAnalysis:
             self._programs[key] = program
         return self._programs[key]
 
+    def _is_generic(self, i, M):
+        """Whether mu = (1, M, M^2, ...) pairs nonzero with every leaf ray
+        of self.vertices[i], decided once per (i, M)."""
+        key = (i, M)
+        if key not in self._generic:
+            mu = tuple(M ** j for j in range(self.dim))
+            rays = {ray for _, leaf in self._decomposition(i)[0]
+                    for ray in leaf.base.rays}
+            self._generic[key] = all(dot(mu, ray) != 0 for ray in rays)
+        return self._generic[key]
+
     def _compile(self, k):
         """Chamber k's compiled counting function, made on first use: the
         CompiledSum of its active vertices' programs under the first
-        generic direction of all their leaf rays."""
+        generic direction of all their leaf rays, mu = (1, M, M^2, ...)
+        for the least M that is generic for each vertex's rays
+        (_is_generic)."""
         if k not in self._compiled:
             positions = [self._position[id(v)] for v in self.open_chambers[k].active]
             decomps = [self._decomposition(i) for i in positions]
-            mu = next(generic_directions({ray for leaves, _ in decomps
-                                          for _, leaf in leaves
-                                          for ray in leaf.base.rays}))
+            M = 1
+            while not all(self._is_generic(i, M) for i in positions):
+                M += 1
+            mu = tuple(M ** j for j in range(self.dim))
             programs = tuple(self._program(i, mu) for i in positions)
             stats = (len(positions), sum(len(leaves) for leaves, _ in decomps),
                      max(depth for _, depth in decomps))

@@ -4,7 +4,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -15,13 +15,13 @@ from .errors import (
 )
 from .linalg import (
     _apex_rows,
+    _gauss_jordan,
     _int_row,
     _rows_hold,
     _scaled_point,
     adjugate_int,
     dot,
     is_zero_vec,
-    rank,
     transpose,
     vec_primitive,
 )
@@ -110,15 +110,17 @@ class ClosedCone:
 class SimplicialCone:
     """A full-dimensional cone on exactly d linearly independent integer rays.
 
-    One fraction-free elimination of the ray matrix gives everything the
-    cone is asked about later: normals[j] is the integer outer normal of
-    the facet opposite ray j, with normals[j] . rays[i] == -index * delta_ij,
-    and index is |det| of the ray matrix (1 means unimodular).  So
+    normals[j] is the integer outer normal of the facet opposite ray j,
+    with normals[j] . rays[i] == -index * delta_ij, and index is |det| of
+    the ray matrix (1 means unimodular).  So
     index * lam_j == -normals[j] . (x - apex) in ray coordinates, and the
     signs of those products decide facet sides without any Fraction.
     Built from its rays (a start simplex of triangulate, or a cone made
-    directly), a cone eliminates once; any other cone takes its normals
-    from the cone it derives from, by the rank-one update _with_ray.
+    directly), a cone gets both from one fraction-free elimination of
+    the d x 2d matrix [rays^T | I] (adjugate_int).  A simplicial vertex
+    cone gets them from its facet rows and one d x d determinant
+    (_from_rows), and any other cone from the cone it derives from, by
+    the rank-one update _with_ray.
     """
 
     apex: tuple
@@ -158,12 +160,47 @@ class SimplicialCone:
             for j, (n, c_j) in enumerate(zip(self.normals, num)) if j != m]
         normals.insert(at, tuple(s * x for x in n_m))
         rays = self.rays[:m] + self.rays[m + 1:]
-        child = object.__new__(SimplicialCone)
-        object.__setattr__(child, "apex", self.apex)
-        object.__setattr__(child, "rays", rays[:at] + (w,) + rays[at:])
-        object.__setattr__(child, "normals", tuple(normals))
-        object.__setattr__(child, "index", abs(c_m))
-        return child
+        return _simplicial(self.apex, rays[:at] + (w,) + rays[at:],
+                           tuple(normals), abs(c_m))
+
+
+def _simplicial(apex, rays, normals, index):
+    """The SimplicialCone with the given normals and index, which the
+    caller has derived, without an elimination."""
+    cone = object.__new__(SimplicialCone)
+    object.__setattr__(cone, "apex", apex)
+    object.__setattr__(cone, "rays", rays)
+    object.__setattr__(cone, "normals", normals)
+    object.__setattr__(cone, "index", index)
+    return cone
+
+
+def _from_rows(C):
+    """The SimplicialCone on the d rays of C from C's d normals, or None
+    when they are not one facet row per ray.
+
+    Each ray r_j of a simplicial cone lies on every facet but the one
+    opposite it, so exactly one row A_i has A_i . r_j != 0, and
+    c_j = -A_i . r_j > 0.  The normal opposite r_j vanishes on the other
+    rays and meets r_j in -index, so it is index A_i / c_j, integral
+    because the adjugate is.  Only index = |det| of the rays is
+    eliminated for, with no identity block.  Rows that pair with the rays
+    otherwise (a ClosedCone whose normals do not cut it out) give None.
+    """
+    rays = C.rays
+    facets = [None] * len(rays)
+    for n in C.normals:
+        meets = [(j, v) for j, r in enumerate(rays) if (v := sum(map(mul, n, r)))]
+        if len(meets) != 1:
+            return None
+        j, v = meets[0]
+        if v > 0 or facets[j] is not None:
+            return None
+        facets[j] = (n, -v)
+    # rows meeting one ray each make the rays independent: det != 0
+    index = abs(_gauss_jordan([list(r) for r in rays], len(rays))[2])
+    return _simplicial(C.apex, rays, tuple([tuple([index * a // c for a in n])
+                                           for n, c in facets]), index)
 
 
 def enumerate_vertices(P: HPolytope):
@@ -175,12 +212,18 @@ def enumerate_vertices(P: HPolytope):
     ray's incidence mask is its tight set, the rows with
     A_i . x == b_i t; and rays adjacent in that cone span the edges, so
     the rays of the vertex cone at x / t are primitive(t x' - t' x) over
-    its neighbours (x', t').  The same generators classify bad input,
-    without an LP: no ray with t > 0 means the polytope is empty
-    (returns []); generators of rank at most dim mean it is
-    lower-dimensional (NotFullDimensionalError); and a line or a ray
-    with t = 0 is a recession direction (UnboundedError), as is a
-    polytope without rows.
+    its neighbours (x', t').  A simple vertex, with exactly d tight rows,
+    is adjacent to every vertex that shares d - 1 of them: those rows
+    are independent and cut out one edge of the polytope, whose other
+    end is the only other vertex tight on them.  Any other vertex is
+    tested by _adjacent.  Vertices are sorted by point, compared as the
+    integers x L / t over L the lcm of the t.  The same generators
+    classify bad input, without an LP: no ray with t > 0 means the
+    polytope is empty (returns []); generators of rank at most dim mean
+    it is lower-dimensional (NotFullDimensionalError), found by
+    _first_basis, which stops at rank dim + 1; and a line or a ray with
+    t = 0 is a recession direction (UnboundedError), as is a polytope
+    without rows.
     """
     if not P.A:
         raise UnboundedError("polyhedron unbounded")
@@ -189,23 +232,29 @@ def enumerate_vertices(P: HPolytope):
                                      + [(0,) * d + (-1,)])
     if all(ray[-1] == 0 for ray in rays):
         return []
-    if rank(lines + rays) <= d:
+    if len(_first_basis(lines + rays)) <= d:
         raise NotFullDimensionalError("polyhedron not full-dimensional")
     if lines or any(ray[-1] == 0 for ray in rays):
         raise UnboundedError("polyhedron unbounded")
-    vertices = []
+    L = lcm(*[t for *_, t in rays])
+    keyed = []
     # the homogenized cone lies in R^(d + 1), so adjacency needs d - 1
     for k, (*x, t) in enumerate(rays):
-        edges = set()
-        for j, (*y, s) in enumerate(rays):
-            if j != k and _adjacent(masks, masks[j] & masks[k], d - 1):
-                edges.add(vec_primitive(tuple(t * a - s * b for a, b in zip(y, x))))
-        vertices.append(Vertex(point=tuple(Fraction(a, t) for a in x),
-                               tight=frozenset(i for i in range(P.nrows)
-                                               if masks[k] >> i & 1),
-                               rays=tuple(sorted(edges))))
-    vertices.sort(key=lambda v: v.point)
-    return vertices
+        mask = masks[k]
+        if mask.bit_count() == d:
+            near = [j for j, z in enumerate(masks)
+                    if (z & mask).bit_count() >= d - 1 and j != k]
+        else:
+            near = [j for j, z in enumerate(masks)
+                    if j != k and _adjacent(masks, z & mask, d - 1)]
+        edges = {vec_primitive([t * a - s * b for a, b in zip(y, x)])
+                 for *y, s in map(rays.__getitem__, near)}
+        vertex = Vertex(point=tuple(Fraction(a, t) for a in x),
+                        tight=frozenset(i for i in range(P.nrows) if mask >> i & 1),
+                        rays=tuple(sorted(edges)))
+        keyed.append(([a * (L // t) for a in x], vertex))
+    keyed.sort(key=lambda pair: pair[0])
+    return [vertex for _, vertex in keyed]
 
 
 def _adjacent(masks, common, need):
@@ -234,7 +283,7 @@ def extreme_rays(normals):
     lines, rays, _ = _generators(normals)
     if lines:
         raise DegenerateConeError("cone is not pointed")
-    if rank(rays) != len(normals[0]):
+    if len(_first_basis(rays)) != len(normals[0]):
         raise DegenerateConeError("cone is not full-dimensional")
     return rays
 
@@ -357,18 +406,26 @@ def vertex_cone(P: HPolytope, v: Vertex) -> ClosedCone:
 def triangulate(C: ClosedCone):
     """Split a pointed full-dimensional cone into simplicial cones.
 
-    Placing order: the start simplex is the first basis of the rays
-    (_first_basis), and the other rays are inserted as given (ClosedCone
-    keeps them sorted).  Ray t joins each boundary face it sees (outer
-    normal n with n . rays[t] > 0): the new piece is the one behind the
-    face with the opposite ray swapped for rays[t] (_with_ray), so only
-    the start simplex is eliminated.  boundary maps each face to the
-    piece behind it and the position opposite; a face of two pieces is
-    interior.  Pieces keep rays in index order, share facets exactly,
-    cover C, use only C's own rays, and come sorted by ray indices.
+    A cone with d rays and d normals is one piece, built from its facet
+    rows (_from_rows) when they pair with the rays as a simplicial
+    cone's facets do; the vertex cone of a simple vertex is such a cone.
+    Otherwise a placing triangulation: the start simplex is the first
+    basis of the rays (_first_basis), and the other rays are inserted as
+    given (ClosedCone keeps them sorted).  Ray t joins each boundary
+    face it sees (outer normal n with n . rays[t] > 0): the new piece is
+    the one behind the face with the opposite ray swapped for rays[t]
+    (_with_ray), so only the start simplex is eliminated.  boundary maps
+    each face to the piece behind it and the position opposite; a face
+    of two pieces is interior.  Pieces keep rays in index order, share
+    facets exactly, cover C, use only C's own rays, and come sorted by
+    ray indices.
     """
     rays = C.rays
     d = len(rays[0])
+    if len(rays) == d == len(C.normals):
+        piece = _from_rows(C)
+        if piece is not None:
+            return [piece]
     # d rays admit no other start, and the piece checks their independence
     start = tuple(range(d)) if len(rays) == d else _first_basis(rays)
     if len(start) < d:

@@ -820,6 +820,26 @@ def test_generic_directions():
         assert all(dot(mu, b) != 0 for b in rays)
 
 
+def test_weights_are_shared_by_multisets_of_absolute_gains():
+    # The series H depends only on the |e|: one _leaf_weights per multiset,
+    # negated when the sign and the parity of the negative gains disagree,
+    # gives every term's weights, as a new list each time.
+    rng = random.Random(44)
+    cache, calls, mixed = {}, 0, 0
+    for d in range(2, 6):
+        for _ in range(30):
+            exps = [rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(d)]
+            for sign in (1, -1):
+                calls += 1
+                u, den = genfun._signed_weights(cache, exps, sign)
+                assert (u, den) == genfun._leaf_weights(exps, sign), (exps, sign)
+                u[0] += 1  # CompiledLeaves scales the weights in place
+            mixed += min(exps) < 0 < max(exps)
+    assert mixed > 60 and len(cache) < calls // 2
+    for key, (u, den) in cache.items():
+        assert (u, den) == genfun._leaf_weights(key, 1)
+
+
 def brute_box_count(A, b, box):
     total = 0
     for x in product(*(range(lo, hi + 1) for lo, hi in box)):

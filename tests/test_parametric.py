@@ -767,6 +767,21 @@ class TestSharedPrograms:
                 len(program.groups) for program in chamber.programs)
         assert len(analysis._programs) == programs
 
+    @pytest.mark.parametrize("name", ["sweep", "chambers1178"])
+    def test_chamber_direction_is_the_first_generic_for_all_its_rays(self, name):
+        # mu comes from memoized answers per (vertex, M), and is the first
+        # generic direction of the union of the active vertices' leaf rays
+        analysis = ParametricAnalysis(sweep_family() if name == "sweep"
+                                      else chambers1178())
+        compile_every_chamber(analysis)
+        for k, chamber in analysis._compiled.items():
+            rays = {ray for v in analysis.open_chambers[k].active
+                    for _, leaf in analysis._decomposition(analysis._position[id(v)])[0]
+                    for ray in leaf.base.rays}
+            assert chamber.mu == next(genfun.generic_directions(rays))
+        assert len({chamber.mu for chamber in analysis._compiled.values()}) == 3
+        assert len(analysis._generic) <= 3 * len(analysis.vertices)
+
     @pytest.mark.parametrize("max_index", [1, 5, 200])
     def test_shared_programs_count_as_the_activities_route(self, max_index):
         analysis = ParametricAnalysis(sweep_family(), max_index)

@@ -770,3 +770,150 @@ def test_simplicial_cone_rejects_dependent_rays():
     from primalcount.errors import DegenerateConeError
     with pytest.raises(DegenerateConeError):
         SimplicialCone(apex=(0, 0), rays=((1, 0), (2, 0)))
+
+
+# ---------------------------------------------------------------------------
+# shortcuts at simple vertices against the general path
+
+
+def random_box_with_cuts(rng, d, cuts):
+    """A box with sides in [0, 9] and `cuts` random cuts, as count-random
+    draws them, unfiltered: it may be empty or lower-dimensional."""
+    A, b = [], []
+    for j in range(d):
+        for sign in (1, -1):
+            A.append(tuple(sign * (i == j) for i in range(d)))
+            b.append(rng.randint(0, 9))
+    for _ in range(cuts):
+        cut = tuple(rng.randint(-9, 9) for _ in range(d))
+        if any(cut):
+            A.append(cut)
+            b.append(rng.randint(-9, 9))
+    return HPolytope(A=tuple(A), b=tuple(b))
+
+
+CUBE_ROWS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+
+
+@cache
+def shortcut_corpus():
+    """Bounded full-dimensional polytopes with their vertices: boxes with
+    0-3 cuts in d = 2..4, and degenerate vertices: the octahedron, a
+    square pyramid's apex, the cube [0, 4]^3 with a duplicated row, a
+    rescaled copy 2y <= 8 and the redundant cut x + y + z <= 12 through
+    (4, 4, 4) (tests/data/cube_redundant.txt), and a square with a
+    duplicated and a rescaled row."""
+    rng = random.Random(2718)
+    polytopes = [random_box_with_cuts(rng, 2 + k % 3, k % 4) for k in range(240)]
+    polytopes += [
+        cross_polytope(3, 1),
+        HPolytope(A=((0, 0, -1), (-1, 0, 1), (0, -1, 1), (1, 0, 1), (0, 1, 1)),
+                  b=(0, 0, 0, 2, 2)),
+        HPolytope(A=CUBE_ROWS + ((1, 0, 0), (0, 2, 0), (1, 1, 1)),
+                  b=(4, 0, 4, 0, 4, 0, 4, 8, 12)),
+        HPolytope(A=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 0), (3, 0)),
+                  b=(2, 0, 2, 0, 2, 6)),
+    ]
+    corpus = []
+    for P in polytopes:
+        try:
+            vertices = enumerate_vertices(P)
+        except (UnboundedError, NotFullDimensionalError):
+            continue
+        if vertices:
+            corpus.append((P, vertices))
+    return corpus
+
+
+def rays_by_adjacency_test(P):
+    """Each vertex point's edge directions, with every pair of extreme rays
+    of the homogenized cone tested by _adjacent, simple vertices too."""
+    d = P.dim
+    _, rays, masks = _generators([(*row, -bi) for row, bi in zip(P.A, P.b)]
+                                 + [(0,) * d + (-1,)])
+    found = {}
+    for k, (*x, t) in enumerate(rays):
+        edges = {vec_primitive(tuple(t * a - s * b for a, b in zip(y, x)))
+                 for j, (*y, s) in enumerate(rays)
+                 if j != k and polytope._adjacent(masks, masks[j] & masks[k], d - 1)}
+        found[tuple(Fraction(a, t) for a in x)] = tuple(sorted(edges))
+    return found
+
+
+def test_popcount_edges_match_the_adjacency_test():
+    # a simple vertex takes every vertex sharing d - 1 tight rows as a
+    # neighbour, any other vertex runs _adjacent; both give the same rays
+    simple = other = 0
+    for P, vertices in shortcut_corpus():
+        assert {v.point: v.rays for v in vertices} == rays_by_adjacency_test(P), P
+        assert [v.point for v in vertices] == sorted(v.point for v in vertices)
+        for v in vertices:
+            if len(v.tight) == P.dim:
+                simple += 1
+                assert len(v.rays) == P.dim
+            else:
+                other += 1
+    assert simple > 1000 and other > 20
+
+
+def test_simplicial_vertex_cones_from_rows_match_eliminated_cones():
+    # a cone with d rays and d normals is one piece, with the normals
+    # and index that one elimination of its rays gives
+    from_rows = 0
+    for P, vertices in shortcut_corpus():
+        for v in vertices:
+            C = vertex_cone(P, v)
+            pieces = triangulate(C)
+            if len(C.normals) == P.dim:
+                from_rows += 1
+                assert polytope._from_rows(C) is not None
+                assert len(pieces) == 1
+            if len(pieces) == 1:
+                fresh = SimplicialCone(apex=C.apex, rays=C.rays)
+                assert pieces[0] == fresh
+                assert (pieces[0].normals, pieces[0].index) == (fresh.normals,
+                                                               fresh.index)
+    assert from_rows > 1000
+
+
+@pytest.mark.parametrize("rays, normals, from_rows", [
+    # facet rows of any positive scale give the eliminated normals
+    (((1, 2), (1, 0)), ((-4, 2), (0, -3)), True),
+    (((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+     ((1, -1, -1), (-1, 1, -1), (-1, -1, 1)), True),
+    # rows that do not pair one per ray leave the cone to elimination
+    (((0, 1), (1, 0)), ((-1, 0), (-1, -1)), False),
+    (((0, 1), (1, 0)), ((-1, 0), (-2, 0)), False),
+    (((0, 1), (1, 0)), ((1, 0), (0, -1)), False),
+])
+def test_simplicial_cone_rows_that_do_not_pair_fall_back(rays, normals, from_rows):
+    C = ClosedCone(apex=(0,) * len(rays), rays=rays, normals=normals)
+    assert (polytope._from_rows(C) is not None) == from_rows
+    (piece,) = triangulate(C)
+    fresh = SimplicialCone(apex=C.apex, rays=rays)
+    assert (piece.rays, piece.normals, piece.index) == (fresh.rays, fresh.normals,
+                                                        fresh.index)
+
+
+def test_simple_vertex_cones_are_not_eliminated(monkeypatch):
+    # the vertex cones of simple vertices of count-random-style boxes with
+    # cuts are built from their rows: no adjugate is taken
+    rng = random.Random(5)
+    cones = []
+    for k in range(120):
+        P = random_box_with_cuts(rng, 3, k % 4)
+        try:
+            vertices = enumerate_vertices(P)
+        except NotFullDimensionalError:
+            continue
+        cones += [vertex_cone(P, v) for v in vertices if len(v.tight) == 3]
+    calls = []
+
+    def counted(M):
+        calls.append(1)
+        return adjugate_int(M)
+
+    monkeypatch.setattr(polytope, "adjugate_int", counted)
+    pieces = [piece for C in cones for piece in triangulate(C)]
+    assert len(pieces) == len(cones) > 500
+    assert calls == []
