@@ -4,7 +4,10 @@ Each cone contributes a term: the lattice points of its fundamental
 parallelepiped as numerator exponents over the product of (1 - z^ray)
 denominators.  There is one point per residue class of the rays'
 lattice, and the box spanned by the diagonal of the rays' Hermite form
-holds one of each; _box_columns is the one walk of that box.  Lattice
+holds one of each (_box_columns).  When a unit vector e_i generates the
+group of residue classes, its multiples t e_i, t = 0..index-1, hold one
+of each too, and everything a count needs is an arithmetic progression
+in t (_walk); only a leaf with no such e_i walks its Hermite box.  Lattice
 point counts come out by specializing the sum of all terms at z = 1,
 which every single term has as a pole: substituting z = t^mu for a
 direction mu that kills no denominator, then t = 1 + u, turns a term's
@@ -13,8 +16,8 @@ integer combination of its numerator's binomial sums (_leaf_weights).
 specialize_at_one reads it for built terms (gf_term, GenFun).
 Counting decomposes cones only down to index DEFAULT_MAX_INDEX, as
 LattE does, and CompiledLeaves is the one leaf counter.  It walks each
-leaf's box once, without its apex, and keeps each facet's rounding as
-one integer row, affine in the parameters of its group's apex map
+leaf's residues once, without its apex, and keeps each facet's rounding
+as one integer row, affine in the parameters of its group's apex map
 v(q) = M q + c.  A facet whose row has no parameter part rounds the same
 at every parameter point, so it is rounded once when compiling.  A leaf
 that moves with q through the floors f_j = index Q_j + r_j of its moving
@@ -27,8 +30,8 @@ moving facet, or at index 1, compiling fills every row
 needs it (_GridRows).
 A count at a parameter point is then one dot product and one floor
 division per moving facet, one table row per tabulated leaf, and
-integer sums over the box of each remaining leaf, building no point,
-apex or term.  count_leaves counts fixed apexes as maps with no
+integer sums over the residues of each remaining leaf, building no
+point, apex or term.  count_leaves counts fixed apexes as maps with no
 parameters, so all its work is compiling.  The parametric module
 compiles each vertex's leaves once per direction mu, and a chamber
 counts as the CompiledSum of its active vertices' programs, which
@@ -49,10 +52,10 @@ from .linalg import smith_normal_form  # noqa: F401
 from .polytope import HPolytope, enumerate_vertices, vertex_cone
 
 # The index at which counting stops decomposing a cone and walks its
-# Hermite box instead.  Measured on random boxes, skew simplices and a
+# residues instead.  Measured on random boxes, skew simplices and a
 # parametric sweep (README, "--max-index"): with a leaf's share summed
-# over its box, a box point costs far less than a split, and 200 was the
-# fastest of L = 1, 20, 50, 100, 200 on fixed counts; the sweep does not
+# over its residues, a residue costs far less than a split, and 200 was
+# the fastest of L = 1, 20, 50, 100, 200 on fixed counts; the sweep does not
 # tell 20 to 200 apart.
 DEFAULT_MAX_INDEX = 200
 
@@ -79,10 +82,12 @@ def _box_columns(cone: HalfOpenCone, rows):
     The box 0 <= k_i < h_i, with h the diagonal of the Hermite form of
     the ray rows (linalg.hermite_diagonal), holds one lattice point k per
     residue class of the rays' lattice; an index-1 cone has only k = 0
-    and needs no Hermite form.  Returns one list per affine row (e, c) of
-    rows, holding e . k + c over the whole box; every list runs in the
-    same order, the last axis fastest, and is its value at k = 0 spread
-    over the box one axis at a time.
+    and needs no Hermite form.  parallelepiped_points walks it for every
+    leaf, and CompiledLeaves only for a leaf whose group of residue
+    classes no unit vector generates (_walk).  Returns one list per
+    affine row (e, c) of rows, holding e . k + c over the whole box;
+    every list runs in the same order, the last axis fastest, and is its
+    value at k = 0 spread over the box one axis at a time.
     """
     columns = [[c] for _, c in rows]
     if cone.base.index > 1:
@@ -92,6 +97,53 @@ def _box_columns(cone: HalfOpenCone, rows):
                     steps = [t * e[i] for t in range(size)]
                     columns[j] = [v + s for v in columns[j] for s in steps]
     return columns
+
+
+def _walk(cone: HalfOpenCone, mu, shift, fixed, normals):
+    """(Ns, columns) over one point k per residue class of a leaf's
+    rays' lattice: Ns holds N = <mu, k> + shift with each fixed facet
+    folded in, and columns holds normals[j] . k for each moving normal.
+
+    fixed holds (normal, g, f) per fixed facet, which moves each N by
+    -g ((f - normal . k) // index), as _moved does.  A point x lies in
+    the rays' lattice exactly when normals[j] . x = 0 (mod index) for
+    every facet j, so the unit vector e_i has order
+    index // gcd(index, column i of the normals) in the group of
+    residue classes.  When that gcd is 1, e_i generates the group and
+    k = t e_i for t = 0..index-1 is one point per class: N, each
+    normal . k and each fixed facet's f - normal . k are arithmetic
+    progressions in t, so the walk builds no Hermite form and no column
+    per fixed facet, and a fixed facet with normal[i] = 0 moves every N
+    alike.  A leaf with no such e_i, whose group is not cyclic or is
+    generated by no unit vector, walks its Hermite box (_box_columns).
+    """
+    base = cone.base
+    index = base.index
+    for i in range(len(mu)):
+        if gcd(index, *(n[i] for n in base.normals)) == 1:
+            break
+    else:
+        columns = _box_columns(cone, [(n, 0) for n, _, _ in fixed]
+                               + [(n, 0) for n in normals] + [(mu, shift)])
+        Ns = columns.pop()
+        for (_, g, f), column in zip(fixed, columns):
+            Ns = _moved(Ns, g, f, column, index)
+        return Ns, columns[len(fixed):]
+    Ns = _progression(shift, mu[i], index)
+    for n, g, f in fixed:
+        a = n[i]
+        if a:
+            Ns = [N - g * (x // index)
+                  for N, x in zip(Ns, range(f, f - index * a, -a))]
+        elif f // index:
+            drop = g * (f // index)
+            Ns = [N - drop for N in Ns]
+    return Ns, [_progression(0, n[i], index) for n in normals]
+
+
+def _progression(start, step, count):
+    """start + t step for t = 0..count-1."""
+    return range(start, start + count * step, step) if step else [start] * count
 
 
 def parallelepiped_points(cone: HalfOpenCone, apex):
@@ -247,7 +299,8 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
 
 def _box_sums(Ns, order):
     """[S_0, ..., S_order], with S_t the sum of C(N, t) over the values N
-    of a box, from the falling factorials N (N-1) ... (N-t+1) over t!."""
+    of a box, one per residue (_walk), from the falling factorials
+    N (N-1) ... (N-t+1) over t!."""
     S = [len(Ns), sum(Ns)]
     falling, fact = Ns, 1
     for t in range(2, order + 1):
@@ -266,14 +319,14 @@ def _row(u, S):
 
 def _moved(Ns, g, f, column, index):
     """Ns with each N moved by -g ((f - v) // index), v from column: the
-    rounding of one facet at f over the box."""
+    rounding of one facet at f over the residues."""
     return [N - g * ((f - v) // index) for N, v in zip(Ns, column)]
 
 
 def _residue_table(u, Ns, column, g, index):
     """The rows W(r), r = 0..index-1, of a leaf whose one moving facet
-    has gain g and the column v(k) = normals . k over the box, with Ns
-    the leaf's column of N with every fixed facet folded in.
+    has gain g and the column v(k) = normals . k over the residues, with
+    Ns the leaf's column of N with every fixed facet folded in.
 
     With f = index Q + r, 0 <= r < index, the facet moves the point of
     residue k to N = B_k(r) + X for B_k(r) = N_k - g ((r - v_k) // index)
@@ -314,10 +367,11 @@ def _residue_table(u, Ns, column, g, index):
 
 class _GridRows(dict):
     """The rows of a leaf with several moving facets, keyed by cell, each
-    filled the first time a count needs it by one walk of the box.
+    filled the first time a count needs it by one walk of the residues.
 
     gains, columns and ranks hold per moving facet its gain, its column
-    v(k) = normals . k over the box, and its rank array (_grid_ranks).
+    v(k) = normals . k over the residues, and its rank array
+    (_grid_ranks).
     The cell's coordinate c on a facet is how many distinct nonzero
     residues v_k mod index are at most r, and every r with the same c
     gives the same B_k(r) (_residue_table).  So the row is the one at
@@ -387,9 +441,12 @@ class CompiledLeaves:
     generic_directions over all leaf rays.  A share depends only on the
     leaf, its map and mu, so programs compiled under one mu add up
     (CompiledSum) once they count over one denominator (rescale).  Each
-    leaf is walked once (_box_columns), with no apex, into integer
-    columns over its Hermite box: normals[j] . k for each facet j and
-    c(k) = <mu, k> + shift.  Its share's weights (_leaf_weights, computed
+    leaf is walked once (_walk), with no apex, over one point k per
+    residue class: the multiples t e_i of a unit vector that generates
+    the leaf's group of residue classes, or else its Hermite box
+    (_box_columns).  The walk gives the integer columns
+    c(k) = <mu, k> + shift and normals[j] . k for each moving facet j.
+    Its share's weights (_leaf_weights, computed
     once per multiset of |gains| by _signed_weights) are scaled to one
     common denominator, self.denominator, the lcm of the leaves' own.
 
@@ -400,11 +457,13 @@ class CompiledLeaves:
     point of residue k is k - sum_j ((f_j - normals[j] . k) // index)
     rays[j].  So N = <mu, point> + shift is c(k) -
     sum_j g_j ((f_j - normals[j] . k) // index) with g_j = <mu, rays[j]>,
-    and the binomial sums of the N over the box (_box_sums) times the
+    and the binomial sums of the N over the residues (_box_sums) times the
     weights are the share.  A facet whose row has no parameter part is
     fixed: for every D >= 1, f_j = (c_j D - s_j) // (m D) = (c_j - s_j)
     // m with c_j the row's last entry, so its term is folded into c(k)
-    here, once.  Only the moving facets, with their rows, flags and
+    during the walk, once; along e_i, f_j - normals[j] . k is the
+    progression f_j - t normals[j][i], and the walk builds no column for
+    the facet.  Only the moving facets, with their rows, flags and
     gains, are kept for count.  A leaf with no moving facet adds its
     whole share to the constant self.constant and keeps nothing; with
     p = 0 every facet is fixed, so a fixed count is all compiled here and
@@ -440,24 +499,23 @@ class CompiledLeaves:
                 base = leaf.base
                 index = base.index
                 gains = [sum(map(mul, mu, ray)) for ray in base.rays]
-                rows = [(n, 0) for n in base.normals]
-                rows.append((mu, sum(-g for g in gains if g < 0)))
-                columns = _box_columns(leaf, rows)
-                Ns = columns.pop()
-                moving = []
-                for n, s, g, column in zip(base.normals, leaf.sigma, gains, columns):
+                fixed, moving, normals = [], [], []
+                for n, s, g in zip(base.normals, leaf.sigma, gains):
                     row = [sum(map(mul, n, col)) for col in mcols]
                     cn = sum(map(mul, n, c))
                     if any(row):
-                        moving.append(((*row, cn), s < 0, g, column))
+                        moving.append(((*row, cn), s < 0, g))
+                        normals.append(n)
                     else:
-                        Ns = _moved(Ns, g, (cn - (s < 0)) // m, column, index)
+                        fixed.append((n, g, (cn - (s < 0)) // m))
+                Ns, columns = _walk(leaf, mu, sum(-g for g in gains if g < 0),
+                                    fixed, normals)
                 u, den = _signed_weights(cache, gains, eps)
                 if not moving:
                     shares.append((sum(map(mul, u, _box_sums(Ns, len(u) - 1))), den))
                     continue
                 weights.append((u, den))
-                facets, strict, moving_gains, columns = zip(*moving)
+                facets, strict, moving_gains = zip(*moving)
                 if len(moving) > 1 and index > 1:
                     ranks = _grid_ranks(columns, index, max_index)
                     rows = ranks and _GridRows(u, Ns, moving_gains, columns,

@@ -126,15 +126,6 @@ class Chamber:
     sample: tuple  # interior point
 
 
-def _integer_row(g, h):
-    """Scale a rational inequality g . q <= h to a primitive integer normal."""
-    g, h = integral_row(g, h)
-    common = gcd(*g)
-    if common > 1:
-        return tuple(x // common for x in g), h / common
-    return g, h
-
-
 def enumerate_parametric_vertices(pp: ParametricPolytope):
     """The vertex maps of the family whose activity regions are
     full-dimensional, in sorted (M, c) order.
@@ -156,7 +147,7 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
     with Q's and only their facets kept (_region), and the q-independent
     cone of its tight rows.  The activity rows A_i M - E_i <= f_i - A_i c
     are formed times |det| from adj E_B and adj f_B, in integers once f
-    is scaled to integers, and then made primitive (_integer_row).
+    is scaled to integers, and then made primitive.
     Raises UnboundedError when the family has a recession direction,
     read off the generators of {x : A x <= 0} without an LP, and
     NotFullDimensionalError when some vertex map forces the polytope
@@ -194,7 +185,9 @@ def enumerate_parametric_vertices(pp: ParametricPolytope):
                        for col, e in zip(adj_e_cols, erow))
             if any(gq):
                 rhs = scale * fi - sign * dot(arow, adj_f)
-                rows.append(_integer_row(gq, Fraction(rhs, fden)))
+                common = gcd(*gq)
+                rows.append((tuple(x // common for x in gq),
+                             Fraction(rhs, fden * common)))
         rows += qrows
         activity = _region(rows, _generators(_homogenized_rows(rows, p)), p)
         normals = tuple(pp.A[i] for i in tight)
@@ -376,34 +369,43 @@ def _homogenized_rows(rows, p):
 
 
 def _region(rows, generators, p):
-    """The closed region of the rows (g, h), g . q <= h, with only its
-    facet rows, for a full-dimensional region in R^p.
+    """The closed region of the rows (g, h), g . q <= h with g integral,
+    with only its facet rows, for a full-dimensional region in R^p.
 
     generators are those of the region's homogenized cone
     (_generators of _homogenized_rows(rows, p)).  A row is a facet
     exactly when the generators tight on it, the lines and the rays
     whose mask holds the row, have rank p.  Rows on one facet resolve
     the way an LP redundancy pass in row order does: exact duplicates
-    keep the first, rescaled copies (equal _integer_row keys) keep the
-    last.
+    keep the first, rescaled copies (equal _row_key keys) keep the
+    last.  Rows with one key are positive multiples of each other, so
+    their normals tell them apart.
     """
     lines, rays, masks = generators
-    facets = {}  # each facet row, first occurrence, to its _integer_row key
+    facets = {}  # _row_key -> {normal: (first position, row)} in row order
     for i, row in enumerate(rows):
-        if row not in facets:
-            tight = lines + [r for r, z in zip(rays, masks) if z >> (i + 1) & 1]
-            if len(tight) >= p and len(_first_basis(tight)) == p:
-                facets[row] = _integer_row(*row)
-    last = {key: row for row, key in facets.items()}
-    kept = [row for row, key in facets.items() if last[key] == row]
-    return HalfOpenPolyhedron.from_inequalities([g for g, _ in kept],
-                                                [h for _, h in kept])
+        tight = lines + [r for r, z in zip(rays, masks) if z >> (i + 1) & 1]
+        if len(tight) >= p and len(_first_basis(tight)) == p:
+            facets.setdefault(_row_key(*row), {}).setdefault(row[0], (i, row))
+    kept = sorted(next(reversed(copies.values())) for copies in facets.values())
+    return HalfOpenPolyhedron(rows=tuple((g, h, False) for _, (g, h) in kept))
+
+
+def _row_key(g, h):
+    """The row g . q <= h, g integral and nonzero, as integers
+    (g', num, den): g' = g / gcd(g) and num / den = h / gcd(g) in lowest
+    terms.  Rows share a key exactly when they are positive multiples of
+    each other, and a primitive row is keyed without Fraction arithmetic."""
+    common = gcd(*g)
+    if common > 1:
+        g, h = tuple(x // common for x in g), Fraction(h, common)
+    return g, h.numerator, h.denominator
 
 
 def _walls(chambers):
-    """The _integer_row keys of the closed chambers' rows.
+    """The _row_key keys of the closed chambers' rows.
 
-    An opened row (g, h) is a wall when _integer_row(-g, -h) is a key.
+    An opened row (g, h) is a wall when _row_key(-g, -h) is a key.
     The chambers are the full-dimensional cells of one hyperplane
     arrangement inside Q, and their closures cover a convex set, the
     closure of {q in Q : P_q full-dimensional}, which is a projection.
@@ -411,7 +413,7 @@ def _walls(chambers):
     beyond every relative-interior point of every facet on it.  Keys
     are compared because Q's rows are not made primitive.
     """
-    return {_integer_row(g, h) for ch in chambers for g, h, _ in ch.region.rows}
+    return {_row_key(g, h) for ch in chambers for g, h, _ in ch.region.rows}
 
 
 def _opening(chambers, y_q=None):
@@ -438,7 +440,7 @@ def _halfopen_region(region, y_q, walls):
     """
     opened = exactify([g for g, _, _ in region.rows], y_q)
     return HalfOpenPolyhedron(rows=tuple(
-        (g, h, strict and _integer_row(tuple(-x for x in g), -h) in walls)
+        (g, h, strict and _row_key(tuple(-x for x in g), -h) in walls)
         for (g, h, _), strict in zip(region.rows, opened)))
 
 
@@ -496,7 +498,8 @@ def _split_tree(chambers, walls, y_q):
     """
     if not chambers:
         return None
-    hyperplanes = sorted({_oriented(g, h) for g, h in walls})
+    hyperplanes = sorted({_oriented(g, Fraction(num, den))
+                          for g, num, den in walls})
     points = [(*z, D) for D, z in (_int_row(ch.sample) for ch in chambers)]
 
     def split(ks, i):

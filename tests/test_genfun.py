@@ -160,7 +160,8 @@ def test_parallelepiped_matches_fraction_reference():
 
 
 def test_no_smith_form_for_any_index(monkeypatch):
-    # Residue classes come from the Hermite box at every index: with every
+    # Residue classes come from a unit generator or the Hermite box at
+    # every index: with every
     # binding of smith_normal_form made to raise, the walk still gives the
     # sorted points of the Smith-walk reference on cones of index 1..30
     # with rational apexes and mixed flags, and fixed counts, both
@@ -271,6 +272,13 @@ def test_specialize_rejects_orthogonal_direction():
 
 def specialize_reference(g, direction):
     """Independent specialization at z = 1 by Fraction series division."""
+    total = sum(reference_share(term, direction) for term in g.terms)
+    assert total.denominator == 1
+    return int(total)
+
+
+def reference_share(term, direction):
+    """One term's share of specialize_reference, a Fraction."""
     def binomials(N, order):
         out = [1]
         for k in range(1, order + 1):
@@ -294,23 +302,19 @@ def specialize_reference(g, direction):
             q[k] = acc / den[0]
         return q
 
-    d = len(g.terms[0].denominator_rays)
-    total = Fraction(0)
-    for term in g.terms:
-        exps = [dot(direction, b) for b in term.denominator_rays]
-        shift = sum(-e for e in exps if e < 0)
-        nneg = sum(1 for e in exps if e < 0)
-        sgn = term.sign * (-1 if (nneg + d) % 2 else 1)
-        num = [Fraction(0)] * (d + 1)
-        for p in term.numerator_exponents:
-            for k, c in enumerate(binomials(dot(direction, p) + shift, d)):
-                num[k] += c
-        H = [Fraction(1)]
-        for e in exps:
-            H = mul_trunc(H, [Fraction(c) for c in binomials(abs(e), d + 1)[1:]], d)
-        total += sgn * div_trunc(num, H, d)[d]
-    assert total.denominator == 1
-    return int(total)
+    d = len(term.denominator_rays)
+    exps = [dot(direction, b) for b in term.denominator_rays]
+    shift = sum(-e for e in exps if e < 0)
+    nneg = sum(1 for e in exps if e < 0)
+    sgn = term.sign * (-1 if (nneg + d) % 2 else 1)
+    num = [Fraction(0)] * (d + 1)
+    for p in term.numerator_exponents:
+        for k, c in enumerate(binomials(dot(direction, p) + shift, d)):
+            num[k] += c
+    H = [Fraction(1)]
+    for e in exps:
+        H = mul_trunc(H, [Fraction(c) for c in binomials(abs(e), d + 1)[1:]], d)
+    return sgn * div_trunc(num, H, d)[d]
 
 
 def random_box_with_cuts(rng, d):
@@ -379,7 +383,8 @@ def halfopen_simplex_count(apex, rays, strict):
 
 
 def test_count_leaves_matches_specialized_terms():
-    # count_leaves sums each leaf's share over its Hermite box;
+    # count_leaves sums each leaf's share over its residues, along a
+    # unit generator or through its Hermite box (genfun._walk);
     # it must equal specialize_at_one of the leaves' gf_terms and the
     # scanned count.  Each case is a signed sum of half-open simplices
     # with a common rational vertex; by Brion's theorem a simplex is the
@@ -388,7 +393,8 @@ def test_count_leaves_matches_specialized_terms():
     # apex group.  Indices reach 300, above the default max_index, and
     # unimodular cones, scaled ones (Hermite diagonal c, ..., c) and
     # random ones with several Hermite entries above 1 all occur; the
-    # multi-axis boxes are where a wrong walk would show.
+    # multi-axis boxes, whether walked along a unit generator or not,
+    # are where a wrong walk would show.
     rng = random.Random(71)
     spans = {2: 15, 3: 6, 4: 3}
     seen = {"unimodular": 0, "above_default": 0, "multi_axis": 0, "mixed": 0,
@@ -462,6 +468,83 @@ def test_count_leaves_matches_specialized_terms():
     assert seen["multi_axis"] >= 200 and seen["mixed"] >= 300
     assert seen["twin_index"] >= 50
     assert seen["den"] == set(range(1, 8)) and seen["eps"] == {1, -1}
+
+
+def residue_group(rays):
+    """The kind of the group Z^d / lattice(rays), by Fractions.
+
+    The order of e_i is the lcm of the denominators of its coordinates
+    in the rays; the group is cyclic when its Smith form has at most one
+    entry above 1."""
+    index = abs(det(transpose(rays)))
+    if index == 1:
+        return "index 1"
+    orders = [lcm(*(x.denominator for x in solve(transpose(rays), e)))
+              for e in identity(len(rays))]
+    if index in orders:
+        axes = sum(h > 1 for h in linalg.hermite_diagonal(rays))
+        return "generator, one axis" if axes == 1 else "generator, several axes"
+    if sum(s > 1 for s in smith_normal_form(rays).s) == 1:
+        return "cyclic, no unit generator"
+    return "not cyclic"
+
+
+def test_leaves_walk_a_unit_generator_or_their_hermite_box(monkeypatch):
+    # One leaf at a time at a fractional apex, with mixed strict flags,
+    # compiled as a fixed count: its share, the compiled constant over
+    # the compiled denominator, must equal the share of its gf_term, whose
+    # points come from its Hermite box, in the Fraction reference of
+    # specialize_at_one.  A leaf walks along a unit vector e_i when e_i
+    # generates Z^d / lattice(rays), and then builds no Hermite form; a
+    # leaf whose group is not cyclic, or is cyclic with no unit
+    # generator, walks its Hermite box.  Every kind of leaf occurs, with
+    # gains <mu, ray> of both signs, and direction mu of both kinds: the
+    # first generic one and one with a zero entry.
+    herm = []
+    real = genfun.hermite_diagonal
+    monkeypatch.setattr(genfun, "hermite_diagonal",
+                        lambda rays: herm.append(rays) or real(rays))
+    rng = random.Random(37)
+    fixed = [((2, 0, 0), (0, 2, 0), (0, 0, 1)), ((2, 0), (0, 3)),
+             ((1, 0, 0), (0, 1, 0), (1, 2, 5)), ((2, 1), (0, 3)),
+             ((1, 2, 0), (0, 1, 0), (0, 0, 1))]
+    seen = {}
+    signs, zeros = set(), set()
+    case = 0
+    while case < len(fixed) or min(seen.values()) < 40 or len(seen) < 5:
+        if case < len(fixed):
+            rays = fixed[case]
+        else:
+            d = rng.choice((2, 3, 4))
+            rays = tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d))
+            if not 0 < abs(det(transpose(rays))) <= 40:
+                continue
+        case += 1
+        d = len(rays)
+        kind = residue_group(rays)
+        seen[kind] = seen.get(kind, 0) + 1
+        sigma = rng.sample([1, -1] + [rng.choice((1, -1)) for _ in range(d - 2)], d)
+        leaf = hoc(rays, sigma)
+        den = rng.randint(2, 7)
+        apex = tuple(Fraction(rng.randint(-6 * den, 6 * den), den) for _ in range(d))
+        q, a = linalg._int_row(apex)
+        eps = rng.choice((1, -1))
+        mu = next(generic_directions(rays))
+        if case % 2:
+            # a direction with a zero entry, where one pairs with every ray
+            mu = next((m for m in product(range(-3, 4), repeat=d)
+                       if 0 in m and all(dot(m, r) for r in rays)), mu)
+        signs.update(dot(mu, r) > 0 for r in rays)
+        zeros.add(0 in mu)
+        del herm[:]
+        compiled = CompiledLeaves([[(eps, leaf)]], [((), a, q)], mu=mu)
+        assert herm == ([] if kind.startswith(("index", "generator")) else [rays])
+        assert compiled.groups == []
+        want = reference_share(gf_term(leaf, apex, eps), mu)
+        assert Fraction(compiled.constant, compiled.denominator) == want, \
+            (rays, sigma, apex, mu)
+    assert signs == zeros == {True, False}
+    assert len(seen) == 5 and min(seen.values()) >= 40
 
 
 @pytest.mark.parametrize("max_index", [1, 20])

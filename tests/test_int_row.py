@@ -24,7 +24,7 @@ from primalcount.linalg import _int_row, adjugate_int, as_int, is_zero_vec, vec_
 from primalcount.parametric import (
     ParametricPolytope,
     _integer_map,
-    _integer_row,
+    _row_key,
     enumerate_parametric_vertices,
 )
 from primalcount.polytope import HPolytope
@@ -177,15 +177,19 @@ def test_integral_row_matches_reference():
         assert_same(integral_row(row, rhs), integral_row_reference(row, rhs))
 
 
-def test_integer_row_matches_reference():
+def test_row_key_matches_reference():
+    # _row_key takes the integer rows that integral_row makes and keys
+    # them by the primitive row of the reference, as integers
     rng = random.Random(4)
     for row in random_rows(4, 400, 4):
         if is_zero_vec(row):
             continue
         h = random_entry(rng, "mixed")
-        assert_same(_integer_row(row, h), integer_row_reference(row, h))
-    # a common factor of the scaled normal is divided out of both sides
-    assert _integer_row((Fraction(2, 3), Fraction(4, 3)), 1) == ((1, 2), Fraction(3, 2))
+        g, hp = integer_row_reference(row, h)
+        assert_same(_row_key(*integral_row(row, h)), (g, hp.numerator, hp.denominator))
+    # a common factor of the normal is divided out of both sides
+    assert _row_key((2, 4), Fraction(3)) == ((1, 2), 3, 2)
+    assert _row_key((2, 4), Fraction(3)) == _row_key((1, 2), Fraction(3, 2))
 
 
 def test_integer_map_matches_reference():

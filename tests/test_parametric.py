@@ -7,6 +7,7 @@ import tracemalloc
 from functools import cache
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,6 @@ from primalcount.parametric import (
     ParametricAnalysis,
     ParametricPolytope,
     ParametricVertex,
-    _integer_row,
     chambers_max_dim,
     enumerate_parametric_vertices,
     evaluate_count,
@@ -677,7 +677,8 @@ class TestCompiledChambers:
                                 counted("smith", module.smith_normal_form))
         monkeypatch.setattr(genfun, "parallelepiped_points",
                             counted("pp", genfun.parallelepiped_points))
-        monkeypatch.setattr(genfun, "_box_columns", counted("walk", genfun._box_columns))
+        monkeypatch.setattr(genfun, "_walk", counted("walk", genfun._walk))
+        monkeypatch.setattr(genfun, "_box_columns", counted("box", genfun._box_columns))
         monkeypatch.setattr(parametric, "CompiledLeaves",
                             counted("compile", parametric.CompiledLeaves))
         counts = [evaluate_count(pp, q, max_index=max_index)
@@ -686,8 +687,9 @@ class TestCompiledChambers:
         assert sum(counts) > 0
         evaluate_count(pp, (7, 9), max_index=max_index, via="activities")
         # the walk counter does count (count_leaves walks each leaf's
-        # Hermite box without building its points); residue classes come
-        # from that box, so even the activities route takes no Smith form
+        # residues, along a unit generator or its Hermite box, without
+        # building its points), so even the activities route takes no
+        # Smith form
         assert "walk" in calls
         assert "smith" not in calls
 
@@ -1443,6 +1445,15 @@ class TestWallRule:
 # vertex maps against the subset walk
 
 
+def primitive_row(g, h):
+    """The rational row g . q <= h scaled to a primitive integer normal,
+    by Fraction arithmetic."""
+    scale = lcm(*(Fraction(x).denominator for x in g))
+    gi = [int(Fraction(x) * scale) for x in g]
+    common = gcd(*gi)
+    return tuple(v // common for v in gi), Fraction(h) * scale / common
+
+
 def subset_walk_vertices(pp):
     """The vertex maps by the former walk over every d-subset of rows,
     kept when their activity region has an interior point.
@@ -1480,7 +1491,7 @@ def subset_walk_vertices(pp):
                     tight.append(i)
                 feasible = feasible and rhs >= 0
                 continue
-            rows.append(_integer_row(gq, rhs))
+            rows.append(primitive_row(gq, rhs))
         all_rows = [(g, h) for g, h in rows] + [(g, h) for g, h, _ in pp.qset.rows]
         A_act = [g for g, _ in all_rows]
         b_act = [h for _, h in all_rows]
