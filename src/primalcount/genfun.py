@@ -17,7 +17,7 @@ specialize_at_one reads it for built terms (gf_term, GenFun).
 Counting decomposes cones only down to index DEFAULT_MAX_INDEX, as
 LattE does, and CompiledLeaves is the one leaf counter.  It walks each
 leaf's residues once, without its apex, and keeps each facet's rounding
-as one integer row, affine in the parameters of its group's apex map
+as one integer row, affine in the parameters of the leaf's apex map
 v(q) = M q + c.  A facet whose row has no parameter part rounds the same
 at every parameter point, so it is rounded once when compiling.  A leaf
 that moves with q through the floors f_j = index Q_j + r_j of its moving
@@ -27,15 +27,18 @@ Woods, and only through a cell of a small grid (_grid_ranks).  Such a
 leaf is tabulated when its grid has at most max_index cells: with one
 moving facet, or at index 1, compiling fills every row
 (_residue_table); with several, a row is filled the first time a count
-needs it (_GridRows).
-A count at a parameter point is then one dot product and one floor
-division per moving facet, one table row per tabulated leaf, and
-integer sums over the residues of each remaining leaf, building no
-point, apex or term.  count_leaves counts fixed apexes as maps with no
-parameters, so all its work is compiling.  The parametric module
+needs it (_GridRows).  Each leaf that moves is kept as one flat record,
+in one list of tabulated leaves and one of walked leaves, with each of
+its moving facets' row, strict flag, gain and rank (or column) zipped
+into one tuple when compiling.  A count at a parameter point is then
+one loop over each list: one dot product and one floor division per
+moving facet, one table row per tabulated leaf, and integer sums over
+the residues of each walked leaf, building no point, apex or term.
+count_leaves counts fixed apexes as maps with no parameters, so all its
+work is compiling.  The parametric module
 compiles each vertex's leaves once per direction mu, and a chamber
 counts as the CompiledSum of its active vertices' programs, which
-shares their rows and compiles nothing.
+joins their lists, shares their records and compiles nothing.
 """
 
 from dataclasses import dataclass
@@ -429,11 +432,11 @@ def _grid_ranks(columns, index, max_index):
 class CompiledLeaves:
     """Signed leaf cones with affine apexes, counted in integers.
 
-    groups holds one sequence of (sign, HalfOpenCone) per apex, as
+    leaf_sets holds one sequence of (sign, HalfOpenCone) per apex, as
     signed_decompose returns them, and maps one integer affine apex map
-    (M, c, m) per group: M holds d integer rows of p entries (or none
+    (M, c, m) per sequence: M holds d integer rows of p entries (or none
     when p = 0), c is an integer vector of length d and m a positive
-    integer.  At the parameter point z / D (integer z, D > 0) group i
+    integer.  At the parameter point z / D (integer z, D > 0) sequence i
     sits at apex (M z + D c) / (m D); a fixed apex a / q is the map
     ((), a, q), counted at z = () and D = 1.  One direction mu, generic
     for every leaf ray, makes the leaves' shares of specialize_at_one
@@ -481,20 +484,27 @@ class CompiledLeaves:
     Any other leaf's rows are filled on first use (_GridRows).  A leaf
     with more cells keeps its facet columns and its column of N, which
     count walks.  So no leaf holds more than max_index rows.
+
+    Each leaf with a moving facet is one flat record, whatever its
+    apex: self.tabled holds (m, facets, index, rows) per tabulated leaf,
+    facets a tuple of (row, strict, gain, rank) per moving facet, and
+    self.walked holds (m, facets, index, Ns, u) per walked leaf, facets a
+    tuple of (row, strict, gain, column).  Both are zipped once here, so
+    count is one loop over each list and builds no tuple per leaf.
     """
 
-    def __init__(self, groups, maps, max_index=DEFAULT_MAX_INDEX, mu=None):
+    def __init__(self, leaf_sets, maps, max_index=DEFAULT_MAX_INDEX, mu=None):
         if mu is None:
-            mu = next(generic_directions({ray for leaves in groups for _, leaf in leaves
+            mu = next(generic_directions({ray for leaves in leaf_sets
+                                          for _, leaf in leaves
                                           for ray in leaf.base.rays}))
-        self.groups = []
+        self.tabled, self.walked = [], []
         cache = {}  # sorted |gains| -> their _leaf_weights with sign 1
         weights = []  # (u, den) of each leaf with a moving facet
         shares = []  # (share times den, den) of each leaf without one
         tables = []  # (rows, u, Ns, column, g, index) to fill once u is scaled
-        for leaves, (M, c, m) in zip(groups, maps):
+        for leaves, (M, c, m) in zip(leaf_sets, maps):
             mcols = list(zip(*M))
-            tabled, walked = [], []
             for eps, leaf in leaves:
                 base = leaf.base
                 index = base.index
@@ -515,26 +525,26 @@ class CompiledLeaves:
                     shares.append((sum(map(mul, u, _box_sums(Ns, len(u) - 1))), den))
                     continue
                 weights.append((u, den))
-                facets, strict, moving_gains = zip(*moving)
                 if len(moving) > 1 and index > 1:
                     ranks = _grid_ranks(columns, index, max_index)
-                    rows = ranks and _GridRows(u, Ns, moving_gains, columns,
-                                               ranks, index)
+                    rows = ranks and _GridRows(u, Ns, [g for *_, g in moving],
+                                               columns, ranks, index)
                 elif index <= max_index:
                     # identity ranks, or one cell; rows filled once u is scaled
                     ranks = ((range(index),) if len(moving) == 1
                              else ((0,),) * len(moving))
                     rows = []
-                    tables.append((rows, u, Ns, columns[0], moving_gains[0], index))
+                    tables.append((rows, u, Ns, columns[0], moving[0][2], index))
                 else:
                     rows = None
                 if rows is None:
-                    walked.append((facets, strict, moving_gains, columns,
-                                   index, Ns, u))
+                    self.walked.append((m, tuple(
+                        (*facet, column) for facet, column in zip(moving, columns)),
+                        index, Ns, u))
                 else:
-                    tabled.append((facets, strict, moving_gains, index, ranks, rows))
-            if tabled or walked:
-                self.groups.append((m, tabled, walked))
+                    self.tabled.append((m, tuple(
+                        (*facet, rank) for facet, rank in zip(moving, ranks)),
+                        index, rows))
         # every weight and share over the common denominator L, in place
         self.denominator = L = lcm(*[den for _, den in weights],
                                    *[den for _, den in shares])
@@ -550,25 +560,24 @@ class CompiledLeaves:
         z / D: z an integer vector of length p, D a positive integer."""
         zD = (*z, D)
         total = self.constant
-        for m, tabled, walked in self.groups:
+        for m, facets, index, rows in self.tabled:
             mD = m * D
-            for facets, strict, gains, index, ranks, rows in tabled:
-                X = cell = 0
-                for row, s, g, rank in zip(facets, strict, gains, ranks):
-                    Q, r = divmod((sum(map(mul, row, zD)) - s) // mD, index)
-                    X -= g * Q
-                    cell += rank[r]
-                W = rows[cell]
-                total += W[0] + W[1] * X
-                binomial = X
-                for i in range(2, len(W)):
-                    binomial = binomial * (X - i + 1) // i
-                    total += W[i] * binomial
-            for facets, strict, gains, columns, index, Ns, u in walked:
-                for row, s, g, column in zip(facets, strict, gains, columns):
-                    Ns = _moved(Ns, g, (sum(map(mul, row, zD)) - s) // mD,
-                                column, index)
-                total += sum(map(mul, u, _box_sums(Ns, len(u) - 1)))
+            X = cell = 0
+            for row, s, g, rank in facets:
+                Q, r = divmod((sum(map(mul, row, zD)) - s) // mD, index)
+                X -= g * Q
+                cell += rank[r]
+            W = rows[cell]
+            total += W[0] + W[1] * X
+            binomial = X
+            for i in range(2, len(W)):
+                binomial = binomial * (X - i + 1) // i
+                total += W[i] * binomial
+        for m, facets, index, Ns, u in self.walked:
+            mD = m * D
+            for row, s, g, column in facets:
+                Ns = _moved(Ns, g, (sum(map(mul, row, zD)) - s) // mD, column, index)
+            total += sum(map(mul, u, _box_sums(Ns, len(u) - 1)))
         count, rem = divmod(total, self.denominator)
         assert rem == 0, "specialization must produce an integer"
         return count
@@ -579,36 +588,38 @@ class CompiledLeaves:
         leaf stay one tuple."""
         self.denominator *= factor
         self.constant *= factor
-        for _, tabled, walked in self.groups:
-            for *_, rows in tabled:
-                grid = isinstance(rows, _GridRows)
-                if grid:
-                    rows.u[:] = [factor * x for x in rows.u]
-                scaled = {}
-                for key in list(rows) if grid else range(len(rows)):
-                    W = rows[key]
-                    if W not in scaled:
-                        scaled[W] = tuple(factor * x for x in W)
-                    rows[key] = scaled[W]
-            for *_, u in walked:
-                u[:] = [factor * x for x in u]
+        for *_, rows in self.tabled:
+            grid = isinstance(rows, _GridRows)
+            if grid:
+                rows.u[:] = [factor * x for x in rows.u]
+            scaled = {}
+            for key in list(rows) if grid else range(len(rows)):
+                W = rows[key]
+                if W not in scaled:
+                    scaled[W] = tuple(factor * x for x in W)
+                rows[key] = scaled[W]
+        for *_, u in self.walked:
+            u[:] = [factor * x for x in u]
 
 
 class CompiledSum:
     """The sum of CompiledLeaves programs compiled under one mu and over
     one denominator, counted as one program.
 
-    It shares the programs' groups, so it compiles nothing and a count
-    costs what the programs' groups cost in one CompiledLeaves; a sum
-    made before a program is rescaled must be made again.
+    Its tabled and walked lists join the programs' lists and share their
+    records, so it compiles nothing and a count costs what the same
+    leaves cost in one CompiledLeaves.  rescale scales the records in
+    place, but the constant and denominator are copies: a sum made
+    before a program is rescaled must be made again.
     """
 
-    __slots__ = ("groups", "constant", "denominator")
+    __slots__ = ("tabled", "walked", "constant", "denominator")
 
     def __init__(self, programs):
         (self.denominator,) = {p.denominator for p in programs}
         self.constant = sum(p.constant for p in programs)
-        self.groups = [group for p in programs for group in p.groups]
+        self.tabled = [leaf for p in programs for leaf in p.tabled]
+        self.walked = [leaf for p in programs for leaf in p.walked]
 
     count = CompiledLeaves.count
 

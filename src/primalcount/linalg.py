@@ -94,10 +94,15 @@ def _int_row(row):
     row holds ints and Fractions (any numbers.Rational).  m is the lcm of
     their denominators and m * row a new list of ints, integral Fractions
     included, read from each entry's numerator and denominator without
-    Fraction arithmetic.  Any other entry, such as a float or a str,
+    Fraction arithmetic.  A row of ints alone is copied; the loop that
+    tells stops at the first other entry, so a row of Fractions pays
+    one type test for it.  Any other entry, such as a float or a str,
     raises TypeError.
     """
-    if all(isinstance(x, int) for x in row):
+    for x in row:
+        if type(x) is not int:
+            break
+    else:
         return 1, list(row)
     try:
         m = lcm(*[x.denominator for x in row])

@@ -417,10 +417,13 @@ def _walls(chambers):
 
 
 def _opening(chambers, y_q=None):
-    """(y_q, walls) that open both the chambers and the activity regions:
-    y_q, or else the first chamber's sample, moved off the rows of every
-    chamber and of every vertex active on one, which are all the vertices
-    (halfopen.perturbed_direction), and _walls(chambers)."""
+    """(y_q, y, walls) that open both the chambers and the activity
+    regions: y_q, or else the first chamber's sample, moved off the rows
+    of every chamber and of every vertex active on one, which are all the
+    vertices (halfopen.perturbed_direction); y = _int_row(y_q)[1], the
+    positive integer multiple of y_q that exactify and the split tree
+    test rows against, so every flag is the one y_q gives; and
+    _walls(chambers)."""
     regions = [ch.region for ch in chambers]
     # each vertex once, by identity: hashing a vertex hashes all its fields
     active = {id(v): v for ch in chambers for v in ch.active}
@@ -428,24 +431,25 @@ def _opening(chambers, y_q=None):
     seed = y_q if y_q is not None else chambers[0].sample
     y_q = perturbed_direction(seed, identity(len(seed)),
                               [g for region in regions for g, _, _ in region.rows])
-    return y_q, _walls(chambers)
+    return y_q, _int_row(y_q)[1], _walls(chambers)
 
 
-def _halfopen_region(region, y_q, walls):
-    """Open the region's wall facets against y_q; keep outer facets closed.
+def _halfopen_region(region, y, walls):
+    """Open the region's wall facets against y; keep outer facets closed.
 
-    A facet is a wall when a chamber lies directly beyond it (_walls);
-    walls that exactify opens against y_q become strict, so each wall
-    point stays in exactly one of the adjacent regions.
+    y is the integer opening direction of _opening.  A facet is a wall
+    when a chamber lies directly beyond it (_walls); walls that exactify
+    opens against y become strict, so each wall point stays in exactly
+    one of the adjacent regions.
     """
-    opened = exactify([g for g, _, _ in region.rows], y_q)
+    opened = exactify([g for g, _, _ in region.rows], y)
     return HalfOpenPolyhedron(rows=tuple(
         (g, h, strict and _row_key(tuple(-x for x in g), -h) in walls)
         for (g, h, _), strict in zip(region.rows, opened)))
 
 
-def _open_chambers(chambers, y_q, walls):
-    return [Chamber(region=_halfopen_region(ch.region, y_q, walls),
+def _open_chambers(chambers, y, walls):
+    return [Chamber(region=_halfopen_region(ch.region, y, walls),
                     active=ch.active, sample=ch.sample) for ch in chambers]
 
 
@@ -460,7 +464,7 @@ def halfopen_chambers(chambers, y_q=None):
     """
     if not chambers:
         return []
-    return _open_chambers(chambers, *_opening(chambers, y_q))
+    return _open_chambers(chambers, *_opening(chambers, y_q)[1:])
 
 
 def halfopen_activity_regions(vertices, chambers, y_q=None):
@@ -473,14 +477,15 @@ def halfopen_activity_regions(vertices, chambers, y_q=None):
     """
     if not vertices:
         return []
-    y_q, walls = _opening(chambers, y_q)
-    return [(v, _halfopen_region(v.activity, y_q, walls)) for v in vertices]
+    _, y, walls = _opening(chambers, y_q)
+    return [(v, _halfopen_region(v.activity, y, walls)) for v in vertices]
 
 
-def _split_tree(chambers, walls, y_q):
+def _split_tree(chambers, walls, y):
     """The chambers' split tree: nested (n, up, below, above) nodes with
     chamber indices at the leaves, or None without chambers.  walls is
-    _walls(chambers), the keys of the chambers' facet rows.
+    _walls(chambers), the keys of the chambers' facet rows, and y the
+    integer opening direction of _opening.
 
     The chambers are full-dimensional cells of one hyperplane arrangement
     cut from Q, so each lies on one side of every hyperplane, the side its
@@ -491,30 +496,34 @@ def _split_tree(chambers, walls, y_q):
     A node holds the integer row n = _homogenized(g, h) of g . q <= h
     (_oriented): the chambers below it have n . (z, D) < 0 at their
     samples z / D, those above > 0.  A point on the hyperplane goes to the
-    side that q + eps y_q lies in first, above when up = g . y_q > 0, the
+    side that q + eps y_q lies in first, above when up = g . y > 0, the
     rule exactify uses to open the walls, and then to the other side
     (ParametricAnalysis._chamber_at).  Q's rows and cells without a
-    chamber separate no chambers and get no node.
+    chamber separate no chambers and get no node.  Each hyperplane's row,
+    its up flag and the set of chambers above it, a bitmask by chamber
+    index, are computed once, so a split is two integer ANDs.
     """
     if not chambers:
         return None
-    hyperplanes = sorted({_oriented(g, Fraction(num, den))
-                          for g, num, den in walls})
     points = [(*z, D) for D, z in (_int_row(ch.sample) for ch in chambers)]
+    planes = []  # (n, up, mask of the chambers above) per hyperplane, sorted
+    for g, h in sorted({_oriented(g, Fraction(num, den)) for g, num, den in walls}):
+        n = _homogenized(g, h)
+        above = sum(1 << k for k, point in enumerate(points)
+                    if sum(map(mul, n, point)) > 0)
+        planes.append((n, sum(map(mul, g, y)) > 0, above))
 
     def split(ks, i):
-        for j in range(i, len(hyperplanes)):
-            g, h = hyperplanes[j]
-            n = _homogenized(g, h)
-            below, above = sides = [], []
-            for k in ks:
-                sides[sum(map(mul, n, points[k])) > 0].append(k)
-            if below and above:
-                return (n, dot(g, y_q) > 0, split(below, j + 1), split(above, j + 1))
-        (k,) = ks
+        for j in range(i, len(planes)):
+            n, up, above = planes[j]
+            below = ks & ~above
+            if below and below != ks:
+                return (n, up, split(below, j + 1), split(ks & above, j + 1))
+        k = ks.bit_length() - 1
+        assert ks == 1 << k, "two chambers that no hyperplane separates"
         return k
 
-    return split(range(len(chambers)), 0)
+    return split((1 << len(chambers)) - 1, 0)
 
 
 def _integer_map(vertex):
@@ -575,17 +584,17 @@ class ParametricAnalysis:
         self.vertices = enumerate_parametric_vertices(pp)
         self.chambers = chambers_max_dim(self.vertices, pp.qset, qdim=pp.qdim)
         # no chambers means no vertices: each vertex is active in one
-        self.y_q, walls = (_opening(self.chambers) if self.chambers
-                           else (None, set()))
-        self.open_chambers = _open_chambers(self.chambers, self.y_q, walls)
-        self.open_activities = [(v, _halfopen_region(v.activity, self.y_q, walls))
+        self.y_q, y, walls = (_opening(self.chambers) if self.chambers
+                              else (None, None, set()))
+        self.open_chambers = _open_chambers(self.chambers, y, walls)
+        self.open_activities = [(v, _halfopen_region(v.activity, y, walls))
                                 for v in self.vertices]
         # decompositions by position in self.vertices, which keeps each
         # vertex alive, so that no lookup hashes a vertex's fields
         self._decomps = {}
         self._position = {id(v): i for i, v in enumerate(self.vertices)}
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
-        self._tree = _split_tree(self.chambers, walls, self.y_q)
+        self._tree = _split_tree(self.chambers, walls, y)
         self._generic = {}  # (position, M) -> whether M suits its leaf rays
         self._programs = {}  # (position, mu) -> CompiledLeaves
         self._denominators = {}  # mu -> the one denominator of its programs

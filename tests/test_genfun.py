@@ -539,7 +539,7 @@ def test_leaves_walk_a_unit_generator_or_their_hermite_box(monkeypatch):
         del herm[:]
         compiled = CompiledLeaves([[(eps, leaf)]], [((), a, q)], mu=mu)
         assert herm == ([] if kind.startswith(("index", "generator")) else [rays])
-        assert compiled.groups == []
+        assert compiled.tabled == compiled.walked == []
         want = reference_share(gf_term(leaf, apex, eps), mu)
         assert Fraction(compiled.constant, compiled.denominator) == want, \
             (rays, sigma, apex, mu)
@@ -651,7 +651,7 @@ def test_fixed_counts_leave_no_work_per_evaluation():
         maps.append(((), [int(x * q) for x in v.point], q))
     assert max(leaf.index for leaves in groups for _, leaf in leaves) > 1
     compiled = CompiledLeaves(groups, maps)
-    assert compiled.groups == []
+    assert compiled.tabled == compiled.walked == []
     assert compiled.constant == compiled.count((), 1) * compiled.denominator
     assert compiled.count((), 1) == brute_box_count(P.A, P.b, [(-1, 12), (-1, 12)])
 
@@ -704,8 +704,8 @@ def test_residue_tables_match_count_leaves(monkeypatch):
             groups.append([(1, hoc(cone_rays, sigma))])
             maps.append(([[x * y for y in w] for x in ci], c, m))
         compiled = CompiledLeaves(groups, maps)
-        assert [len(facets) for _, tabled, walked in compiled.groups
-                for facets, *_ in tabled + walked] == [1] * d
+        assert [len(facets) for _, facets, *_ in compiled.tabled + compiled.walked] \
+            == [1] * d
         # the second vertex's cone: its ray 0 points back to the first
         # vertex, and its facet 0 moves, with normal n . corner_1 = index
         leaf = groups[1][0][1]
@@ -759,7 +759,7 @@ def grid_cells(leaf):
 
 def grid_rows(compiled):
     """The row stores of the leaves of compiled that fill on use."""
-    return [rows for _, tabled, _ in compiled.groups for *_, rows in tabled
+    return [rows for *_, rows in compiled.tabled
             if isinstance(rows, genfun._GridRows)]
 
 
@@ -775,6 +775,8 @@ def test_only_multi_facet_leaves_above_index_1_walk(monkeypatch):
     # leaf and once per row it fills, and no leaf holds more rows than
     # max_index.  Leaves of one polytope have many weight denominators,
     # so a table built before its weights are scaled would count wrong.
+    # The per-vertex checks compile each vertex's leaves on their own,
+    # as the records of all vertices share one list.
     rng = random.Random(29)
     seen = set()
     for case in range(16):
@@ -789,16 +791,19 @@ def test_only_multi_facet_leaves_above_index_1_walk(monkeypatch):
                          [int(x * q) for x in v.point], q))
         for max_index in (5, 200):
             compiled = CompiledLeaves(groups, maps, max_index=max_index)
-            for leaves, (_, tabled, walked) in zip(groups, compiled.groups):
+            for leaves, vmap in zip(groups, maps):
+                single = CompiledLeaves([leaves], [vmap], max_index=max_index)
+                tabled, walked = single.tabled, single.walked
                 fits = [grid_cells(leaf) <= max_index for _, leaf in leaves]
                 assert len(tabled) == fits.count(True)
                 assert len(walked) == fits.count(False)
-                assert [len(facets) for facets, *_ in tabled + walked] \
+                assert [len(facets) for _, facets, *_ in tabled + walked] \
                     == [P.dim] * len(leaves)
                 ones = [leaf.index == 1 for _, leaf in leaves]
-                assert [index == 1 for *_, index, _, _ in tabled] == \
+                assert [index == 1 for _, _, index, _ in tabled] == \
                     [one for one, fit in zip(ones, fits) if fit]
-                for *_, index, ranks, rows in tabled:
+                for _, facets, index, rows in tabled:
+                    ranks = tuple(rank for *_, rank in facets)
                     if index == 1:
                         assert ranks == ((0,),) * P.dim and len(rows) == 1
                     else:
@@ -806,7 +811,8 @@ def test_only_multi_facet_leaves_above_index_1_walk(monkeypatch):
                 seen.add((max_index, "index 1", any(ones)))
                 seen.add((max_index, "grid", any(f and not o for f, o in zip(fits, ones))))
                 seen.add((max_index, "walked", bool(walked)))
-            walks = sum(len(walked) for _, _, walked in compiled.groups)
+            walks = len(compiled.walked)
+            assert len(compiled.tabled) + walks == sum(map(len, groups))
             calls = counted_box_sums(monkeypatch)
             for _ in range(3):
                 shift = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
@@ -824,8 +830,7 @@ def test_only_multi_facet_leaves_above_index_1_walk(monkeypatch):
                     assert len(calls) == walks + fills
                     assert fills == 0 or not again
                     seen.add((max_index, "fills", fills > 0))
-            assert all(len(rows) <= max_index for _, tabled, _ in compiled.groups
-                       for *_, rows in tabled)
+            assert all(len(rows) <= max_index for *_, rows in compiled.tabled)
     for max_index in (5, 200):
         assert {(max_index, "index 1", True), (max_index, "grid", True),
                 (max_index, "fills", True)} <= seen
@@ -865,9 +870,13 @@ def test_grid_rows_match_count_leaves():
             groups.append([(1, hoc(cone_rays, sigma))])
             maps.append((identity(d), [L * (x + y) for x, y in zip(c, ci)], L))
         compiled = CompiledLeaves(groups, maps, max_index=10 ** 4)
-        (_, tabled, walked) = compiled.groups[0]
-        assert walked == [] and len(tabled) == 1
-        facets, _, gains, _, _, rows = tabled[0]
+        # the first cone's record leads the list: on its own it compiles
+        # to one tabled leaf with the same facets
+        first = CompiledLeaves(groups[:1], maps[:1], max_index=10 ** 4)
+        assert first.walked == [] and len(first.tabled) == 1
+        _, facets, _, rows = compiled.tabled[0]
+        assert facets == first.tabled[0][1]
+        gains = [g for _, _, g, _ in facets]
         assert type(rows) is genfun._GridRows and len(facets) == d
         leaf = groups[0][0][1]
         for D in (1, 7, 10 ** 6 + 3):

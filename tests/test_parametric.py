@@ -697,7 +697,7 @@ class TestCompiledChambers:
 def grid_rows(analysis):
     """The row stores of the compiled programs' leaves that fill on use."""
     return [rows for program in analysis._programs.values()
-            for _, tabled, _ in program.groups for *_, rows in tabled
+            for *_, rows in program.tabled
             if isinstance(rows, genfun._GridRows)]
 
 
@@ -727,14 +727,28 @@ class TestGridRows:
         for q in [ch.sample for ch in analysis.chambers] + pcount_sweep_pool(1) \
                 + sweep_points(3, 400):
             analysis.count_at(q)
-        groups = [group for program in analysis._programs.values()
-                  for group in program.groups]
+        programs = analysis._programs.values()
         assert len(analysis._compiled) == len(analysis.open_chambers)
-        assert all(len(rows) <= max_index for _, tabled, _ in groups
-                   for *_, rows in tabled)
+        assert all(len(rows) <= max_index for program in programs
+                   for *_, rows in program.tabled)
         assert max(map(len, grid_rows(analysis))) > 1
-        walked = sum(len(walked) for _, _, walked in groups)
+        walked = sum(len(program.walked) for program in programs)
         assert (walked > 0) == (max_index < 200)
+
+    def test_walked_leaves_at_the_default_max_index(self):
+        # The sweep walks no leaf at the default max index, but many
+        # chambers of the 1178-chamber family do.  The CI step
+        # pcount --at 8/3,32/3 --verify checks one of them against the
+        # oracle, at a point off every hyperplane of the arrangement.
+        analysis = chambers1178().analysis()
+        q = (Fraction(8, 3), Fraction(32, 3))
+        assert all(linalg.dot(g, q) != h for v in analysis.vertices
+                   for g, h, _ in v.activity.rows)
+        count = analysis.count_at(q)
+        D, z = linalg._int_row(q)
+        chamber = analysis._compiled[analysis._chamber_at(z, D)]
+        assert len(chamber.leaves.walked) == 3
+        assert count == analysis.count_at(q, via="activities") == 10
 
 
 def compile_every_chamber(analysis, order=1):
@@ -765,8 +779,13 @@ class TestSharedPrograms:
                 assert program is analysis._programs[i, chamber.mu]
                 assert analysis._program(i, chamber.mu) is program
                 assert program.denominator == analysis._denominators[chamber.mu]
-            assert len(chamber.leaves.groups) == sum(
-                len(program.groups) for program in chamber.programs)
+            for kind in ("tabled", "walked"):
+                records = getattr(chamber.leaves, kind)
+                assert len(records) == sum(
+                    len(getattr(program, kind)) for program in chamber.programs)
+                assert all(a is b for a, b in zip(records, (
+                    record for program in chamber.programs
+                    for record in getattr(program, kind))))
         assert len(analysis._programs) == programs
 
     @pytest.mark.parametrize("name", ["sweep", "chambers1178"])
@@ -807,7 +826,7 @@ class TestSharedPrograms:
             other = backwards._programs[key]
             assert (program.denominator, program.constant) == (
                 other.denominator, other.constant)
-            assert program.groups == other.groups
+            assert (program.tabled, program.walked) == (other.tabled, other.walked)
         rng = random.Random(29)
         points = [ch.sample for ch in forwards.chambers[::7]] + [
             tuple(Fraction(rng.randint(0, 60 * den), den) for _ in range(2))
