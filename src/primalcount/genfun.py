@@ -43,7 +43,7 @@ joins their lists, shares their records and compiles nothing.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -184,26 +184,22 @@ def gf_term(cone: HalfOpenCone, apex, sign: int = 1) -> GenFunTerm:
                       denominator_rays=tuple(cone.base.rays))
 
 
-def generic_directions(rays, count=1):
+def generic_directions(rays):
     """Integer directions mu = (1, M, M^2, ...) with <mu, b> != 0 for all b.
 
     Each pairing is a nonzero polynomial in M, so increasing M skips
-    only finitely many values; yields the first `count` that work.
+    only finitely many values; yields every M that works, in increasing
+    order, and (1,) forever when rays is empty.
     """
     if not rays:
-        yield from ((1,) for _ in range(count))
+        yield from repeat((1,))
         return
     d = len(next(iter(rays)))
-    found = 0
-    M = 1
-    while found < count:
+    for M in range(1, 10 ** 6 + 1):
         mu = tuple(M ** i for i in range(d))
         if all(dot(mu, b) != 0 for b in rays):
-            found += 1
             yield mu
-        M += 1
-        if M > 10 ** 6:
-            raise RuntimeError("no generic direction found")  # unreachable
+    raise RuntimeError("no generic direction found")  # unreachable
 
 
 def _binomials(N, order):

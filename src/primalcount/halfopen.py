@@ -4,7 +4,11 @@ A half-open simplicial cone keeps one flag per facet: +1 means the facet
 is included (weak inequality), -1 means it is excluded (strict).  Making
 boundaries half-open turns identities that hold only up to shared faces
 into exact identities of indicator functions, so no inclusion-exclusion
-over faces is ever needed.
+over faces is ever needed.  Every opening, of triangulation pieces here
+and of chambers and activity regions in parametric, follows one rule,
+exactify: a facet is strict when its outer normal points along a
+direction y perturbed symbolically by a basis, so ties on y are broken
+exactly, with no search for a generic y.
 """
 
 from dataclasses import dataclass
@@ -127,62 +131,48 @@ class SignedConeSum:
 # exactification
 
 
-def exactify(normals, y):
+def exactify(normals, y, basis=()):
     """Openness flags that make closed pieces sharing facets disjoint.
 
-    A facet becomes strict when its outer normal has positive scalar
-    product with y and stays weak otherwise.  Two pieces meeting in a
-    facet see it with opposite outer normals, so exactly one of them
-    keeps it and double counting disappears.  Returns one flag per
-    normal, True for strict.  Raises if y is orthogonal to a normal.
+    A facet is strict when the first nonzero entry of (n . y, n . b_1,
+    n . b_2, ...) is positive, for its outer normal n and the vectors b_i
+    of basis, and weak otherwise.  This is the sign of n . y' for the
+    direction y' = y + eps b_1 + eps^2 b_2 + ... as eps -> 0: a symbolic
+    perturbation (Edelsbrunner & Muecke 1990), so y' is generic for every
+    nonzero normal when basis spans, and every flag is the one a plain y
+    gives wherever y is generic.  Two pieces meeting in a facet see it
+    with opposite outer normals, so exactly one of them keeps it and
+    double counting disappears.  Returns one flag per normal, True for
+    strict.  Raises ValueError when every entry of a normal is zero.
     """
-    flags = []
+    flags, vectors = [], (y, *basis)
     for normal in normals:
-        p = dot(normal, y)
-        if p == 0:
+        for v in vectors:
+            p = dot(normal, v)
+            if p:
+                flags.append(p > 0)
+                break
+        else:
             raise ValueError("y is not generic for these facets")
-        flags.append(p > 0)
     return tuple(flags)
-
-
-def perturbed_direction(seed, basis, normals):
-    """A direction near seed with nonzero product against every normal.
-
-    Tries seed, then seed + sum_i gamma^(i+1) basis[i] for gamma = 1,
-    1/2, 1/4, ... and returns the first generic one.  Deterministic, and
-    terminates when basis spans, because each product is then a nonzero
-    polynomial in gamma.  Each candidate is tested as the integer vector
-    _int_row makes of it, a positive multiple with the same signs.
-    """
-    y = tuple(seed)
-    gamma = Fraction(1)
-    for _ in range(400):
-        z = _int_row(y)[1]
-        if all(dot(n, z) != 0 for n in normals):
-            return y
-        y = tuple(s + sum(gamma ** (i + 1) * b[k] for i, b in enumerate(basis))
-                  for k, s in enumerate(seed))
-        gamma /= 2
-    raise RuntimeError("no generic direction found")  # unreachable for spanning bases
 
 
 def halfopen_triangulate(C: ClosedCone):
     """Partition a closed pointed cone into half-open simplicial cones.
 
     Triangulates, then opens facets with exactify against one interior
-    direction y, the sum of C's rays moved off every facet hyperplane:
-    every point of C lies in exactly one output cone.  y is scaled to
-    integers once (_int_row); a positive scale keeps every flag.
+    direction, the sum of C's rays scaled to integers once (_int_row),
+    with C's rays as the basis that breaks ties: every point of C lies in
+    exactly one output cone.
     """
     pieces = triangulate(C)
     if len(pieces) == 1:
         return [HalfOpenCone(base=pieces[0], sigma=(1,) * len(pieces[0].rays))]
-    normals = [n for p in pieces for n in p.normals]
-    seed = [sum(coords) for coords in zip(*C.rays)]
-    y = _int_row(perturbed_direction(seed, C.rays, normals))[1]
+    y = _int_row([sum(coords) for coords in zip(*C.rays)])[1]
     out = []
     for p in pieces:
-        sigma = tuple(-1 if strict else 1 for strict in exactify(p.normals, y))
+        flags = exactify(p.normals, y, C.rays)
+        sigma = tuple(-1 if strict else 1 for strict in flags)
         out.append(HalfOpenCone(base=p, sigma=sigma))
     return out
 

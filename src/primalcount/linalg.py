@@ -94,10 +94,10 @@ def _int_row(row):
     row holds ints and Fractions (any numbers.Rational).  m is the lcm of
     their denominators and m * row a new list of ints, integral Fractions
     included, read from each entry's numerator and denominator without
-    Fraction arithmetic.  A row of ints alone is copied; the loop that
-    tells stops at the first other entry, so a row of Fractions pays
-    one type test for it.  Any other entry, such as a float or a str,
-    raises TypeError.
+    Fraction arithmetic; each denominator is read once.  A row of ints
+    alone is copied; the loop that tells stops at the first other entry,
+    so a row of Fractions pays one type test for it.  Any other entry,
+    such as a float or a str, raises TypeError.
     """
     for x in row:
         if type(x) is not int:
@@ -105,12 +105,13 @@ def _int_row(row):
     else:
         return 1, list(row)
     try:
-        m = lcm(*[x.denominator for x in row])
+        dens = [x.denominator for x in row]
     except AttributeError:
         bad = next(x for x in row if not hasattr(x, "denominator"))
         raise TypeError("entries must be int or Fraction, not "
                         f"{type(bad).__name__}") from None
-    return m, [x.numerator * (m // x.denominator) for x in row]
+    m = lcm(*dens)
+    return m, [x.numerator * (m // d) for x, d in zip(row, dens)]
 
 
 def _rows_hold(rows, p, y):

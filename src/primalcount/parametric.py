@@ -14,8 +14,9 @@ generators, a row is a facet when the generators tight on it have rank
 p, and a chamber's sample is the sum of its cell's rays.  Each cell
 carries the side of every hyperplane it lies on, so a chamber's active
 vertices are read off bitmasks.  Making chambers and activity regions
-half-open with one shared generic direction gives every parameter point
-exactly one evaluation formula, including points on the walls.  A wall
+half-open with one shared direction, perturbed symbolically where it
+ties (halfopen.exactify), gives every parameter point exactly one
+evaluation formula, including points on the walls.  A wall
 is read off the chambers' own rows: a facet whose hyperplane bounds
 some chamber from the other side.  On a chamber the count is the sum of
 its active vertices' leaf cones moved to v(q) (Brion), and only their
@@ -42,7 +43,6 @@ from .halfopen import (
     _check_max_index,
     exactify,
     integral_row,
-    perturbed_direction,
     signed_decompose,
 )
 from .linalg import (
@@ -119,7 +119,8 @@ class Chamber:
     """A chamber: its region in q-space, the vertices active on it and a
     point of its interior.  chambers_max_dim gives closed regions;
     halfopen_chambers gives the same chambers with the walls that
-    exactify opens, rows read off the other chambers (_walls), strict."""
+    exactify opens against y_q, ties broken by the identity basis, strict;
+    a row is a wall when it is read off another chamber (_walls)."""
 
     region: HalfOpenPolyhedron
     active: tuple  # of ParametricVertex
@@ -418,19 +419,12 @@ def _walls(chambers):
 
 def _opening(chambers, y_q=None):
     """(y_q, y, walls) that open both the chambers and the activity
-    regions: y_q, or else the first chamber's sample, moved off the rows
-    of every chamber and of every vertex active on one, which are all the
-    vertices (halfopen.perturbed_direction); y = _int_row(y_q)[1], the
-    positive integer multiple of y_q that exactify and the split tree
-    test rows against, so every flag is the one y_q gives; and
-    _walls(chambers)."""
-    regions = [ch.region for ch in chambers]
-    # each vertex once, by identity: hashing a vertex hashes all its fields
-    active = {id(v): v for ch in chambers for v in ch.active}
-    regions += [v.activity for v in active.values()]
-    seed = y_q if y_q is not None else chambers[0].sample
-    y_q = perturbed_direction(seed, identity(len(seed)),
-                              [g for region in regions for g, _, _ in region.rows])
+    regions: y_q, or else the first chamber's sample; y = _int_row(y_q)[1],
+    the positive integer multiple of y_q that exactify and the split tree
+    test rows against, with the identity as the basis that breaks ties,
+    so every flag is the one y_q + eps e_1 + eps^2 e_2 + ... gives as
+    eps -> 0; and _walls(chambers)."""
+    y_q = y_q if y_q is not None else chambers[0].sample
     return y_q, _int_row(y_q)[1], _walls(chambers)
 
 
@@ -439,10 +433,10 @@ def _halfopen_region(region, y, walls):
 
     y is the integer opening direction of _opening.  A facet is a wall
     when a chamber lies directly beyond it (_walls); walls that exactify
-    opens against y become strict, so each wall point stays in exactly
-    one of the adjacent regions.
+    opens against y, ties broken by the identity basis, become strict, so
+    each wall point stays in exactly one of the adjacent regions.
     """
-    opened = exactify([g for g, _, _ in region.rows], y)
+    opened = exactify([g for g, _, _ in region.rows], y, identity(len(y)))
     return HalfOpenPolyhedron(rows=tuple(
         (g, h, strict and _row_key(tuple(-x for x in g), -h) in walls)
         for (g, h, _), strict in zip(region.rows, opened)))
@@ -459,8 +453,9 @@ def halfopen_chambers(chambers, y_q=None):
     Returns one Chamber per input chamber, with the same active vertices
     and sample and a region whose wall rows may be strict.  Every
     parameter point in any chamber closure lands in exactly one
-    half-open chamber.  y_q must not be orthogonal to any wall normal;
-    it is repaired by perturbation when it is (_opening).
+    half-open chamber.  Walls open against y_q, or else the first
+    chamber's sample; a wall normal orthogonal to it is opened against
+    y_q + eps e_1 + eps^2 e_2 + ... as eps -> 0 (_opening, exactify).
     """
     if not chambers:
         return []
@@ -496,22 +491,24 @@ def _split_tree(chambers, walls, y):
     A node holds the integer row n = _homogenized(g, h) of g . q <= h
     (_oriented): the chambers below it have n . (z, D) < 0 at their
     samples z / D, those above > 0.  A point on the hyperplane goes to the
-    side that q + eps y_q lies in first, above when up = g . y > 0, the
-    rule exactify uses to open the walls, and then to the other side
-    (ParametricAnalysis._chamber_at).  Q's rows and cells without a
-    chamber separate no chambers and get no node.  Each hyperplane's row,
-    its up flag and the set of chambers above it, a bitmask by chamber
-    index, are computed once, so a split is two integer ANDs.
+    side that q + eps y_q lies in first, above when up, and then to the
+    other side (ParametricAnalysis._chamber_at); up is exactify's flag
+    for g against y with the identity basis, the rule that opens the
+    walls.  Q's rows and cells without a chamber separate no chambers
+    and get no node.  Each hyperplane's row, its up flag and the set of
+    chambers above it, a bitmask by chamber index, are computed once, so
+    a split is two integer ANDs.
     """
     if not chambers:
         return None
     points = [(*z, D) for D, z in (_int_row(ch.sample) for ch in chambers)]
+    basis = identity(len(y))
     planes = []  # (n, up, mask of the chambers above) per hyperplane, sorted
     for g, h in sorted({_oriented(g, Fraction(num, den)) for g, num, den in walls}):
         n = _homogenized(g, h)
         above = sum(1 << k for k, point in enumerate(points)
                     if sum(map(mul, n, point)) > 0)
-        planes.append((n, sum(map(mul, g, y)) > 0, above))
+        planes.append((n, exactify([g], y, basis)[0], above))
 
     def split(ks, i):
         for j in range(i, len(planes)):

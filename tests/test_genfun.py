@@ -3,7 +3,7 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import ceil, floor, gcd, lcm
 from pathlib import Path
 
@@ -348,7 +348,7 @@ def test_specialize_matches_fraction_reference():
                       for eps, leaf in signed_decompose(vertex_cone(P, v)).terms)
         g = GenFun(terms=terms)
         rays = {ray for t in terms for ray in t.denominator_rays}
-        for mu in generic_directions(rays, count=3):
+        for mu in islice(generic_directions(rays), 3):
             negative += sum(dot(mu, b) < 0 for t in terms for b in t.denominator_rays)
             assert specialize_at_one(g, mu) == specialize_reference(g, mu), (P, mu)
     assert negative > 100
@@ -905,11 +905,13 @@ def test_grid_rows_match_count_leaves():
 
 def test_generic_directions():
     rays = [(1, -1), (0, 1)]
-    mus = list(generic_directions(rays, count=3))
+    mus = list(islice(generic_directions(rays), 3))
     assert len(mus) == 3
     assert len(set(mus)) == 3
     for mu in mus:
         assert all(dot(mu, b) != 0 for b in rays)
+    assert mus == sorted(mus)  # in increasing M
+    assert list(islice(generic_directions([]), 2)) == [(1,), (1,)]
 
 
 def test_weights_are_shared_by_multisets_of_absolute_gains():

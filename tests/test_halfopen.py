@@ -17,7 +17,6 @@ from primalcount.halfopen import (
     facet_strictness,
     find_w,
     halfopen_triangulate,
-    perturbed_direction,
     signed_decompose,
 )
 from primalcount.linalg import det, dot, identity, solve, transpose
@@ -226,12 +225,52 @@ def test_exactify_rejects_bad_input():
         exactify([(1,), (-1,)], (0,))
 
 
-def test_perturbed_direction_halving():
+def test_exactify_breaks_ties_by_the_basis():
     # triangulation use: seed = sum of rays, basis = rays
-    y = perturbed_direction((1, 1), [(1, 0), (0, 1)], [(1, -1)])
-    assert y == (Fraction(3, 2), Fraction(5, 4))  # seed and gamma = 1 tie, 1/2 works
-    y2 = perturbed_direction((1, 1), [(1, 0), (0, 1)], [(0, 1)])
-    assert y2 == (1, 1)  # the seed is already generic
+    seed, rays = (1, 1), [(1, 0), (0, 1)]
+    # (1, -1) . seed = 0 ties, and (1, -1) . (1, 0) = 1 decides; the
+    # direction (3/2, 5/4) that the former search by halving found agrees
+    assert exactify([(1, -1), (-1, 1)], seed, rays) == (True, False)
+    assert exactify([(1, -1)], (Fraction(3, 2), Fraction(5, 4))) == (True,)
+    # the seed is already generic for (0, 1), so the basis is not read
+    assert exactify([(0, 1)], seed, rays) == exactify([(0, 1)], seed) == (True,)
+    with pytest.raises(ValueError, match="generic"):
+        exactify([(1, -1)], seed)
+    with pytest.raises(ValueError, match="generic"):
+        exactify([(0, 0)], seed, rays)
+
+
+def _spanning_basis(rng, d):
+    while True:
+        basis = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d)]
+        if det(basis) != 0:
+            return basis
+
+
+def test_exactify_is_the_limit_of_a_concrete_perturbation():
+    # For integer n, y and b_i, the first nonzero entry of (n . y, n . b_1,
+    # ...) has size at least 1, and at eps < 1 / (2 + sum_i |n . b_i|) the
+    # later terms of n . (y + eps b_1 + eps^2 b_2 + ...) add up to less, so
+    # that concrete direction gives every flag of the symbolic rule.  With
+    # a spanning basis no nonzero normal raises.
+    rng = random.Random(30)
+    ties = deep = 0
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        basis = _spanning_basis(rng, d)
+        y = tuple(rng.randint(-1, 1) for _ in range(d))
+        normals = [n for n in (tuple(rng.randint(-2, 2) for _ in range(d))
+                               for _ in range(8)) if any(n)]
+        if not normals:
+            continue
+        top = max(sum(abs(dot(n, b)) for b in basis) for n in normals)
+        eps = Fraction(1, 3 + top)
+        concrete = tuple(c + sum(eps ** (i + 1) * b[k] for i, b in enumerate(basis))
+                         for k, c in enumerate(y))
+        assert exactify(normals, y, basis) == exactify(normals, concrete), (y, basis)
+        ties += sum(dot(n, y) == 0 for n in normals)
+        deep += sum(dot(n, y) == dot(n, basis[0]) == 0 for n in normals)
+    assert ties >= 500 and deep >= 50
 
 
 def _closed_cone_from_rays(rays):

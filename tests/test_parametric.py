@@ -1363,7 +1363,8 @@ def nearby_reference(region, x, direction):
 
 
 def facet_point_halfopen(region, y_q, chambers):
-    """The former wall rule: a row exactify opens stays strict only when
+    """The former wall rule: a row that exactify opens against y_q, ties
+    broken by the identity basis, stays strict only when
     the region is full-dimensional and some closed chamber lies directly
     beyond a relative-interior point of its facet."""
     rows = region.rows
@@ -1372,8 +1373,8 @@ def facet_point_halfopen(region, y_q, chambers):
     full_dim = interior_point([g for g, _, _ in rows],
                               [h for _, h, _ in rows]) is not None
     out = []
-    for idx, ((g, h, _), strict) in enumerate(
-            zip(rows, exactify([g for g, _, _ in rows], y_q))):
+    opened = exactify([g for g, _, _ in rows], y_q, linalg.identity(len(y_q)))
+    for idx, ((g, h, _), strict) in enumerate(zip(rows, opened)):
         if strict and full_dim:
             q_f = facet_point_reference(rows, idx)
             strict = q_f is not None and any(
@@ -1446,18 +1447,108 @@ class TestWallRule:
                 return fn(*args)
             monkeypatch.setattr(parametric, name, wrapper)
 
-        counted("perturbed_direction", parametric.perturbed_direction)
+        counted("_opening", parametric._opening)
         counted("_walls", parametric._walls)
         for pp in (sweep_family(), without_q(sweep_family()),
                    parse_parametric(CROSS_FAMILY5.read_text())):
             analysis = pp.analysis()
-            assert sorted(calls) == ["_walls", "perturbed_direction"]
+            assert sorted(calls) == ["_opening", "_walls"]
             calls.clear()
             # the public functions open with the same direction unasked
             assert halfopen_chambers(analysis.chambers) == analysis.open_chambers
             assert halfopen_activity_regions(
                 analysis.vertices, analysis.chambers) == analysis.open_activities
             calls.clear()
+
+
+# Directions orthogonal to wall normals of the sweep family: (1, -1),
+# (3, -1), (1, -3), (1, 0) and (0, 1) are all wall normals there, and at
+# (0, 0) the identity basis decides every row.  Each points into Q, the
+# union of the chambers, as every perturbed direction near it does: a
+# direction that points out of the union at a point where walls meet its
+# boundary may give that point to two half-open chambers.
+TIED_DIRECTIONS = [(1, 1), (1, 3), (3, 1), (0, 1), (1, 0), (0, 0)]
+
+
+def concrete_direction(y_q, normals, sign=1):
+    """y_q + sign (eps e_1 + eps^2 e_2 + ...) for integer y_q, at an eps
+    below 1 / (2 + |n_1| + |n_2| + ...) for every normal n, where the
+    first nonzero of (n . y_q, n_1, n_2, ...) decides the sign of n
+    against the result."""
+    eps = Fraction(1, 3 + max(sum(map(abs, n)) for n in normals))
+    return tuple(c + sign * eps ** (i + 1) for i, c in enumerate(y_q))
+
+
+def sweep_wall_points(analysis, bound):
+    """Rational points of Q on the walls of the analysis's chambers, up
+    to bound in each coordinate."""
+    points = set()
+    for (g1, g2), h in sorted({(g, h) for ch in analysis.chambers
+                               for g, h, _ in ch.region.rows}):
+        base = (h / g1, 0) if g1 else (0, h / g2)
+        points.update((base[0] - Fraction(t, 6) * g2, base[1] + Fraction(t, 6) * g1)
+                      for t in range(-30 * bound, 30 * bound + 1))
+    return sorted(q for q in points if 0 <= min(q) and max(q) <= bound
+                  and closed_owners(analysis, q) >= 2)
+
+
+class TestTiedOpening:
+    # None of the data families ties at its own y_q, so these tests
+    # pass directions that do: a wall normal orthogonal to y_q is opened
+    # by the identity basis, as by y_q + eps e_1 + eps^2 e_2 for eps -> 0.
+
+    def test_tied_directions_open_as_their_concrete_limit(self):
+        analysis = sweep_family().analysis()
+        chambers, vertices = analysis.chambers, analysis.vertices
+        walls = {g for ch in chambers for g, _, _ in ch.region.rows}
+        normals = walls | {g for v in vertices for g, _, _ in v.activity.rows}
+        for y_q in TIED_DIRECTIONS:
+            assert any(linalg.dot(g, y_q) == 0 for g in walls), y_q
+            concrete = concrete_direction(y_q, normals)
+            assert all(linalg.dot(g, concrete) != 0 for g in normals), y_q
+            opened = halfopen_chambers(chambers, y_q)
+            assert opened == halfopen_chambers(chambers, concrete), y_q
+            assert halfopen_activity_regions(vertices, chambers, y_q) == \
+                halfopen_activity_regions(vertices, chambers, concrete), y_q
+            # the tie break decides: the other side of the limit opens
+            # some wall the other way
+            assert opened != halfopen_chambers(
+                chambers, concrete_direction(y_q, normals, sign=-1)), y_q
+
+    def test_wall_points_fall_in_one_chamber_under_tied_directions(self):
+        analysis = sweep_family().analysis()
+        chambers, vertices = analysis.chambers, analysis.vertices
+        points = sweep_wall_points(analysis, 12)
+        assert len(points) >= 200
+        for y_q in TIED_DIRECTIONS:
+            opened = halfopen_chambers(chambers, y_q)
+            regions = halfopen_activity_regions(vertices, chambers, y_q)
+            for q in points:
+                owners = [ch for ch in opened if ch.region.contains(q)]
+                assert len(owners) == 1, (y_q, q)
+                assert {id(v) for v in owners[0].active} == \
+                    {id(v) for v, region in regions if region.contains(q)}, (y_q, q)
+
+    def test_both_routes_count_wall_points_under_tied_directions(self, monkeypatch):
+        pp = sweep_family()
+        points = sweep_wall_points(pp.analysis(), 8)
+        real = parametric._opening
+        for y_q in TIED_DIRECTIONS:
+            monkeypatch.setattr(parametric, "_opening",
+                                lambda chambers, _=None, y_q=y_q: real(chambers, y_q))
+            analysis = ParametricAnalysis(pp)
+            assert analysis.y_q == y_q
+            for q in points:
+                compiled, reference = {}, {}
+                got = analysis.count_at(q, stats=compiled)
+                assert got == analysis.count_at(q, via="activities", stats=reference)
+                assert compiled == reference, (y_q, q)
+                b = [linalg.dot(e, q) + f for e, f in zip(SWEEP_E, SWEEP_F)]
+                assert got == brute_count(HPolytope(A=SWEEP_A, b=tuple(b))), (y_q, q)
+            # the split tree breaks ties as the walls were opened, so it
+            # tries the chamber that holds the point first
+            assert all(k == scan is not None and calls == 1 for k, scan, calls
+                       in tree_and_scan(analysis, points, monkeypatch)), y_q
 
 
 # ---------------------------------------------------------------------------
