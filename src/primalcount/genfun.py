@@ -30,10 +30,14 @@ moving facet, or at index 1, compiling fills every row
 needs it (_GridRows).  Each leaf that moves is kept as one flat record,
 in one list of tabulated leaves and one of walked leaves, with each of
 its moving facets' row, strict flag, gain and rank (or column) zipped
-into one tuple when compiling.  A count at a parameter point is then
-one loop over each list: one dot product and one floor division per
-moving facet, one table row per tabulated leaf, and integer sums over
-the residues of each walked leaf, building no point, apex or term.
+into one tuple when compiling.  A tabulated leaf's rows hold its share
+times d! in powers of X, so Horner's rule evaluates them in integers,
+and each tabulated leaf is compiled into a closure from a factory
+generated once per shape, p parameters, k moving facets and dimension d
+(_evaluator).  A count at a parameter point is then one call per
+tabulated leaf, which does one dot product and one floor division per
+moving facet, one cell lookup and d Horner steps, and integer sums
+over the residues of each walked leaf, building no point, apex or term.
 count_leaves counts fixed apexes as maps with no parameters, so all its
 work is compiling.  The parametric module
 compiles each vertex's leaves once per direction mu, and a chamber
@@ -44,7 +48,7 @@ joins their lists, shares their records and compiles nothing.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul, sub
 
 from .halfopen import HalfOpenCone, _check_max_index, signed_decompose
@@ -292,7 +296,8 @@ def specialize_at_one(g: GenFun, direction=None) -> int:
                 num[k] += c
         u, den = _leaf_weights(exps, term.sign)
         total += Fraction(sum(map(mul, u, num)), den)
-    assert total.denominator == 1, "specialization must produce an integer"
+    if total.denominator != 1:
+        raise AssertionError("specialization must produce an integer")
     return int(total)
 
 
@@ -309,11 +314,43 @@ def _box_sums(Ns, order):
     return S
 
 
+def _power_table(d):
+    """The columns of the change from the binomial basis C(X, i),
+    i = 0..d, to powers of X, scaled by d!: column k holds, for each i,
+    the coefficient of X^(d-k) in d! C(X, i) = (d! / i!) X (X-1) ...
+    (X-i+1), a signed Stirling number of the first kind times d! / i!.
+    Made once per d and kept in _POWER_TABLES."""
+    if d not in _POWER_TABLES:
+        falling = [1]  # X (X-1) ... (X-i+1), lowest power first
+        scaled = []  # d! C(X, i), padded to d + 1 powers
+        fact = factorial(d)
+        for i in range(d + 1):
+            scaled.append([fact // factorial(i) * a for a in falling]
+                          + [0] * (d - i))
+            falling = [0, *falling]
+            for k in range(i + 1):
+                falling[k] -= i * falling[k + 1]
+        _POWER_TABLES[d] = tuple(zip(*scaled))[::-1]
+    return _POWER_TABLES[d]
+
+
+_POWER_TABLES = {}  # d -> _power_table(d)
+
+
+def _power_row(W):
+    """The coefficients of d! sum_i W_i C(X, i) in powers of X, highest
+    first, for a binomial row W of length d + 1: integers, so Horner's
+    rule evaluates the row exactly."""
+    return tuple(sum(map(mul, W, column)) for column in _power_table(len(W) - 1))
+
+
 def _row(u, S):
-    """W with W_i = sum_(t >= i) u[t] S_(t-i): W[0] is the share of a box
-    whose binomial sums are S, and W_i the weight of C(X, i) when every
-    N of the box moves by X (Vandermonde's identity, _residue_table)."""
-    return tuple(sum(map(mul, u[i:], S)) for i in range(len(u)))
+    """The power row (_power_row) of W with W_i = sum_(t >= i) u[t]
+    S_(t-i): W[0] is the share of a box whose binomial sums are S, and
+    W_i the weight of C(X, i) when every N of the box moves by X
+    (Vandermonde's identity, _residue_table), so the row's value at X is
+    d! times the share of the moved box."""
+    return _power_row([sum(map(mul, u[i:], S)) for i in range(len(u))])
 
 
 def _moved(Ns, g, f, column, index):
@@ -323,16 +360,18 @@ def _moved(Ns, g, f, column, index):
 
 
 def _residue_table(u, Ns, column, g, index):
-    """The rows W(r), r = 0..index-1, of a leaf whose one moving facet
-    has gain g and the column v(k) = normals . k over the residues, with
-    Ns the leaf's column of N with every fixed facet folded in.
+    """The rows W(r), r = 0..index-1, in powers of X (_row), of a leaf
+    whose one moving facet has gain g and the column v(k) = normals . k
+    over the residues, with Ns the leaf's column of N with every fixed
+    facet folded in.
 
     With f = index Q + r, 0 <= r < index, the facet moves the point of
     residue k to N = B_k(r) + X for B_k(r) = N_k - g ((r - v_k) // index)
     and X = -g Q.  Vandermonde's identity
     C(B + X, t) = sum_i C(B, t - i) C(X, i) makes the share
     sum_i W_i(r) C(X, i) with W(r) = _row(u, S(r)) and
-    S_i(r) = sum_k C(B_k(r), i).  For v_k = a index + b, B_k(r) is
+    S_i(r) = sum_k C(B_k(r), i), and _row keeps it in powers of X, times
+    d!, for Horner's rule.  For v_k = a index + b, B_k(r) is
     N_k + g (a + 1) while r < b and N_k + g a from r = b on (always when
     b = 0), so S starts at the sums of the first values and changes only
     at the residues b that some v_k has; a residue with none repeats the
@@ -365,8 +404,10 @@ def _residue_table(u, Ns, column, g, index):
 
 
 class _GridRows(dict):
-    """The rows of a leaf with several moving facets, keyed by cell, each
-    filled the first time a count needs it by one walk of the residues.
+    """The power rows (_row) of a leaf with several moving facets, keyed
+    by cell, each filled the first time a count needs it by one walk of
+    the residues.  The leaf's evaluator (_evaluator) holds this dict, so
+    a lookup of a missing cell fills it.
 
     gains, columns and ranks hold per moving facet its gain, its column
     v(k) = normals . k over the residues, and its rank array
@@ -425,6 +466,58 @@ def _grid_ranks(columns, index, max_index):
     return ranks
 
 
+def _evaluator(p, k, d):
+    """The factory of evaluators of tabulated leaves with p parameters, k
+    moving facets and dimension d, generated once per shape and kept in
+    _FACTORIES.
+
+    factory(m, facets, index, rows) takes a tabled record of
+    CompiledLeaves and returns leaf(zD): the leaf's share at the
+    parameter point z / D (zD = (*z, D)) times the program's
+    denominator, its power row at X by Horner's rule.  The source
+    unrolls what a loop over the record would do: one dot product and
+    floor division per moving facet, the sum of their ranks as the cell
+    (with one facet the rank is the identity, so the residue is the
+    cell) and d Horner steps.  It is formatted from p, k and d alone and
+    the factory binds the record's entries, so leaves of one shape share
+    one code object.  rows stays the record's container, which rescale
+    and _GridRows change in place.
+    """
+    shape = (p, k, d)
+    if shape not in _FACTORIES:
+        zs = [f"z{i}" for i in range(p)]
+        facets, floors = [], []
+        for j in range(k):
+            row = [f"a{j}_{i}" for i in range(p)]
+            facets.append(f"(({', '.join(row)}, b{j}), s{j}, g{j}, rank{j})")
+            dot = " + ".join(f"{a} * {z}" for a, z in zip(row, zs))
+            floors.append(f"        Q{j}, r{j} = divmod(({dot} + b{j} * D - s{j})"
+                          f" // mD, index)")
+        cell = "r0" if k == 1 else " + ".join(f"rank{j}[r{j}]" for j in range(k))
+        horner = "c0"
+        for i in range(1, d + 1):
+            horner = f"({horner}) * X + c{i}"
+        source = "\n".join([
+            "def factory(m, facets, index, rows):",
+            f"    ({', '.join(facets)},) = facets",
+            *(f"    n{j} = -g{j}" for j in range(k)),
+            "    def leaf(zD):",
+            f"        {', '.join(zs)}, D = zD",
+            "        mD = m * D",
+            *floors,
+            "        X = " + " + ".join(f"n{j} * Q{j}" for j in range(k)),
+            f"        {', '.join(f'c{i}' for i in range(d + 1))} = rows[{cell}]",
+            f"        return {horner}",
+            "    return leaf"])
+        namespace = {}
+        exec(source, namespace)
+        _FACTORIES[shape] = namespace["factory"]
+    return _FACTORIES[shape]
+
+
+_FACTORIES = {}  # (p, k, d) -> _evaluator(p, k, d)
+
+
 class CompiledLeaves:
     """Signed leaf cones with affine apexes, counted in integers.
 
@@ -447,7 +540,8 @@ class CompiledLeaves:
     c(k) = <mu, k> + shift and normals[j] . k for each moving facet j.
     Its share's weights (_leaf_weights, computed
     once per multiset of |gains| by _signed_weights) are scaled to one
-    common denominator, self.denominator, the lcm of the leaves' own.
+    common denominator L, the lcm of the leaves' own, and every count
+    is over self.denominator = L d!.
 
     Facet j has the integer row (normals[j] . M columns...,
     normals[j] . c) and its strict flag, so the rounding of
@@ -464,9 +558,9 @@ class CompiledLeaves:
     progression f_j - t normals[j][i], and the walk builds no column for
     the facet.  Only the moving facets, with their rows, flags and
     gains, are kept for count.  A leaf with no moving facet adds its
-    whole share to the constant self.constant and keeps nothing; with
-    p = 0 every facet is fixed, so a fixed count is all compiled here and
-    count only divides.
+    whole share, times d!, to the constant self.constant and keeps
+    nothing; with p = 0 every facet is fixed, so a fixed count is all
+    compiled here and count only divides.
 
     A leaf with moving facets depends on the parameters only through
     f_j = index Q_j + r_j for each of them: its share is
@@ -474,19 +568,26 @@ class CompiledLeaves:
     depends on r only through the cell of r (_grid_ranks).  A leaf with
     at most max_index cells is tabulated: it keeps one rank array per
     moving facet, which adds r_j's coordinate to the cell, and its rows
-    by cell.  With one moving facet the ranks are the identity, the
+    by cell, each the coefficients of d! sum_i W_i C(X, i) in powers of
+    X (_row), an integer polynomial that Horner's rule evaluates in d
+    steps.  With one moving facet the ranks are the identity, the
     cells are the index residues, and every row is filled here
     (_residue_table); at index 1 there is one cell, filled here too.
     Any other leaf's rows are filled on first use (_GridRows).  A leaf
     with more cells keeps its facet columns and its column of N, which
-    count walks.  So no leaf holds more than max_index rows.
+    count walks, with its weights u times d!.  So no leaf holds more
+    than max_index rows.
 
     Each leaf with a moving facet is one flat record, whatever its
     apex: self.tabled holds (m, facets, index, rows) per tabulated leaf,
     facets a tuple of (row, strict, gain, rank) per moving facet, and
     self.walked holds (m, facets, index, Ns, u) per walked leaf, facets a
-    tuple of (row, strict, gain, column).  Both are zipped once here, so
-    count is one loop over each list and builds no tuple per leaf.
+    tuple of (row, strict, gain, column).  Both are zipped once here.
+    self.evaluators holds one closure per tabled record, made by the
+    factory of its shape (_evaluator), which shares the record's rows.
+    So count is the constant plus one call per tabulated leaf, one loop
+    over the walked records and one exact division, which raises
+    AssertionError if the sum is not a multiple of the denominator.
     """
 
     def __init__(self, leaf_sets, maps, max_index=DEFAULT_MAX_INDEX, mu=None):
@@ -494,9 +595,11 @@ class CompiledLeaves:
             mu = next(generic_directions({ray for leaves in leaf_sets
                                           for _, leaf in leaves
                                           for ray in leaf.base.rays}))
+        d = len(mu)
+        fact = factorial(d)
         self.tabled, self.walked = [], []
         cache = {}  # sorted |gains| -> their _leaf_weights with sign 1
-        weights = []  # (u, den) of each leaf with a moving facet
+        weights = []  # (u, den, factor) of each leaf with a moving facet
         shares = []  # (share times den, den) of each leaf without one
         tables = []  # (rows, u, Ns, column, g, index) to fill once u is scaled
         for leaves, (M, c, m) in zip(leaf_sets, maps):
@@ -520,7 +623,6 @@ class CompiledLeaves:
                 if not moving:
                     shares.append((sum(map(mul, u, _box_sums(Ns, len(u) - 1))), den))
                     continue
-                weights.append((u, den))
                 if len(moving) > 1 and index > 1:
                     ranks = _grid_ranks(columns, index, max_index)
                     rows = ranks and _GridRows(u, Ns, [g for *_, g in moving],
@@ -541,47 +643,43 @@ class CompiledLeaves:
                     self.tabled.append((m, tuple(
                         (*facet, rank) for facet, rank in zip(moving, ranks)),
                         index, rows))
-        # every weight and share over the common denominator L, in place
-        self.denominator = L = lcm(*[den for _, den in weights],
-                                   *[den for _, den in shares])
-        for u, den in weights:
-            scale = L // den
+                # walked weights take the d! that _row gives power rows
+                weights.append((u, den, fact if rows is None else 1))
+        # every weight and share over the common denominator L d!, in place
+        L = lcm(*[den for _, den, _ in weights], *[den for _, den in shares])
+        self.denominator = L * fact
+        for u, den, scale in weights:
+            scale *= L // den
             u[:] = [scale * x for x in u]
-        self.constant = sum(share * (L // den) for share, den in shares)
+        self.constant = fact * sum(share * (L // den) for share, den in shares)
         for rows, u, Ns, column, g, index in tables:
             rows[:] = _residue_table(u, Ns, column, g, index)
+        self.evaluators = [
+            _evaluator(len(facets[0][0]) - 1, len(facets), d)(m, facets, index, rows)
+            for m, facets, index, rows in self.tabled]
 
     def count(self, z, D) -> int:
         """Lattice points of the signed leaf sum at the parameter point
         z / D: z an integer vector of length p, D a positive integer."""
         zD = (*z, D)
         total = self.constant
-        for m, facets, index, rows in self.tabled:
-            mD = m * D
-            X = cell = 0
-            for row, s, g, rank in facets:
-                Q, r = divmod((sum(map(mul, row, zD)) - s) // mD, index)
-                X -= g * Q
-                cell += rank[r]
-            W = rows[cell]
-            total += W[0] + W[1] * X
-            binomial = X
-            for i in range(2, len(W)):
-                binomial = binomial * (X - i + 1) // i
-                total += W[i] * binomial
+        for leaf in self.evaluators:
+            total += leaf(zD)
         for m, facets, index, Ns, u in self.walked:
             mD = m * D
             for row, s, g, column in facets:
                 Ns = _moved(Ns, g, (sum(map(mul, row, zD)) - s) // mD, column, index)
             total += sum(map(mul, u, _box_sums(Ns, len(u) - 1)))
         count, rem = divmod(total, self.denominator)
-        assert rem == 0, "specialization must produce an integer"
+        if rem:
+            raise AssertionError("specialization must produce an integer")
         return count
 
     def rescale(self, factor):
         """Count over factor times self.denominator: the constant and
-        every weight and row times factor, in place.  Equal rows of one
-        leaf stay one tuple."""
+        every weight and row times factor, in place, so the evaluators,
+        which share the rows, see it.  Equal rows of one leaf stay one
+        tuple."""
         self.denominator *= factor
         self.constant *= factor
         for *_, rows in self.tabled:
@@ -602,20 +700,22 @@ class CompiledSum:
     """The sum of CompiledLeaves programs compiled under one mu and over
     one denominator, counted as one program.
 
-    Its tabled and walked lists join the programs' lists and share their
-    records, so it compiles nothing and a count costs what the same
-    leaves cost in one CompiledLeaves.  rescale scales the records in
-    place, but the constant and denominator are copies: a sum made
-    before a program is rescaled must be made again.
+    Its tabled, walked and evaluators lists join the programs' lists and
+    share their records and closures, so it compiles nothing and a count
+    costs what the same leaves cost in one CompiledLeaves.  rescale
+    scales the records in place, which the closures see, but the
+    constant and denominator are copies: a sum made before a program is
+    rescaled must be made again.
     """
 
-    __slots__ = ("tabled", "walked", "constant", "denominator")
+    __slots__ = ("tabled", "walked", "evaluators", "constant", "denominator")
 
     def __init__(self, programs):
         (self.denominator,) = {p.denominator for p in programs}
         self.constant = sum(p.constant for p in programs)
         self.tabled = [leaf for p in programs for leaf in p.tabled]
         self.walked = [leaf for p in programs for leaf in p.walked]
+        self.evaluators = [leaf for p in programs for leaf in p.evaluators]
 
     count = CompiledLeaves.count
 

@@ -1,10 +1,12 @@
 """Tests for generating functions, parallelepiped points, and counting."""
 
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice, product
-from math import ceil, floor, gcd, lcm
+from math import ceil, comb, factorial, floor, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,7 @@ from primalcount.oracle import brute_count
 from primalcount.polytope import HPolytope, SimplicialCone, enumerate_vertices, vertex_cone
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def hoc(rays, sigma, apex=None):
@@ -901,6 +904,81 @@ def test_grid_rows_match_count_leaves():
         assert 1 < len(rows) <= grid_cells(leaf)
     for d, D in product((2, 3), (1, 7, 10 ** 6 + 3)):
         assert {(d, D, "X sign", 1), (d, D, "X sign", -1)} <= seen
+
+
+def horner(row, X):
+    """A power row, highest power first, at X."""
+    value = 0
+    for c in row:
+        value = value * X + c
+    return value
+
+
+def binomial(X, i):
+    """C(X, i) for any integer X, from math.comb: (-1)^i C(i - X - 1, i)
+    below 0."""
+    return comb(X, i) if X >= 0 else (-1) ** i * comb(i - X - 1, i)
+
+
+def test_power_rows_match_the_binomial_basis():
+    # A tabulated row W, sum_i W_i C(X, i), is kept in powers of X times
+    # d!: Horner's rule on it gives d! sum_i W_i C(X, i) for every X,
+    # negative X included, and the row of factor W is factor times the
+    # row, as rescale takes it.
+    rng = random.Random(71)
+    for d in range(1, 10):
+        for _ in range(8):
+            W = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(d + 1)]
+            power = genfun._power_row(W)
+            assert len(power) == d + 1 and all(type(c) is int for c in power)
+            factor = rng.randint(2, 9)
+            assert genfun._power_row([factor * w for w in W]) == \
+                tuple(factor * c for c in power)
+            for X in range(-60, 61):
+                assert horner(power, X) == \
+                    factorial(d) * sum(w * binomial(X, i) for i, w in enumerate(W))
+
+
+UNDER_O = """
+import sys
+from fractions import Fraction
+from math import lcm
+from primalcount.genfun import CompiledLeaves, GenFun, gf_term, specialize_at_one
+from primalcount.halfopen import signed_decompose
+from primalcount.polytope import HPolytope, enumerate_vertices, vertex_cone
+
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+P = HPolytope(A=((-2, 1), (1, -3), (1, 1)), b=(0, 0, 11))
+vertices = enumerate_vertices(P)
+groups, maps = [], []
+for v in vertices:
+    groups.append(signed_decompose(vertex_cone(P, v), max_index=20).terms)
+    q = lcm(*(Fraction(x).denominator for x in v.point))
+    maps.append(((), [int(x * q) for x in v.point], q))
+compiled = CompiledLeaves(groups, maps)
+compiled.constant += 1
+try:
+    print("count returned", compiled.count((), 1))
+except AssertionError:
+    print("count raised")
+one = GenFun(tuple(gf_term(leaf, vertices[0].point, eps) for eps, leaf in groups[0]))
+try:
+    print("specialize_at_one returned", specialize_at_one(one))
+except AssertionError:
+    print("specialize_at_one raised")
+"""
+
+
+def test_integrality_checks_survive_python_O():
+    # python -O strips assert statements; the integrality checks of
+    # CompiledLeaves.count and specialize_at_one raise AssertionError all
+    # the same, on a fixed count whose constant is off by one and on the
+    # terms of a single vertex cone, whose share is not an integer.
+    out = subprocess.run([sys.executable, "-O", "-c", UNDER_O], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["count raised", "specialize_at_one raised"]
 
 
 def test_generic_directions():

@@ -8,6 +8,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from primalcount.errors import (
     SingularMatrixError,
     UnboundedError,
 )
-from primalcount.genfun import count_leaves, count_polytope
+from primalcount.genfun import CompiledSum, count_leaves, count_polytope
 from primalcount.halfopen import HalfOpenPolyhedron, exactify, signed_decompose
 from primalcount.lp import OPTIMAL, interior_point, lp_maximize
 from primalcount.oracle import brute_count
@@ -516,6 +517,18 @@ def test_sweep_family_data_file():
     assert pp.qset == sweep_family().qset
 
 
+def test_sweep_family3_data_file():
+    # The sweep family with a third parameter on its last row, over
+    # q1, q2, q3 >= 0: 20 vertex maps and 27 chambers, which CI counts.
+    path = Path(__file__).parent / "data" / "sweep_family3.txt"
+    pp = parse_parametric(path.read_text())
+    assert (pp.A, pp.f) == (SWEEP_A, SWEEP_F)
+    assert pp.E == tuple((*e, 0) for e in SWEEP_E[:-1]) + ((0, 1, 1),)
+    analysis = pp.analysis()
+    assert (len(analysis.vertices), len(analysis.chambers)) == (20, 27)
+    assert analysis.count_at((Fraction(7, 2), 5, Fraction(9, 4))) == 5
+
+
 def sweep_points(seed, count):
     """Small or up to 1e6, integral or rational, a quarter of each."""
     rng = random.Random(seed)
@@ -592,6 +605,33 @@ class TestCompiledChambers:
                 got = analysis.count_at(q)
                 assert got == reference_count(analysis, q, cache), q
                 assert got == analysis.count_at(q, via="activities"), q
+
+    @pytest.mark.parametrize("max_index", [1, 5])
+    def test_three_parameter_families_match_both_references(self, max_index):
+        # p = 3: the box under a sum cut, in d = 3, and two random
+        # families in d = 2 over Q = [0, 5]^3, so the evaluators of
+        # p = 3 kernels run, with one to three moving facets; at max
+        # index 5 some leaves of the random families are walked.
+        rng = random.Random(41 + max_index)
+        shapes, walked = set(), 0
+        for pp in [three_parameter_family()] + [
+                pp for pp, _ in random_families(12, 2, ps=(3,))]:
+            analysis = ParametricAnalysis(pp, max_index)
+            cache = {}
+            counted = 0
+            for _ in range(150):
+                den = rng.choice((1, 2, 3))
+                q = tuple(Fraction(rng.randint(-den, 6 * den), den) for _ in range(3))
+                got = analysis.count_at(q)
+                assert got == reference_count(analysis, q, cache), q
+                assert got == analysis.count_at(q, via="activities"), q
+                counted += got > 0
+            assert counted >= 20
+            for program in analysis._programs.values():
+                shapes.update(shape(record, analysis.dim) for record in program.tabled)
+                walked += len(program.walked)
+        assert {(3, 1, 3), (3, 2, 3), (3, 3, 3), (3, 2, 2)} <= shapes
+        assert (walked > 0) == (max_index == 5)
 
     def test_chambers_lie_inside_q(self):
         # The compiled route runs no Q test, so no half-open chamber may
@@ -779,7 +819,7 @@ class TestSharedPrograms:
                 assert program is analysis._programs[i, chamber.mu]
                 assert analysis._program(i, chamber.mu) is program
                 assert program.denominator == analysis._denominators[chamber.mu]
-            for kind in ("tabled", "walked"):
+            for kind in ("tabled", "walked", "evaluators"):
                 records = getattr(chamber.leaves, kind)
                 assert len(records) == sum(
                     len(getattr(program, kind)) for program in chamber.programs)
@@ -848,6 +888,162 @@ class TestSharedPrograms:
         finally:
             tracemalloc.stop()
         assert live < 8 * 10 ** 6
+
+
+def reference_leaf(record, zD):
+    """The value of one tabled record at zD by the generic loop over its
+    facets, then Horner's rule over its power row."""
+    m, facets, index, rows = record
+    mD = m * zD[-1]
+    X = cell = 0
+    for row, s, g, rank in facets:
+        Q, r = divmod((sum(map(mul, row, zD)) - s) // mD, index)
+        X -= g * Q
+        cell += rank[r]
+    value = 0
+    for c in rows[cell]:
+        value = value * X + c
+    return value
+
+
+def bezout(a):
+    """(gcd(a), e) with a . e = gcd(a), for an integer vector a."""
+    g, e = 0, [0] * len(a)
+    for i, x in enumerate(a):
+        # s g + t x = gcd(g, x), by the extended Euclidean algorithm
+        r0, r1, s0, s1, t0, t1 = g, x, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+        if r0 < 0:
+            r0, s0, t0 = -r0, -s0, -t0
+        e = [s0 * v for v in e]
+        e[i] += t0
+        g = r0
+    return g, e
+
+
+def evaluator_families():
+    """The analyses whose tabled records the evaluator tests read: the
+    sweep, 5-d cross-polytope and 1178-chamber families, with every
+    chamber compiled, at max index 5 and the default."""
+    out = []
+    for pp in (sweep_family(), parse_parametric(CROSS_FAMILY5.read_text()),
+               chambers1178()):
+        for max_index in (5, genfun.DEFAULT_MAX_INDEX):
+            analysis = ParametricAnalysis(pp, max_index)
+            compile_every_chamber(analysis)
+            out.append(analysis)
+    return out
+
+
+def shape(record, d):
+    """(p, k, d) of a tabled record in dimension d."""
+    _, facets, _, _ = record
+    return len(facets[0][0]) - 1, len(facets), d
+
+
+class TestEvaluators:
+    # Each tabulated leaf counts through a closure from a factory that
+    # genfun._evaluator generates once per shape (p, k, d).  Its value is
+    # the record's power row at X, cell found by the record's ranks.
+
+    def test_evaluators_match_the_generic_loop(self):
+        # Every facet of every tabled record is driven to
+        # f = index Q + r with r = 0, 1 and index - 1 and Q of both
+        # signs, at D = 1, 7 and 10^6 + 3: z = t e with a . e the gcd of
+        # the facet's parameter part a, and t the least with
+        # (a . z + b D - s) // (m D) = f.  The other facets land where z
+        # puts them.  Such an f is reachable whenever m D is at least
+        # that gcd, and always at D = 10^6 + 3.
+        seen = set()
+        checked = 0
+        for analysis in evaluator_families():
+            for program in analysis._programs.values():
+                assert len(program.evaluators) == len(program.tabled)
+                for record, leaf in zip(program.tabled, program.evaluators):
+                    m, facets, index, _ = record
+                    for (*a, b), s, _, _ in facets:
+                        gamma, e = bezout(a)
+                        for D in (1, 7, 10 ** 6 + 3):
+                            mD = m * D
+                            for Q in (-3, 2):
+                                for r in {0, 1 % index, index - 1}:
+                                    f = index * Q + r
+                                    low = f * mD - b * D + s
+                                    t = -(-low // gamma)
+                                    if gamma * t > low + mD - 1:
+                                        assert mD < gamma
+                                        continue
+                                    zD = (*(t * x for x in e), D)
+                                    assert (sum(map(mul, a, zD)) + b * D - s) // mD == f
+                                    assert leaf(zD) == reference_leaf(record, zD), \
+                                        (record, zD)
+                                    checked += 1
+                                    seen.add((D, Q > 0, "r = " + (
+                                        "0" if r == 0 else "1" if r == 1
+                                        else "index - 1")))
+        for D in (1, 7, 10 ** 6 + 3):
+            for sign in (True, False):
+                assert {(D, sign, "r = 0"), (D, sign, "r = 1"),
+                        (D, sign, "r = index - 1")} <= seen
+        assert checked > 5000
+
+    def test_rescale_reaches_the_evaluators(self):
+        # rescale scales each record's rows in place, and a grid row
+        # filled after it comes from the scaled weights, so every
+        # evaluator's value, filled rows or not, is factor times its
+        # value before, and each chamber's programs, summed again, count
+        # as before at its sample.
+        analysis = ParametricAnalysis(sweep_family(), 5)
+        compile_every_chamber(analysis)
+        rng = random.Random(43)
+        points = [(rng.randint(-60, 60), rng.randint(-60, 60), D)
+                  for D in (1, 7, 10 ** 6 + 3) for _ in range(10)]
+        programs = list(analysis._programs.values())
+        before = [[leaf(zD) for zD in points[::2]] for program in programs
+                  for leaf in program.evaluators]
+        samples = [linalg._int_row(ch.sample) for ch in analysis.chambers]
+        counts = [analysis._compiled[k].leaves.count(z, D)
+                  for k, (D, z) in enumerate(samples)]
+        filled = sum(map(len, grid_rows(analysis)))
+        for program in programs:
+            program.rescale(3)
+        after = [[leaf(zD) for zD in points[::2]] for program in programs
+                 for leaf in program.evaluators]
+        assert after == [[3 * x for x in values] for values in before]
+        assert counts == [CompiledSum(analysis._compiled[k].programs).count(z, D)
+                          for k, (D, z) in enumerate(samples)]
+        for program in programs:
+            for record, leaf in zip(program.tabled, program.evaluators):
+                for zD in points:
+                    assert leaf(zD) == reference_leaf(record, zD)
+        assert sum(map(len, grid_rows(analysis))) > filled
+
+    def test_one_factory_per_shape_with_no_record_data(self):
+        # A second analysis of the same family finds every factory made,
+        # and every evaluator of one shape runs one code object whose
+        # constants hold no integer: the record's data reach it only
+        # through the factory's arguments.
+        analyses = evaluator_families()
+        factories = dict(genfun._FACTORIES)
+        by_shape = {}
+        for analysis in analyses:
+            d = analysis.dim
+            for program in analysis._programs.values():
+                for record, leaf in zip(program.tabled, program.evaluators):
+                    by_shape.setdefault(shape(record, d), []).append(leaf)
+        assert set(by_shape) <= set(factories)
+        assert {(2, 1, 3), (2, 2, 3), (2, 3, 3), (1, 2, 5)} <= set(by_shape)
+        assert not any(type(c) is int for factory in factories.values()
+                       for c in factory.__code__.co_consts)
+        for leaves in by_shape.values():
+            assert len(leaves) > 1
+            code = leaves[0].__code__
+            assert all(leaf.__code__ is code for leaf in leaves)
+            assert not any(type(c) is int for c in code.co_consts)
+        evaluator_families()
+        assert genfun._FACTORIES == factories
 
 
 def pcount_sweep_pool(seed):
