@@ -336,8 +336,12 @@ def _verify_chambers(pp, analysis, seed):
     exactly one half-open chamber, and both evaluation routes agree.
 
     Every point is scaled to integers once and tested against the rows of
-    every open and every closed chamber: a full scan, which the split
-    tree of the compiled route is checked against."""
+    every open and every closed chamber: a full scan, which the compiled
+    route's lookup is checked against.  The chamber samples come first,
+    so the compiled route walks the split tree for them and then finds
+    the 50 random points with the generated locate of the analysis
+    (parametric._locator), which hands points on node hyperplanes back
+    to the walk."""
     rng = random.Random(seed)
     spread = 1 + max((abs(x) for ch in analysis.chambers for x in ch.sample),
                      default=0)

@@ -124,7 +124,8 @@ def lp_maximize(c, A, b):
                 zrow = [a + w * p for a, p in zip(zrow, rows[i])]
                 zrow[bv] = 0  # cost -w cancels the unit entry
         status, d = _run_simplex(rows, zrow, basis, range(total), d)
-        assert status == OPTIMAL  # phase 1 objective is bounded above by 0
+        if status != OPTIMAL:  # phase 1 objective is bounded above by 0
+            raise AssertionError("phase 1 of the simplex method is unbounded")
         if any(basis[i] >= nvars and rows[i][-1] != 0 for i in range(m)):
             return INFEASIBLE, None, None
         for i in range(m):

@@ -23,7 +23,8 @@ its active vertices' leaf cones moved to v(q) (Brion), and only their
 apexes move, so each vertex is compiled once per specialization
 direction into integer arithmetic, each chamber adds up its vertices'
 programs, and a parameter point finds its chamber by a search of the
-split tree.
+split tree, compiled into one generated function once the analysis has
+answered as many points as it has chambers.
 """
 
 from dataclasses import dataclass, replace
@@ -497,7 +498,9 @@ def _split_tree(chambers, walls, y):
     walls.  Q's rows and cells without a chamber separate no chambers
     and get no node.  Each hyperplane's row, its up flag and the set of
     chambers above it, a bitmask by chamber index, are computed once, so
-    a split is two integer ANDs.
+    a split is two integer ANDs.  Two chambers that no hyperplane
+    separates, which chambers_max_dim never gives, raise AssertionError,
+    also under python -O.  _locator compiles the tree into one function.
     """
     if not chambers:
         return None
@@ -517,10 +520,93 @@ def _split_tree(chambers, walls, y):
             if below and below != ks:
                 return (n, up, split(below, j + 1), split(ks & above, j + 1))
         k = ks.bit_length() - 1
-        assert ks == 1 << k, "two chambers that no hyperplane separates"
+        if ks != 1 << k:
+            raise AssertionError("two chambers that no hyperplane separates")
         return k
 
     return split((1 << len(chambers)) - 1, 0)
+
+
+def _locator(tree, chamber_rows, p):
+    """The split tree compiled into one function locate(z0, ..., z_{p-1}, D)
+    that finds the half-open chamber of z / D (integer z, D > 0).
+
+    Each node n becomes v = n . (z, D), then "if v > 0:" its above side
+    and "if v < 0:" its below side.  Each leaf becomes its chamber's
+    int_rows test, inlined (< where a row is strict, <= otherwise), and
+    returns the chamber index k or None; rows on the hyperplane of a node
+    on the leaf's path are left out, as the point is strictly on the
+    chamber's side there.  A point on a node's hyperplane makes locate
+    return that node, and so does a point that reaches a node
+    _LOCATE_DEPTH levels down, which keeps the nesting under CPython's
+    indentation limit: ParametricAnalysis._chamber_at finishes the walk
+    from the node, and it alone breaks ties.  A point off every node
+    hyperplane on its path gets the answer _chamber_at gives, whose
+    pending list stays empty there.
+
+    The source holds names, operators, chamber indices and positions in
+    the list of handover nodes only.  A factory binds each distinct
+    coefficient as one closure cell, as genfun._evaluator does, so no
+    coefficient is printed and no int -> str digit limit applies.  A call
+    copies every cell of the function into its frame, so equal values
+    share a cell (81 cells for the 3539 terms on the 1178-chamber family)
+    and the nodes share one tuple.  Zero coefficients get no term.
+    locate refers to the tree and the rows' integers alone, not to an
+    analysis, so it makes no reference cycle.
+    """
+    names = [f"z{i}" for i in range(p)] + ["D"]
+    cells, lines, nodes, path = {}, [], [], set()
+
+    def cell(value):
+        return cells.setdefault(value, f"c{len(cells)}")
+
+    def plane(row):  # the primitive row of its hyperplane, oriented
+        common = gcd(*row) if next(x for x in row if x) > 0 else -gcd(*row)
+        return tuple(x // common for x in row)
+
+    def affine(row):
+        return " + ".join(f"{cell(a)} * {x}" for a, x in zip(row, names) if a) or "0"
+
+    def emit(node, depth):
+        pad = "    " * (depth + 2)
+        if type(node) is not tuple:
+            tests = " and ".join(
+                f"{affine(g)} {'<' if strict else '<='} "
+                + (f"{cell(h)} * D" if h else "0")
+                for g, h, strict in chamber_rows[node]
+                if plane((*g, -h)) not in path)
+            lines.append(f"{pad}return {node} if {tests} else None" if tests
+                         else f"{pad}return {node}")
+        elif depth == _LOCATE_DEPTH:
+            lines.append(f"{pad}return nodes[{len(nodes)}]")
+            nodes.append(node)
+        else:
+            n, _, below, above = node
+            lines.extend((f"{pad}v = {affine(n)}", f"{pad}if v > 0:"))
+            path.add(plane(n))
+            emit(above, depth + 1)
+            lines.append(f"{pad}if v < 0:")
+            emit(below, depth + 1)
+            path.remove(plane(n))
+            lines.append(f"{pad}return nodes[{len(nodes)}]")
+            nodes.append(node)
+
+    if tree is None:
+        lines.append("        return None")
+    else:
+        emit(tree, 0)
+    source = "\n".join([
+        "def factory(nodes, cells):",
+        "    (" + "".join(f"{name}, " for name in cells.values()) + ") = cells",
+        f"    def locate({', '.join(names)}):",
+        *lines,
+        "    return locate"])
+    namespace = {}  # apart from the globals, so factory makes no cycle
+    exec(source, {}, namespace)
+    return namespace["factory"](tuple(nodes), tuple(cells))
+
+
+_LOCATE_DEPTH = 50  # node levels _locator nests before it hands over
 
 
 def _integer_map(vertex):
@@ -547,9 +633,15 @@ class ParametricAnalysis:
     search of the chambers' split tree (_split_tree), which tests the
     int_rows of the half-open chambers it reaches (_chamber_at), and the
     chamber becomes a _CompiledChamber on the first evaluation that lands
-    in it.  The chamber picks its direction mu from its active vertices'
-    leaf rays, the first generic_directions of their union, found from
-    one memoized answer per (vertex, candidate) (_is_generic).  Each
+    in it.  Once this route has answered as many points as there are
+    chambers, the tree is compiled into one generated function
+    (_locator), which finds the chamber of every later point that lies
+    off the hyperplanes of the nodes on its path and hands any other
+    point to _chamber_at at the node where it ties; so a single lookup,
+    or chambers alone, never pays for the generation.  The chamber picks
+    its direction mu from its active vertices' leaf rays, the first
+    generic_directions of their union, found from one memoized answer
+    per (vertex, candidate) (_is_generic).  Each
     active vertex's leaves at its integer map are compiled once per
     (vertex, mu) into a program (_program) that every chamber under mu
     with that vertex active shares; the chamber counts as the
@@ -592,6 +684,8 @@ class ParametricAnalysis:
         self._position = {id(v): i for i, v in enumerate(self.vertices)}
         self._chamber_rows = [ho.region.int_rows for ho in self.open_chambers]
         self._tree = _split_tree(self.chambers, walls, y)
+        self._walks = 0  # lookups _chamber_at answered before _locate
+        self._locate = None  # _locator of the tree, made after len(chambers)
         self._generic = {}  # (position, M) -> whether M suits its leaf rays
         self._programs = {}  # (position, mu) -> CompiledLeaves
         self._denominators = {}  # mu -> the one denominator of its programs
@@ -668,15 +762,20 @@ class ParametricAnalysis:
                 mu=mu, programs=programs, leaves=CompiledSum(programs), stats=stats)
         return self._compiled[k]
 
-    def _chamber_at(self, z, D):
+    def _chamber_at(self, z, D, node=None):
         """The index of the half-open chamber holding z / D, or None.
 
-        Searches the split tree.  Off a node's hyperplane the point goes
-        to its own side; on it, first to the side y_q picks, then to the
-        other.  The first leaf whose chamber's rows hold answers.  This is
-        exact: each chamber lies on one closed side of every node
-        hyperplane, and the half-open chambers are disjoint."""
-        zD, node, pending = (*z, D), self._tree, []
+        Searches the split tree from node, or from its root when node is
+        None; the generated locate (_locator) starts it at the node where
+        z / D lies on the hyperplane, or at its depth cap.  Off a node's
+        hyperplane the point goes to its own side; on it, first to the
+        side y_q picks, then to the other.  The first leaf whose chamber's
+        rows hold answers.  This is exact: each chamber lies on one closed
+        side of every node hyperplane, and the half-open chambers are
+        disjoint."""
+        zD, pending = (*z, D), []
+        if node is None:
+            node = self._tree
         while node is not None:
             while type(node) is tuple:
                 n, up, below, above = node
@@ -691,7 +790,15 @@ class ParametricAnalysis:
 
     def _count_compiled(self, q0, stats):
         D, z = _int_row(q0)
-        k = self._chamber_at(z, D)
+        if self._locate is not None:
+            k = self._locate(*z, D)
+            if type(k) is tuple:
+                k = self._chamber_at(z, D, k)
+        else:
+            k = self._chamber_at(z, D)
+            self._walks += 1
+            if self._walks >= len(self.chambers):
+                self._locate = _locator(self._tree, self._chamber_rows, self.qdim)
         if k is None:
             return None
         chamber = self._compile(k)

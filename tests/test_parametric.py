@@ -2,11 +2,15 @@
 
 import gc
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+import weakref
 from functools import cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
@@ -14,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from primalcount import genfun, linalg, lp, parametric
-from primalcount.cli import parse_parametric
+from primalcount.cli import main, parse_parametric
 from primalcount.errors import (
     DegenerateConeError,
     NotFullDimensionalError,
@@ -51,6 +55,8 @@ from lp_reference import (
     region_reference,
     remove_redundant,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def interval_family():
@@ -1195,6 +1201,265 @@ class TestSplitTree:
         for q, (k, scan, calls) in zip(points, tree_and_scan(analysis, points,
                                                              monkeypatch)):
             assert k is scan is None and calls <= 2, q
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def data_family(name):
+    if name == "chambers1178":
+        return chambers1178()
+    return parse_parametric((DATA / f"{name}.txt").read_text())
+
+
+def chamber_vertices(analysis):
+    """The vertices of every cell of the chambers' arrangement: the rays
+    t > 0 of each cell's homogenized generators, where walls meet."""
+    hyperplanes = sorted({parametric._oriented(g, h) for v in analysis.vertices
+                          for g, h, _ in v.activity.rows})
+    cells = parametric._arrangement_cells(
+        [(g, h) for g, h, _ in analysis.qset.rows], analysis.qdim, hyperplanes)
+    return sorted({tuple(Fraction(x, ray[-1]) for x in ray[:-1])
+                   for _, (_, rays, _), _ in cells for ray in rays if ray[-1] > 0})
+
+
+def half_grid(p, low, high):
+    """The points of [low, high]^p with half-integer coordinates."""
+    axis = [Fraction(k, 2) for k in range(2 * low, 2 * high + 1)]
+    return list(product(axis, repeat=p))
+
+
+def locate_and_walk(analysis, points):
+    """(chamber the generated locate finds, finishing from a returned node
+    with _chamber_at, chamber the walker finds, whether locate handed
+    over) for each point."""
+    locate = parametric._locator(analysis._tree, analysis._chamber_rows,
+                                 analysis.qdim)
+    out = []
+    for q in points:
+        D, z = linalg._int_row(q)
+        k = locate(*z, D)
+        handed = type(k) is tuple
+        if handed:
+            k = analysis._chamber_at(z, D, k)
+        out.append((k, analysis._chamber_at(z, D), handed))
+    return out
+
+
+def chain_tree(depth, scale):
+    """A split tree of depth nodes along one parameter, each splitting off
+    one chamber, with rows and nodes scaled by scale: chamber j < depth is
+    j - 1 < q <= j, chamber depth is q > depth - 1, and the node at depth
+    j is q = j with chamber j below it."""
+    rows = [(((scale,), scale * j, False), ((-scale,), scale * (1 - j), True))
+            for j in range(depth + 1)]
+    rows[depth] = rows[depth][1:]
+    tree = depth
+    for j in reversed(range(depth)):
+        tree = ((scale, -scale * j), True, j, tree)
+    return tree, rows
+
+
+def bare_analysis(tree, rows):
+    """An analysis holding only the split tree and rows, so that
+    _chamber_at walks them."""
+    analysis = ParametricAnalysis.__new__(ParametricAnalysis)
+    analysis._tree, analysis._chamber_rows = tree, rows
+    return analysis
+
+
+class TestLocate:
+    # The split tree compiled into one generated function: off every node
+    # hyperplane on its path a point gets the walker's chamber from it,
+    # and on one it gets the node, from which _chamber_at finishes.
+
+    @pytest.mark.parametrize("name", ["sweep_family", "sweep_family_noq",
+                                      "sweep_family3", "cross_family5",
+                                      "chambers1178"])
+    def test_data_families_match_the_walker(self, name):
+        analysis = data_family(name).analysis()
+        p = analysis.qdim
+        vertices = chamber_vertices(analysis)
+        points = [ch.sample for ch in analysis.chambers] + vertices
+        points += half_grid(p, -1, {1: 12, 2: 12, 3: 5}[p])
+        points += [tuple(-x - 1 for x in q) for q in vertices]  # outside Q
+        found, handed = set(), 0
+        for q, (k, walked, tie) in zip(points, locate_and_walk(analysis, points)):
+            assert k == walked, (name, q)
+            found.add(k)
+            handed += tie
+        assert found == set(range(len(analysis.chambers))) | {None}, name
+        if name == "cross_family5":
+            assert type(analysis._tree) is int and handed == 0
+        else:
+            assert handed > 0, name
+
+    def test_eight_chambers_meet(self):
+        # (4, 12) on the sweep family closes eight chambers; locate hands
+        # it over at a node and the walker's tie rule picks the chamber
+        analysis = sweep_family().analysis()
+        locate = parametric._locator(analysis._tree, analysis._chamber_rows, 2)
+        node = locate(4, 12, 1)
+        assert type(node) is tuple
+        assert analysis._chamber_at((4, 12), 1, node) == \
+            analysis._chamber_at((4, 12), 1) is not None
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_random_families_match_the_walker(self, p):
+        for pp, _ in random_families(30 + p, 6, ps=(p,)):
+            analysis = pp.analysis()
+            points = [ch.sample for ch in analysis.chambers]
+            points += chamber_vertices(analysis)
+            points += half_grid(p, -1, {1: 7, 2: 7, 3: 3}[p])
+            for q, (k, walked, _) in zip(points, locate_and_walk(analysis, points)):
+                assert k == walked, (p, q)
+
+    def test_no_chambers(self):
+        pp = ParametricPolytope(
+            A=[[-1], [1]], E=[[0], [1]], f=[0, 0],
+            qset=HalfOpenPolyhedron.from_inequalities([[1], [-1]], [-1, 0]))
+        analysis = pp.analysis()
+        assert analysis.chambers == [] and analysis._tree is None
+        assert analysis.count_at((Fraction(-1, 2),)) == 0
+        assert analysis._locate is not None
+        assert [analysis.count_at((Fraction(k, 2),)) for k in range(-4, 4)] == [0] * 8
+        assert all(analysis._locate(k, 2) is None for k in range(-4, 4))
+
+    def test_chain_deeper_than_the_nesting_cap(self):
+        # 120 nested nodes compile; points past the cap come back as the
+        # node at depth 50, and every point finds the walker's chamber.
+        # The rows are scaled far past the int -> str digit limit, which
+        # only printing them would hit; the code holds indices alone.
+        depth, scale = 120, 10 ** 5000 + 1
+        tree, rows = chain_tree(depth, scale)
+        analysis = bare_analysis(tree, rows)
+        locate = parametric._locator(tree, rows, 1)
+        handed = []
+        for k in range(-4, 2 * depth + 4):
+            z = (k,)
+            got = locate(k, 2)
+            if type(got) is tuple:
+                handed.append(k)
+                got = analysis._chamber_at(z, 2, got)
+            want = analysis._chamber_at(z, 2)
+            assert got == want == (None if k <= -2 else min((k + 1) // 2, depth)), k
+        on_nodes = [2 * j for j in range(parametric._LOCATE_DEPTH)]
+        assert handed == on_nodes + list(range(2 * parametric._LOCATE_DEPTH - 1,
+                                                2 * depth + 4))
+        consts = [c for c in locate.__code__.co_consts if type(c) is int]
+        assert consts and max(consts) <= depth
+
+    def test_no_coefficient_is_printed(self):
+        # the generated code's integers are chamber indices, positions in
+        # the node list and the 0 of the node tests
+        analysis = chambers1178().analysis()
+        locate = parametric._locator(analysis._tree, analysis._chamber_rows, 2)
+        cells = {c.cell_contents for c in locate.__closure__
+                 if type(c.cell_contents) is int}
+        consts = {c for c in locate.__code__.co_consts if type(c) is int}
+        assert consts <= set(range(len(analysis.chambers)))
+        coefficients = {x for rows in analysis._chamber_rows for g, h, _ in rows
+                        for x in (*g, h)}
+        # a printed negative coefficient would be a negative constant
+        assert min(coefficients) == min(cells) == -310
+
+    def test_the_found_point_still_counts_18(self):
+        # The p = 2 family of random_families(9, 20) with cut rows (-3, -3)
+        # and (1, 1) at q = (5/2, 7/2): the compiled route, now through
+        # the generated locate, gives the brute-force count.
+        pp = next(pp for pp, _ in random_families(9, 20)
+                  if pp.qdim == 2 and {(-3, -3), (1, 1)} <= set(pp.A))
+        analysis = pp.analysis()
+        for ch in analysis.chambers:
+            analysis.count_at(ch.sample)
+        assert analysis._locate is not None
+        q = (Fraction(5, 2), Fraction(7, 2))
+        b = [linalg.dot(e, q) + f for e, f in zip(pp.E, pp.f)]
+        assert analysis.count_at(q) == brute_count(HPolytope(A=pp.A, b=tuple(b))) == 18
+
+
+class TestLocateBuildRule:
+    def test_built_after_as_many_lookups_as_chambers(self):
+        analysis = sweep_family().analysis()
+        samples = [ch.sample for ch in analysis.chambers]
+        assert analysis.count_at(samples[0]) and analysis._locate is None
+        for q in samples[1:-1]:
+            analysis.count_at(q)
+        assert analysis._locate is None
+        analysis.count_at(samples[-1])
+        assert analysis._locate is not None
+        # the activities route does not count toward it
+        other = sweep_family().analysis()
+        for q in samples:
+            other.count_at(q, via="activities")
+        assert other._locate is None
+
+    def test_cli_builds_only_for_many_points(self, monkeypatch, capsys):
+        real, built = parametric._locator, []
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(parametric, "_locator", counted)
+        path = str(DATA / "sweep_family.txt")
+        assert main(["pcount", path, "--at", "4,12"]) == 0
+        assert main(["chambers", path]) == 0
+        assert built == []
+        assert main(["chambers", path, "--verify"]) == 0
+        assert len(built) == 1
+        capsys.readouterr()
+
+
+def test_analysis_with_its_locate_is_freed_without_a_collection():
+    # The generated locate holds no reference to its analysis, so dropping
+    # the family frees the analysis by reference counting alone.
+    gc.disable()
+    try:
+        pp = sweep_family()
+        analysis = pp.analysis()
+        for ch in analysis.chambers:
+            analysis.count_at(ch.sample)
+        assert analysis._locate is not None
+        ref = weakref.ref(analysis)
+        del analysis, pp
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+UNDER_O = """
+import sys
+from fractions import Fraction
+from primalcount import lp
+from primalcount.halfopen import HalfOpenPolyhedron
+from primalcount.parametric import Chamber, _split_tree, _walls
+
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+region = HalfOpenPolyhedron(rows=(((1,), Fraction(2), False),
+                                  ((-1,), Fraction(0), False)))
+twins = [Chamber(region=region, active=(), sample=(Fraction(1),))] * 2
+try:
+    print("split tree returned", _split_tree(twins, _walls(twins), [1]))
+except AssertionError:
+    print("split tree raised")
+lp._run_simplex = lambda rows, zrow, basis, allowed, d: (lp.UNBOUNDED, d)
+try:
+    print("lp returned", lp.lp_maximize([1], [[-1]], [-1]))
+except AssertionError:
+    print("lp raised")
+"""
+
+
+def test_hardened_checks_survive_python_O():
+    # python -O strips assert statements; _split_tree's check that every
+    # leaf holds one chamber and the simplex method's phase-1 check raise
+    # AssertionError all the same
+    out = subprocess.run([sys.executable, "-O", "-c", UNDER_O], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["split tree raised", "lp raised"]
 
 
 def box_q(rng, p):
